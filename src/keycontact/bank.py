@@ -53,11 +53,6 @@ class MeshRef:
     def from_json(d: dict) -> "MeshRef":
         return MeshRef(d["path"], d["sha256"])
 
-    @staticmethod
-    def of_file(path) -> "MeshRef":
-        data = Path(path).read_bytes()
-        return MeshRef(str(path), hashlib.sha256(data).hexdigest())
-
 
 @dataclass(frozen=True)
 class SkillRecord:

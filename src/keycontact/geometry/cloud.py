@@ -8,8 +8,6 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .pose import Pose
-
 __all__ = ["PointCloud", "cloud_min_distance"]
 
 
@@ -43,9 +41,6 @@ class PointCloud:
     @property
     def feature_dim(self) -> Optional[int]:
         return None if self.features is None else self.features.shape[1]
-
-    def transformed(self, pose: Pose) -> "PointCloud":
-        return PointCloud(pose.apply(self.points), self.features)
 
     def centroid(self) -> np.ndarray:
         if len(self) == 0:

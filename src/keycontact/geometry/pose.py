@@ -37,17 +37,30 @@ def _as_vec3(v) -> np.ndarray:
     return a
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis; (..., n) -> (...).
+
+    Each norm is one BLAS dot per vector, as ``np.linalg.norm`` computes a
+    1-D norm, so a batched call matches per-row calls bit for bit (an
+    elementwise square-and-sum does not).
+    """
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _stack_last(*cols) -> np.ndarray:
+    """C-contiguous array with cols along a new last axis; scalars give (k,)."""
+    return np.ascontiguousarray(np.array(cols).T)
+
+
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a*b, scalar-first."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
+    """Hamilton product a*b, scalar-first; (4,) or (N, 4), broadcasting."""
+    aw, ax, ay, az = np.asarray(a).T
+    bw, bx, by, bz = np.asarray(b).T
+    return _stack_last(
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
     )
 
 
@@ -75,14 +88,15 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
+    """Rotation matrix of unit quaternion(s): (4,) -> (3, 3), (N, 4) -> (N, 3, 3)."""
+    q = np.asarray(q)
+    w, x, y, z = q.T
+    m = _stack_last(
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     )
+    return m.reshape(q.shape[:-1] + (3, 3))
 
 
 def matrix_to_quat(m: np.ndarray) -> np.ndarray:
@@ -136,34 +150,43 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
 
 
 def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:
-    rv = np.asarray(rv, dtype=float).reshape(3)
-    angle = np.linalg.norm(rv)
-    if angle < 1e-12:
-        # first-order expansion keeps the map smooth through zero
-        q = np.array([1.0, 0.5 * rv[0], 0.5 * rv[1], 0.5 * rv[2]])
-        return q / np.linalg.norm(q)
-    axis = rv / angle
+    """Unit quaternion(s) of rotation vector(s): (3,) -> (4,), (N, 3) -> (N, 4)."""
+    rv = np.asarray(rv, dtype=float)
+    angle = _norm(rv)[..., None]
+    small = angle < 1e-12
     half = 0.5 * angle
-    return np.concatenate([[np.cos(half)], np.sin(half) * axis])
+    q = np.concatenate([np.cos(half), np.sin(half) * (rv / np.where(small, 1.0, angle))], axis=-1)
+    if small.any():
+        # first-order expansion keeps the map smooth through zero
+        q_small = np.concatenate([np.ones_like(angle), 0.5 * rv], axis=-1)
+        q_small /= _norm(q_small)[..., None]
+        q = np.where(small, q_small, q)
+    return q
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
+    """Rotation vector(s) of unit quaternion(s): (4,) -> (3,), (N, 4) -> (N, 3)."""
     q = np.asarray(q, dtype=float)
-    if q[0] < 0.0:
-        q = -q
-    w = min(1.0, max(-1.0, float(q[0])))
-    angle = 2.0 * np.arccos(w)
-    s = np.sqrt(max(0.0, 1.0 - w * w))
-    if s < 1e-12:
-        return 2.0 * q[1:]
-    return (angle / s) * q[1:]
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    w = np.minimum(1.0, np.maximum(-1.0, q[..., :1]))
+    s = np.sqrt(np.maximum(0.0, 1.0 - w * w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(s < 1e-12, 2.0, 2.0 * np.arccos(w) / s)
+    return scale * q[..., 1:]
 
 
 def rotation_angle_between(qa: np.ndarray, qb: np.ndarray) -> float:
-    """Geodesic angle (rad) between two unit quaternions."""
-    d = abs(float(np.dot(qa, qb)))
-    d = min(1.0, d)
-    return 2.0 * np.arccos(d)
+    """Geodesic angle (rad) between two unit quaternions.
+
+    With qb sign-aligned to qa, |qa - qb| / |qa + qb| = tan(angle / 4).
+    Unlike 2 arccos|qa . qb|, this resolves angles down to 0: the dot
+    product rounds to 1 for every angle below about 3e-8 rad.
+    """
+    qa = np.asarray(qa, dtype=float)
+    qb = np.asarray(qb, dtype=float)
+    if np.dot(qa, qb) < 0.0:
+        qb = -qb
+    return float(4.0 * np.arctan2(np.linalg.norm(qa - qb), np.linalg.norm(qa + qb)))
 
 
 def average_quaternions(quats: np.ndarray, weights=None) -> np.ndarray:
@@ -211,11 +234,6 @@ class Pose:
     @staticmethod
     def identity() -> "Pose":
         return Pose()
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return Pose(matrix_to_quat(m[:3, :3]), m[:3, 3])
 
     @staticmethod
     def from_rotation(m: np.ndarray, t=(0.0, 0.0, 0.0)) -> "Pose":

@@ -330,16 +330,6 @@ class Obb:
         """Full extents (2x half extents)."""
         return 2.0 * self.half_extents
 
-    def world_obb(self, pose: Pose) -> "Obb":
-        """This box re-expressed under a world pose of its owner."""
-        from .pose import quat_multiply
-
-        return Obb(
-            pose.apply(self.center),
-            self.half_extents,
-            quat_multiply(pose.q, self.orientation),
-        )
-
     def corners(self) -> np.ndarray:
         signs = np.array(
             [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],

@@ -58,25 +58,9 @@ def _sample_neighborhood(pose: Pose, search: NeighborhoodSearch, rng, k: int):
         angles = search.radius_r * ang_u
         axes = rng.normal(size=(n, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        for i in range(n):
-            quats[1 + i] = quat_multiply(pose.q, quat_from_rotvec(angles[i] * axes[i]))
+        quats[1:] = quat_multiply(pose.q, quat_from_rotvec(angles[:, None] * axes))
         quats[1:] /= np.linalg.norm(quats[1:], axis=1, keepdims=True)
     return quats, trans
-
-
-def _quats_to_matrices(quats: np.ndarray) -> np.ndarray:
-    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    m = np.empty((len(quats), 3, 3))
-    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    m[:, 0, 1] = 2 * (x * y - w * z)
-    m[:, 0, 2] = 2 * (x * z + w * y)
-    m[:, 1, 0] = 2 * (x * y + w * z)
-    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    m[:, 1, 2] = 2 * (y * z - w * x)
-    m[:, 2, 0] = 2 * (x * z - w * y)
-    m[:, 2, 1] = 2 * (y * z + w * x)
-    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return m
 
 
 def _batch_penetration(
@@ -92,7 +76,7 @@ def _batch_penetration(
     s_pts, _ = slave.surface_samples(search.pen_samples, seed=1)
     m_pts, _ = master.surface_samples(search.pen_samples, seed=1)
     m_world = master_pose.apply(m_pts)
-    rot = _quats_to_matrices(quats)
+    rot = quat_to_matrix(quats)
 
     # slave samples into the master SDF
     s_world = np.einsum("kij,nj->kni", rot, s_pts) + trans[:, None, :]
@@ -210,8 +194,8 @@ def refine_transferred_keypoints(
         )
         quats, trans = _sample_neighborhood(center, local, rng, search.samples)
         depth = _batch_penetration(quats, trans, master, master_pose, slave, search)
-        kf_quats = np.array([quat_multiply(q, slave_kf.as_pose().q) for q in quats])
-        rot = _quats_to_matrices(quats)
+        kf_quats = quat_multiply(quats, slave_kf.as_pose().q)
+        rot = quat_to_matrix(quats)
         kf_trans = np.einsum("kij,j->ki", rot, slave_kf.origin) + trans
         fdist = _pose_distance(kf_quats, kf_trans, target, search.rot_weight)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..geometry import Pose, ShapeModel, average_quaternions, quat_from_rotvec, quat_to_rotvec, sdf_query
-from ..geometry.pose import quat_multiply, quat_rotate
+from ..geometry.pose import quat_multiply, quat_rotate, quat_to_matrix
 
 __all__ = [
     "NoiseConfig",
@@ -132,7 +132,7 @@ def _perturb(quats, trans, sigma_t, sigma_r, rng):
     new_t = trans + rng.normal(0.0, sigma_t, size=(n, 3)) if sigma_t > 0 else trans.copy()
     if sigma_r > 0:
         rvs = rng.normal(0.0, sigma_r, size=(n, 3))
-        new_q = np.array([quat_multiply(quats[j], quat_from_rotvec(rvs[j])) for j in range(n)])
+        new_q = quat_multiply(quats, quat_from_rotvec(rvs))
         new_q /= np.linalg.norm(new_q, axis=1, keepdims=True)
     else:
         new_q = quats.copy()
@@ -157,11 +157,6 @@ def filter_predict(ps: ParticleSet, noise: NoiseConfig, seed: int = 0) -> Partic
     return ParticleSet(q, t, ps.weights, step=ps.step + 1)
 
 
-def hypothesized_keypoints(ps_quats: np.ndarray, ps_trans: np.ndarray, gripper: Pose) -> np.ndarray:
-    """World positions of the slave keypoint under each particle hypothesis."""
-    return quat_rotate(gripper.q, ps_trans) + gripper.t
-
-
 def contact_distances(
     quats: np.ndarray,
     trans: np.ndarray,
@@ -184,9 +179,7 @@ def contact_distances(
         return sdf_query(master, master_pose, kp_world)
     m = len(quats)
     # per-particle keypoint rotation in world: R_g @ R_zj
-    from .collision import _quats_to_matrices
-
-    rot = np.einsum("ij,mjk->mik", g_rot, _quats_to_matrices(quats))
+    rot = np.einsum("ij,mjk->mik", g_rot, quat_to_matrix(quats))
     pts = np.einsum("mik,nk->mni", rot, slave_contact_points) + kp_world[:, None, :]
     d = sdf_query(master, master_pose, pts.reshape(-1, 3)).reshape(m, -1)
     return d.min(axis=1)
@@ -260,8 +253,7 @@ def state_entropy(ps: ParticleSet) -> float:
     rank safety. Unlike the weight entropy this is unaffected by resampling
     resets, so it tracks how concentrated the posterior actually is.
     """
-    rvs = np.array([quat_to_rotvec(q) for q in ps.quats])
-    x = np.hstack([ps.translations, rvs])
+    x = np.hstack([ps.translations, quat_to_rotvec(ps.quats)])
     mean = (ps.weights[:, None] * x).sum(axis=0)
     xc = x - mean
     cov = (ps.weights[:, None, None] * np.einsum("ni,nj->nij", xc, xc)).sum(axis=0)

@@ -1,16 +1,18 @@
 """Contact-probe simulation: advance the held slave until it touches the master.
 
 The robot plans the approach against the perceived master pose using its
-current in-hand estimate, while contact is detected on the true geometry (or
-on the hypothesized geometry for virtual scenario rollouts). Detection uses
-the minimum master-SDF over slave surface samples; the contact travel is
-refined by bisection to 0.01 mm.
+current in-hand estimate. Detection uses the minimum master-SDF over slave
+surface samples; the contact travel is refined by bisection to the contact
+tolerance. One lock-step march serves both kinds of probe: a real probe
+marches one hypothesis, the true in-hand state, against the true master
+pose and reports a noisy gripper pose; a virtual rollout marches a batch of
+hypothesized in-hand states against the perceived master pose, noise-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,11 +23,15 @@ from .scenes import Scene
 
 __all__ = ["ProbeResult", "ProbeSimulator"]
 
-DEFAULT_STANDOFF = 0.02
-DEFAULT_STEP = 0.0005
-DEFAULT_MAX_TRAVEL = 0.05
+STANDOFF = 0.02  # m before the target point along the approach
+STEP = 0.0005  # m, smallest sphere-march advance
+MAX_TRAVEL = 0.05  # m
 CONTACT_TOL = 1e-5  # 0.01 mm
 PROBE_SAMPLES = 96
+# strategy ranking is insensitive to sub-d_th imprecision, so virtual
+# rollouts use a reduced sample set and a coarser bisection
+VIRTUAL_CONTACT_TOL = 1e-4
+VIRTUAL_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -33,182 +39,45 @@ class ProbeResult:
     contact: bool
     end_effector_pose: Pose  # reported (possibly noisy) gripper pose
     travel: float
-    contact_point: Optional[np.ndarray] = None  # world, diagnostic
-    min_sdf: Optional[float] = None
 
 
 class ProbeSimulator:
     """Probe rollouts bound to one scene."""
 
-    def __init__(
-        self,
-        scene: Scene,
-        standoff: float = DEFAULT_STANDOFF,
-        step: float = DEFAULT_STEP,
-        max_travel: float = DEFAULT_MAX_TRAVEL,
-        contact_tol: float = CONTACT_TOL,
-        n_samples: int = PROBE_SAMPLES,
-    ):
-        if step <= 0:
-            raise ValueError("step must be positive")
+    def __init__(self, scene: Scene, contact_tol: float = CONTACT_TOL, n_samples: int = PROBE_SAMPLES):
         self.scene = scene
-        self.standoff = float(standoff)
-        self.step = float(step)
-        self.max_travel = float(max_travel)
         self.contact_tol = float(contact_tol)
         pts, _ = scene.slave_shape.surface_samples(n_samples, seed=7)
         # the keypoint itself always belongs to the contact sample set
         self._slave_samples = np.vstack([scene.slave_kf.origin[None, :], pts])
         self._kf_inv = scene.slave_kf.as_pose().inverse()
 
-    def _min_sdf_along(
-        self,
-        kp_rot: np.ndarray,
-        kp_positions: np.ndarray,
-        offset: Pose,
-        master_inv_rot: np.ndarray,
-        master_inv_t: np.ndarray,
-    ) -> np.ndarray:
-        """Master-SDF of the slave samples for a batch of planned keypoint positions.
+    def _march(
+        self, strategy: ContactStrategy, z_plan: Pose, z_actuals: list[Pose], contact_master: Pose
+    ) -> tuple[np.ndarray, np.ndarray, Callable[[float], Pose]]:
+        """Lock-step sphere-march plus bisection of one strategy under several in-hand states.
 
-        offset = z_plan^-1 o z_actual folds the commanded-gripper indirection
-        into one constant pose: actual keypoint = planned keypoint o offset.
-        The master pose arrives pre-inverted (rotation matrix + translation).
-        Returns (K, n_samples) signed distances.
+        Every hypothesis advances by its own safe step (one SDF batch per
+        iteration): the min sample SDF bounds the safe advance, since the
+        SDF is 1-Lipschitz along the straight path. Returns the travels, the
+        contact flags (a miss ends at MAX_TRAVEL) and the map from a travel
+        to the planned gripper pose there.
         """
-        k = len(kp_positions)
-        actual_kp_rot = kp_rot @ offset.rotation_matrix()
-        kp_t = kp_positions + kp_rot @ offset.t
-        slave_rot = actual_kp_rot @ self._kf_inv.rotation_matrix()
-        slave_t = kp_t + actual_kp_rot @ self._kf_inv.t
-        world = (self._slave_samples @ slave_rot.T)[None, :, :] + slave_t[:, None, :]
-        local = world.reshape(-1, 3) @ master_inv_rot.T + master_inv_t
-        return self.scene.master_shape.sdf_local(local).reshape(k, -1)
-
-    def probe(
-        self,
-        strategy: ContactStrategy,
-        z_plan: Pose,
-        z_actual: Pose,
-        noise: NoiseConfig,
-        seed: int = 0,
-        use_noise: bool = True,
-        planning_master: Optional[Pose] = None,
-        contact_master: Optional[Pose] = None,
-        max_travel: Optional[float] = None,
-    ) -> ProbeResult:
-        """Advance along the strategy approach until contact or budget end.
-
-        planning_master defaults to the scene's perceived master pose (where
-        the robot believes the target is); contact_master to the true pose
-        (where the surface actually is). Virtual rollouts pass the perceived
-        pose for both and disable noise.
-        """
-        planning_master = planning_master or self.scene.master_perceived
-        contact_master = contact_master or self.scene.master_true
-        travel_budget = self.max_travel if max_travel is None else float(max_travel)
-
-        kp_rot = strategy.keypoint_rotation(planning_master)
-        approach = strategy.approach_direction(planning_master)
-        target = strategy.target_point_world(planning_master)
-        start = target - self.standoff * approach
-
-        # constant plan->actual keypoint offset: z_plan^-1 o z_actual
-        offset = z_plan.inverse().compose(z_actual)
-        m_inv = contact_master.inverse()
-        m_inv_rot = m_inv.rotation_matrix()
-        m_inv_t = m_inv.t
-
-        def min_sdf(travel: float) -> float:
-            return float(
-                self._min_sdf_along(
-                    kp_rot, (start + travel * approach)[None, :], offset, m_inv_rot, m_inv_t
-                ).min()
-            )
-
-        # sphere-march: the min sample SDF bounds the safe advance (the SDF is
-        # 1-Lipschitz along the straight path), so steps adapt from the
-        # configured increment up to the current clearance
-        t_hit = None
-        s = 0.0
-        d_prev = min_sdf(0.0)
-        if d_prev <= self.contact_tol:
-            t_hit = 0.0
-        while t_hit is None and s < travel_budget:
-            s_next = min(s + max(d_prev, self.step), travel_budget)
-            d_next = min_sdf(s_next)
-            if d_next <= 0.0:
-                lo_t, hi_t = s, s_next
-                while hi_t - lo_t > self.contact_tol:
-                    mid = 0.5 * (lo_t + hi_t)
-                    if min_sdf(mid) <= 0.0:
-                        hi_t = mid
-                    else:
-                        lo_t = mid
-                t_hit = hi_t
-                break
-            if d_next <= self.contact_tol:
-                t_hit = s_next
-                break
-            s, d_prev = s_next, d_next
-
-        if t_hit is None:
-            gripper = Pose.from_rotation(kp_rot, start + travel_budget * approach).compose(
-                z_plan.inverse()
-            )
-            return ProbeResult(False, gripper, float(travel_budget))
-
-        kp_pos = start + t_hit * approach
-        dvals = self._min_sdf_along(kp_rot, kp_pos[None, :], offset, m_inv_rot, m_inv_t)[0]
-        j = int(np.argmin(dvals))
-        gripper = Pose.from_rotation(kp_rot, kp_pos).compose(z_plan.inverse())
-        if use_noise and noise.contact_sigma > 0:
-            rng = np.random.default_rng(seed)
-            gripper = Pose(gripper.q, gripper.t + rng.normal(0.0, noise.contact_sigma, 3))
-        # world position of the touching sample, for diagnostics
-        actual_kp = Pose.from_rotation(kp_rot, kp_pos).compose(offset)
-        slave_pose = actual_kp.compose(self._kf_inv)
-        contact_pt = slave_pose.apply(self._slave_samples[j])
-        return ProbeResult(True, gripper, t_hit, contact_pt, float(dvals[j]))
-
-    def measurement(self, result: ProbeResult) -> ContactMeasurement:
-        """Contact measurement for the filter (perceived master pose)."""
-        return ContactMeasurement(
-            end_effector_pose=result.end_effector_pose,
-            master_pose=self.scene.master_perceived,
-            confirmed=result.contact,
-        )
-
-    def probe_batch(
-        self,
-        strategy: ContactStrategy,
-        z_plan: Pose,
-        z_actuals: list[Pose],
-        planning_master: Optional[Pose] = None,
-        contact_master: Optional[Pose] = None,
-        max_travel: Optional[float] = None,
-    ) -> list[Optional[Pose]]:
-        """Noise-free rollouts of one strategy under several in-hand hypotheses.
-
-        All hypotheses march in lock-step (one SDF batch per iteration), each
-        advancing by its own safe sphere-march step. Returns the gripper pose
-        at contact per hypothesis, or None where the approach never contacts.
-        """
-        planning_master = planning_master or self.scene.master_perceived
-        contact_master = contact_master or self.scene.master_true
-        budget = self.max_travel if max_travel is None else float(max_travel)
-        kp_rot = strategy.keypoint_rotation(planning_master)
-        approach = strategy.approach_direction(planning_master)
-        start = strategy.target_point_world(planning_master) - self.standoff * approach
+        master = self.scene.master_perceived
+        kp_rot = strategy.keypoint_rotation(master)
+        approach = strategy.approach_direction(master)
+        start = strategy.target_point_world(master) - STANDOFF * approach
         m_inv = contact_master.inverse()
         m_inv_rot, m_inv_t = m_inv.rotation_matrix(), m_inv.t
+        inv_plan = z_plan.inverse()
 
+        # actual keypoint = planned keypoint o (z_plan^-1 o z_actual)
         s_count = len(z_actuals)
         n = len(self._slave_samples)
         rotated = np.empty((s_count, n, 3))
         const_t = np.empty((s_count, 3))
         for i, z_a in enumerate(z_actuals):
-            off = z_plan.inverse().compose(z_a)
+            off = inv_plan.compose(z_a)
             akp_rot = kp_rot @ off.rotation_matrix()
             slave_rot = akp_rot @ self._kf_inv.rotation_matrix()
             rotated[i] = self._slave_samples @ slave_rot.T
@@ -222,26 +91,23 @@ class ProbeSimulator:
             d = self.scene.master_shape.sdf_local(local).reshape(-1, n)
             return d.min(axis=1)
 
+        tol = self.contact_tol
         travels = np.zeros(s_count)
         lo = np.zeros(s_count)
         hi = np.full(s_count, np.nan)  # NaN: not yet bracketed
-        done = np.zeros(s_count, dtype=bool)
-        hit = np.zeros(s_count, dtype=bool)
-        d = np.full(s_count, np.inf)
-        d[~done] = sdf_at(travels, ~done)
-        hit0 = (~done) & (d <= self.contact_tol)
-        done |= hit0
-        hit |= hit0
+        d = sdf_at(travels, np.ones(s_count, dtype=bool))
+        hit = d <= tol
+        done = hit.copy()
 
         while (~done).any():
             active = ~done
             idx = np.nonzero(active)[0]
             trial = travels.copy()
-            trial[idx] = np.minimum(travels[idx] + np.maximum(d[idx], self.step), budget)
+            trial[idx] = np.minimum(travels[idx] + np.maximum(d[idx], STEP), MAX_TRAVEL)
             d_next = sdf_at(trial, active)
             crossed = d_next <= 0.0
-            touched = (~crossed) & (d_next <= self.contact_tol)
-            exhausted = (~crossed) & (~touched) & (trial[idx] >= budget)
+            touched = (~crossed) & (d_next <= tol)
+            exhausted = (~crossed) & (~touched) & (trial[idx] >= MAX_TRAVEL)
             lo[idx[crossed]] = travels[idx[crossed]]
             hi[idx[crossed]] = trial[idx[crossed]]
             travels[idx] = trial[idx]
@@ -251,8 +117,8 @@ class ProbeSimulator:
 
         # batched bisection of the bracketed hypotheses
         bracketed = hit & ~np.isnan(hi)
-        while bracketed.any() and (hi[bracketed] - lo[bracketed] > self.contact_tol).any():
-            open_b = bracketed & (hi - lo > self.contact_tol)
+        while bracketed.any() and (hi[bracketed] - lo[bracketed] > tol).any():
+            open_b = bracketed & (hi - lo > tol)
             mids = 0.5 * (lo + hi)
             dm = sdf_at(mids, open_b)
             idx = np.nonzero(open_b)[0]
@@ -261,42 +127,55 @@ class ProbeSimulator:
             lo[idx[~below]] = mids[idx[~below]]
         travels = np.where(bracketed, hi, travels)
 
-        out: list[Optional[Pose]] = []
-        inv_plan = z_plan.inverse()
-        for i in range(s_count):
-            if not hit[i]:
-                out.append(None)
-                continue
-            kp_pos = start + travels[i] * approach
-            out.append(Pose.from_rotation(kp_rot, kp_pos).compose(inv_plan))
-        return out
+        def gripper_at(travel: float) -> Pose:
+            return Pose.from_rotation(kp_rot, start + travel * approach).compose(inv_plan)
 
-    def virtual_probe(self, coarse_tol: float = 1e-4, n_samples: int = 64):
-        """Noise-free batched rollout callable for strategy selection.
+        return travels, hit, gripper_at
 
-        Returns f(strategy, z_truths, z_plan) -> list of gripper Poses at
-        contact (None where the approach misses); contact is evaluated
-        against the perceived master pose, the same frame the filter scores
-        particles in. Rollouts run with a reduced sample set and coarser
-        bisection: strategy ranking is insensitive to sub-d_th imprecision
-        and this keeps selection cheap.
+    def probe(
+        self,
+        strategy: ContactStrategy,
+        z_plan: Pose,
+        z_actual: Pose,
+        noise: NoiseConfig,
+        seed: int = 0,
+    ) -> ProbeResult:
+        """Advance along the strategy approach until contact or budget end.
+
+        Contact is checked against the true master pose with the true
+        in-hand state z_actual; at contact the reported gripper pose carries
+        N(0, contact_sigma) noise per axis (contact_sigma = 0: none).
         """
-        lite = ProbeSimulator(
-            self.scene,
-            standoff=self.standoff,
-            step=self.step,
-            max_travel=self.max_travel,
-            contact_tol=coarse_tol,
-            n_samples=n_samples,
+        (travel,), (hit,), gripper_at = self._march(strategy, z_plan, [z_actual], self.scene.master_true)
+        gripper = gripper_at(travel)
+        if hit and noise.contact_sigma > 0:
+            rng = np.random.default_rng(seed)
+            gripper = Pose(gripper.q, gripper.t + rng.normal(0.0, noise.contact_sigma, 3))
+        return ProbeResult(bool(hit), gripper, float(travel))
+
+    def measurement(self, result: ProbeResult) -> ContactMeasurement:
+        """Contact measurement for the filter (perceived master pose)."""
+        return ContactMeasurement(
+            end_effector_pose=result.end_effector_pose,
+            master_pose=self.scene.master_perceived,
+            confirmed=result.contact,
         )
 
-        def f(strategy: ContactStrategy, z_truths: list[Pose], z_plan: Pose) -> list[Optional[Pose]]:
-            return lite.probe_batch(
-                strategy,
-                z_plan=z_plan,
-                z_actuals=z_truths,
-                planning_master=self.scene.master_perceived,
-                contact_master=self.scene.master_perceived,
-            )
+    def probe_batch(self, strategy: ContactStrategy, z_plan: Pose, z_actuals: list[Pose]) -> list[Optional[Pose]]:
+        """Noise-free rollouts of one strategy under several in-hand hypotheses.
 
-        return f
+        Contact is checked against the perceived master pose, the frame the
+        filter scores particles in. Returns the gripper pose at contact per
+        hypothesis, or None where the approach never contacts.
+        """
+        travels, hit, gripper_at = self._march(strategy, z_plan, z_actuals, self.scene.master_perceived)
+        return [gripper_at(t) if h else None for t, h in zip(travels, hit)]
+
+    def virtual_probe(self):
+        """Batched rollout callable for strategy selection.
+
+        Returns f(strategy, z_truths, z_plan) -> probe_batch of a simulator
+        with VIRTUAL_SAMPLES samples and VIRTUAL_CONTACT_TOL tolerance.
+        """
+        lite = ProbeSimulator(self.scene, VIRTUAL_CONTACT_TOL, VIRTUAL_SAMPLES)
+        return lambda strategy, z_truths, z_plan: lite.probe_batch(strategy, z_plan, z_truths)

@@ -316,11 +316,6 @@ def make_peg_hole_scene(
     )
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 # scene geometry is identical across trials that differ only in noise draws,
 # so built shape models are memoized per parameter tuple
 _SHAPE_CACHE: dict[tuple, tuple[ShapeModel, ShapeModel]] = {}

@@ -15,11 +15,16 @@ from keycontact.geometry import (
     load_ply,
     load_shape_cached,
     penetration_depth,
+    quat_from_rotvec,
+    quat_to_matrix,
+    quat_to_rotvec,
+    rotation_angle_between,
     save_obj,
     save_ply,
     sdf_query,
     union_aabb_volume,
 )
+from keycontact.geometry.pose import quat_multiply
 
 
 def random_pose(rng):
@@ -83,6 +88,87 @@ def test_rotation_matrix_proper():
         r = random_pose(rng).rotation_matrix()
         assert np.allclose(r.T @ r, np.eye(3), atol=1e-9)
         assert np.linalg.det(r) > 0
+
+
+# --- batched quaternion layer ----------------------------------------------
+
+def _scalar_quat_from_rotvec(rv):
+    # the per-vector formula the batched layer must reproduce bit for bit
+    angle = np.linalg.norm(rv)
+    if angle < 1e-12:
+        q = np.array([1.0, 0.5 * rv[0], 0.5 * rv[1], 0.5 * rv[2]])
+        return q / np.linalg.norm(q)
+    return np.concatenate([[np.cos(0.5 * angle)], np.sin(0.5 * angle) * (rv / angle)])
+
+
+def _scalar_quat_to_rotvec(q):
+    if q[0] < 0.0:
+        q = -q
+    w = min(1.0, max(-1.0, float(q[0])))
+    s = np.sqrt(max(0.0, 1.0 - w * w))
+    if s < 1e-12:
+        return 2.0 * q[1:]
+    return (2.0 * np.arccos(w) / s) * q[1:]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def rotvecs():
+    rng = np.random.default_rng(11)
+    return np.vstack([
+        rng.normal(size=(200, 3)),
+        rng.normal(scale=1e-3, size=(20, 3)),
+        rng.normal(scale=1e-13, size=(5, 3)),  # |rv| < 1e-12: first-order branch
+        np.zeros((1, 3)),
+    ])
+
+
+def test_quat_from_rotvec_batched_matches_rows(rotvecs):
+    batched = quat_from_rotvec(rotvecs)
+    assert _same_bits(batched, np.array([quat_from_rotvec(rv) for rv in rotvecs]))
+    assert _same_bits(batched, np.array([_scalar_quat_from_rotvec(rv) for rv in rotvecs]))
+
+
+def test_quat_to_rotvec_batched_matches_rows(rotvecs):
+    q = quat_from_rotvec(rotvecs)
+    q = np.vstack([q, -q])  # negative scalar part: same rotation
+    batched = quat_to_rotvec(q)
+    assert _same_bits(batched, np.array([quat_to_rotvec(r) for r in q]))
+    assert _same_bits(batched, np.array([_scalar_quat_to_rotvec(r) for r in q]))
+    assert _same_bits(batched[: len(rotvecs)], batched[len(rotvecs):])
+
+
+def test_quat_to_matrix_batched_matches_rows_and_is_contiguous(rotvecs):
+    q = quat_from_rotvec(rotvecs)
+    batched = quat_to_matrix(q)
+    assert batched.flags.c_contiguous and quat_to_matrix(q[0]).flags.c_contiguous
+    assert _same_bits(batched, np.array([quat_to_matrix(r) for r in q]))
+    assert _same_bits(batched[5], Pose(q[5]).rotation_matrix())
+
+
+def test_quat_multiply_batched_matches_rows_and_broadcasts(rotvecs):
+    a = quat_from_rotvec(rotvecs)
+    b = a[::-1]
+    assert _same_bits(quat_multiply(a, b), np.array([quat_multiply(x, y) for x, y in zip(a, b)]))
+    assert _same_bits(quat_multiply(a[3], b), np.array([quat_multiply(a[3], y) for y in b]))
+    assert _same_bits(quat_multiply(a, b[3]), np.array([quat_multiply(x, b[3]) for x in a]))
+    assert quat_multiply(a, b).flags.c_contiguous
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-12, 1e-9, 1e-6, 0.1, np.pi])
+def test_rotation_angle_between_resolves_small_angles(angle):
+    qa = np.array([1.0, 0.0, 0.0, 0.0])
+    qb = np.array([np.cos(0.5 * angle), np.sin(0.5 * angle), 0.0, 0.0])
+    assert rotation_angle_between(qa, qb) == pytest.approx(angle, rel=1e-12, abs=1e-300)
+    assert rotation_angle_between(qa, -qb) == rotation_angle_between(qa, qb)
+    # a common rotation of both leaves the angle; its rounding sits near 1e-16 rad
+    base = quat_from_rotvec(np.array([0.3, -1.1, 0.7]))
+    got = rotation_angle_between(quat_multiply(base, qa), quat_multiply(base, qb))
+    assert got == pytest.approx(angle, rel=1e-6, abs=1e-15)
 
 
 # --- point clouds ----------------------------------------------------------
