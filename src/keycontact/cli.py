@@ -163,7 +163,7 @@ def _cmd_refine(args) -> int:
         selection=args.selection,
         seed=args.seed,
     )
-    res = run_refinement(scene, scene.insertion_waypoint, args.contacts, cfg)
+    res = run_refinement(scene, args.contacts, cfg)
     z = res.estimate.value
     lat, dep, rot = scene.final_pose_errors(z)
     payload = {
@@ -191,7 +191,8 @@ def _cmd_campaign(args) -> int:
     seeds = None
     if args.seed_file:
         seeds = [int(line) for line in Path(args.seed_file).read_text().split() if line.strip()]
-    rows, summary = run_campaign(cfg, seeds=seeds)
+    # the current sys.stderr; run_campaign's default is the stream bound at import
+    rows, summary = run_campaign(cfg, seeds=seeds, log=sys.stderr)
     write_campaign_outputs(rows, summary, args.out_csv, args.out_summary)
     return 0
 

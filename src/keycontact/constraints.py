@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnresolvedParameterError
 from .geometry import Obb, Pose, average_quaternions, quat_from_rotvec, quat_to_rotvec
-from .geometry.pose import quat_conjugate, quat_multiply
+from .geometry.pose import quat_conjugate, quat_multiply, rotation_angle_between
 from .keypoints import KeypointFrame, WaypointPath
 from .serialize import SCHEMA_VERSION, check_schema, vec_to_json
 
@@ -183,8 +183,7 @@ def group_grasps_fallback(
     origins = np.array([f.origin for f in frames])
     quats = np.array([_frame_quat(f) for f in frames])
     dpos = np.linalg.norm(origins[:, None, :] - origins[None, :, :], axis=2)
-    dots = np.clip(np.abs(quats @ quats.T), -1.0, 1.0)
-    dang = 2.0 * np.arccos(dots)
+    dang = rotation_angle_between(quats[:, None, :], quats[None, :, :])
     adj = np.maximum(dpos / pos_eps, dang / ang_eps) <= 1.0
 
     parent = list(range(n))

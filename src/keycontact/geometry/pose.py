@@ -175,18 +175,24 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return scale * q[..., 1:]
 
 
-def rotation_angle_between(qa: np.ndarray, qb: np.ndarray) -> float:
-    """Geodesic angle (rad) between two unit quaternions.
+def rotation_angle_between(qa: np.ndarray, qb: np.ndarray):
+    """Geodesic angle (rad) between unit quaternions.
 
     With qb sign-aligned to qa, |qa - qb| / |qa + qb| = tan(angle / 4).
     Unlike 2 arccos|qa . qb|, this resolves angles down to 0: the dot
-    product rounds to 1 for every angle below about 3e-8 rad.
+    product rounds to 1 for every angle below about 3e-8 rad. Two (4,)
+    inputs give a float; broadcastable (..., 4) inputs give an array of
+    angles, each bit-identical to the float of its pair.
     """
     qa = np.asarray(qa, dtype=float)
     qb = np.asarray(qb, dtype=float)
-    if np.dot(qa, qb) < 0.0:
-        qb = -qb
-    return float(4.0 * np.arctan2(np.linalg.norm(qa - qb), np.linalg.norm(qa + qb)))
+    if qa.ndim == qb.ndim == 1:
+        if np.dot(qa, qb) < 0.0:
+            qb = -qb
+        return float(4.0 * np.arctan2(np.linalg.norm(qa - qb), np.linalg.norm(qa + qb)))
+    dots = (qa[..., None, :] @ qb[..., :, None])[..., 0]
+    qb = np.where(dots < 0.0, -qb, qb)
+    return 4.0 * np.arctan2(_norm(qa - qb), _norm(qa + qb))
 
 
 def average_quaternions(quats: np.ndarray, weights=None) -> np.ndarray:

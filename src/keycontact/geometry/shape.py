@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 DEFAULT_CELL = 0.002  # 2 mm grid resolution, enough for mm-scale clearances
+GRID_PADDING = 4  # grid cells beyond the mesh bounding box on each side
+PENETRATION_SAMPLES = 2000  # surface samples per shape in penetration_depth
 _CHUNK = 4096
 
 
@@ -257,7 +259,7 @@ class ShapeModel:
     (count, seed).
     """
 
-    def __init__(self, mesh: TriangleMesh, cell: float = DEFAULT_CELL, padding: int = 4, grid: SdfGrid | None = None):
+    def __init__(self, mesh: TriangleMesh, cell: float = DEFAULT_CELL, grid: SdfGrid | None = None):
         if cell <= 0:
             raise ValueError("cell size must be positive")
         self.mesh = mesh
@@ -268,14 +270,14 @@ class ShapeModel:
         if grid is not None:
             self.grid = grid
         else:
-            self.grid = self._build_grid(mesh, self.cell, padding)
+            self.grid = self._build_grid(mesh, self.cell)
         self._sample_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @staticmethod
-    def _build_grid(mesh: TriangleMesh, cell: float, padding: int) -> SdfGrid:
+    def _build_grid(mesh: TriangleMesh, cell: float) -> SdfGrid:
         lo, hi = mesh.aabb()
-        origin = lo - padding * cell
-        top = hi + padding * cell
+        origin = lo - GRID_PADDING * cell
+        top = hi + GRID_PADDING * cell
         shape = np.ceil((top - origin) / cell).astype(int) + 1
         xs = origin[0] + cell * np.arange(shape[0])
         ys = origin[1] + cell * np.arange(shape[1])
@@ -351,22 +353,15 @@ def sdf_query(shape: ShapeModel, pose: Pose, points: np.ndarray) -> np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def penetration_depth(
-    a: ShapeModel,
-    pose_a: Pose,
-    b: ShapeModel,
-    pose_b: Pose,
-    samples: int = 2000,
-    seed: int = 0,
-) -> float:
+def penetration_depth(a: ShapeModel, pose_a: Pose, b: ShapeModel, pose_b: Pose) -> float:
     """Sampled interpenetration depth (m), >= 0.
 
-    Maximum over surface samples of either shape of the negated signed
-    distance to the other, clamped at zero. Resolution limited by the sample
-    count and the SDF cell diagonal.
+    Maximum over PENETRATION_SAMPLES surface samples (seed 0) of either
+    shape of the negated signed distance to the other, clamped at zero.
+    Resolution limited by the sample count and the SDF cell diagonal.
     """
-    pa, _ = a.surface_samples(samples, seed)
-    pb, _ = b.surface_samples(samples, seed)
+    pa, _ = a.surface_samples(PENETRATION_SAMPLES, 0)
+    pb, _ = b.surface_samples(PENETRATION_SAMPLES, 0)
     a_in_b = b.sdf_local(pose_b.inverse().apply(pose_a.apply(pa)))
     b_in_a = a.sdf_local(pose_a.inverse().apply(pose_b.apply(pb)))
     depth = max(float(-a_in_b.min()), float(-b_in_a.min()))

@@ -34,6 +34,11 @@ from .keypoints import (
 
 __all__ = ["GroundedSegment", "ground_demo", "learn_records"]
 
+# two grasp frames within both of these are neighbors; connected neighbors
+# share one grasp region
+GRASP_GROUP_POS_EPS = 0.02  # m
+GRASP_GROUP_ANG_EPS = 0.35  # rad
+
 
 @dataclass(frozen=True)
 class GroundedSegment:
@@ -135,8 +140,6 @@ def learn_records(
     gamma: float = 0.05,
     squish_mu: float = 0.002,
     demo_id: str = "",
-    grasp_group_pos_eps: float = 0.02,
-    grasp_group_ang_eps: float = 0.35,
 ) -> list[SkillRecord]:
     """Turn one demonstration into skill records.
 
@@ -154,7 +157,7 @@ def learn_records(
 
     for master_id, pairs in sorted(grasp_frames.items()):
         frames = [kf for _, kf in pairs]
-        groups = group_grasps_fallback(frames, grasp_group_pos_eps, grasp_group_ang_eps)
+        groups = group_grasps_fallback(frames, GRASP_GROUP_POS_EPS, GRASP_GROUP_ANG_EPS)
         master = entities[master_id]
         anchor = _cloud_obb(master)
         regions = tuple(

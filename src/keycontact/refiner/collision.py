@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import NoCollisionFreePoseError
 from ..geometry import Pose, ShapeModel, union_aabb_volume
-from ..geometry.pose import quat_from_rotvec, quat_multiply, quat_to_matrix
+from ..geometry.pose import quat_from_rotvec, quat_multiply, quat_to_matrix, rotation_angle_between
 from ..keypoints import KeypointFrame
 
 __all__ = [
@@ -94,8 +94,7 @@ def _batch_penetration(
 
 def _pose_distance(quats, trans, ref: Pose, rot_weight: float) -> np.ndarray:
     dt = np.linalg.norm(trans - ref.t, axis=1)
-    dots = np.clip(np.abs(quats @ ref.q), -1.0, 1.0)
-    return dt + rot_weight * 2.0 * np.arccos(dots)
+    return dt + rot_weight * rotation_angle_between(quats, ref.q)
 
 
 @dataclass(frozen=True)

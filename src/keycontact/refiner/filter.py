@@ -5,7 +5,7 @@ perception error (master and slave alike) is folded into it, so a converged z
 makes execution relative to the perceived master pose consistent with the
 true contact geometry. The state is constant up to process noise; contact
 measurements score particles by the signed surface distance of the
-hypothesized slave keypoint to the master shape.
+hypothesized slave surface to the master shape.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def contact_distances(
     gripper: Pose,
     master: ShapeModel,
     master_pose: Pose,
-    slave_contact_points: np.ndarray | None,
+    slave_contact_points: np.ndarray,
 ) -> np.ndarray:
     """Signed contact distance per particle hypothesis at a gripper pose.
 
@@ -171,12 +171,10 @@ def contact_distances(
     keypoint frame (the keypoint itself is the origin and is always
     included). The distance of a hypothesis is the minimum master SDF over
     its implied slave surface, the same quantity the probe drives to zero at
-    contact; with no surface points it degenerates to the keypoint distance.
+    contact.
     """
     g_rot = gripper.rotation_matrix()
     kp_world = quat_rotate(gripper.q, trans) + gripper.t  # (M, 3)
-    if slave_contact_points is None or len(slave_contact_points) == 0:
-        return sdf_query(master, master_pose, kp_world)
     m = len(quats)
     # per-particle keypoint rotation in world: R_g @ R_zj
     rot = np.einsum("ij,mjk->mik", g_rot, quat_to_matrix(quats))
@@ -198,17 +196,15 @@ def filter_update(
     ps: ParticleSet,
     meas: ContactMeasurement,
     master: ShapeModel,
-    slave: ShapeModel | None,
+    slave: ShapeModel,
     noise: NoiseConfig,
-    slave_kf=None,
-    contact_samples: int = 64,
+    slave_kf,
 ) -> tuple[ParticleSet, bool]:
     """Measurement update; returns (updated set, diverged flag).
 
     Each particle's distance is the signed surface distance of its
     hypothesized slave placement to the master shape at the measured
-    configuration (min master-SDF over slave surface samples when the slave
-    shape and keypoint frame are given, else the bare keypoint distance).
+    configuration: the minimum master SDF over slave surface samples.
     New weights are the normalized likelihoods; carried prior weights fold
     in multiplicatively, which reduces to plain normalized likelihoods
     whenever the prior is uniform, i.e. right after a resample. If every
@@ -217,9 +213,7 @@ def filter_update(
     """
     if not meas.confirmed:
         raise ValueError("only confirmed contacts may enter the update")
-    pts = None
-    if slave is not None and slave_kf is not None:
-        pts = slave_contact_points_in_keypoint_frame(slave, slave_kf, contact_samples)
+    pts = slave_contact_points_in_keypoint_frame(slave, slave_kf)
     d = contact_distances(
         ps.quats, ps.translations, meas.end_effector_pose, master, meas.master_pose, pts
     )

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from ..errors import RefinementDivergence
-from ..geometry import Pose
 from .filter import (
     DEFAULT_PARTICLES,
     NoiseConfig,
@@ -21,17 +20,11 @@ from .filter import (
     state_entropy,
     weight_entropy,
 )
-from .strategy import (
-    DEFAULT_DOWNSAMPLE,
-    DEFAULT_ELEVATION_MAX,
-    DEFAULT_ORIENTATIONS,
-    DEFAULT_POSITIONS,
-    DEFAULT_SCENARIOS,
-    sample_contact_candidates,
-    select_contact_strategy,
-)
+from .strategy import sample_contact_candidates, select_contact_strategy
 
 __all__ = ["RefinementConfig", "StepDiagnostics", "RefinementResult", "run_refinement"]
+
+DIVERGENCE_LIMIT = 3  # consecutive all-zero-likelihood updates before aborting
 
 
 @dataclass(frozen=True)
@@ -39,14 +32,7 @@ class RefinementConfig:
     particles: int = DEFAULT_PARTICLES
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     selection: str = "ig"  # "ig" | "random"
-    n_positions: int = DEFAULT_POSITIONS
-    n_orientations: int = DEFAULT_ORIENTATIONS
-    n_scenarios: int = DEFAULT_SCENARIOS
-    n_downsample: int = DEFAULT_DOWNSAMPLE
-    elevation_max: float = DEFAULT_ELEVATION_MAX
-    flat_margin: float = 0.009  # reject contact positions without this much flat tangent room
     seed: int = 0
-    divergence_limit: int = 3
 
     def __post_init__(self):
         from ..errors import ConfigError
@@ -56,11 +42,6 @@ class RefinementConfig:
             fails["particles"] = "must be >= 2"
         if self.selection not in ("ig", "random"):
             fails["selection"] = "must be 'ig' or 'random'"
-        for name in ("n_positions", "n_orientations", "n_scenarios", "n_downsample"):
-            if getattr(self, name) < 1:
-                fails[name] = "must be >= 1"
-        if self.divergence_limit < 1:
-            fails["divergence_limit"] = "must be >= 1"
         if fails:
             raise ConfigError(fails)
 
@@ -89,13 +70,15 @@ class RefinementResult:
     final_particles: ParticleSet
 
 
-def run_refinement(scene, waypoint: Pose, n_contacts: int, config: RefinementConfig) -> RefinementResult:
+def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> RefinementResult:
     """Iteratively refine the in-hand estimate through simulated contacts.
 
     Runs n_contacts rounds of predict -> strategy selection -> probe ->
-    update -> resample on the given scene. n_contacts = 0 returns the
-    vision-only estimate untouched. Aborts with RefinementDivergence after
-    `divergence_limit` consecutive all-zero-likelihood updates.
+    update -> resample on the given scene. Each round samples a fresh set of
+    DEFAULT_POSITIONS x DEFAULT_ORIENTATIONS contact candidates. n_contacts
+    = 0 returns the vision-only estimate untouched. Aborts with
+    RefinementDivergence after DIVERGENCE_LIMIT consecutive
+    all-zero-likelihood updates.
     """
     from ..sim.probe import ProbeSimulator
 
@@ -119,14 +102,7 @@ def run_refinement(scene, waypoint: Pose, n_contacts: int, config: RefinementCon
         s_pred, s_sel, s_probe, s_res = (int(s) for s in step_seeds[n - 1])
         ps = filter_predict(ps, config.noise, seed=s_pred)
         # fresh candidate set per contact iteration
-        candidates = sample_contact_candidates(
-            scene.master_shape,
-            config.n_positions,
-            config.n_orientations,
-            seed=s_sel,
-            elevation_max=config.elevation_max,
-            flat_margin=config.flat_margin,
-        )
+        candidates = sample_contact_candidates(scene.master_shape, seed=s_sel)
 
         if config.selection == "ig":
             sel = select_contact_strategy(
@@ -136,10 +112,8 @@ def run_refinement(scene, waypoint: Pose, n_contacts: int, config: RefinementCon
                 scene.master_perceived,
                 vprobe,
                 config.noise,
-                slave=scene.slave_shape,
-                slave_kf=scene.slave_kf,
-                n_scenarios=config.n_scenarios,
-                n_downsample=config.n_downsample,
+                scene.slave_shape,
+                scene.slave_kf,
                 seed=s_sel,
             )
             strategy, cand_idx, expected_ig = sel.strategy, sel.candidate_index, sel.expected_ig
@@ -188,7 +162,7 @@ def run_refinement(scene, waypoint: Pose, n_contacts: int, config: RefinementCon
                 diverged=diverged,
             )
         )
-        if consecutive_zero >= config.divergence_limit:
+        if consecutive_zero >= DIVERGENCE_LIMIT:
             raise RefinementDivergence(
                 f"{consecutive_zero} consecutive all-zero likelihood updates",
                 diagnostics=tuple(steps),

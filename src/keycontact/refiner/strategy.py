@@ -34,16 +34,17 @@ __all__ = [
     "information_gain",
     "DEFAULT_POSITIONS",
     "DEFAULT_ORIENTATIONS",
-    "DEFAULT_SCENARIOS",
-    "DEFAULT_DOWNSAMPLE",
-    "DEFAULT_ELEVATION_MAX",
 ]
 
 DEFAULT_POSITIONS = 4
 DEFAULT_ORIENTATIONS = 12
-DEFAULT_SCENARIOS = 4
-DEFAULT_DOWNSAMPLE = 10
-DEFAULT_ELEVATION_MAX = np.deg2rad(60.0)
+ELEVATION_MAX = np.deg2rad(60.0)  # steepest approach tilt off the anti-normal
+# reject contact positions without this much flat tangent room (m), where a
+# ring of that radius stays within FLAT_TOL of the surface
+FLAT_MARGIN = 0.009
+FLAT_TOL = 3e-4
+SCENARIOS = 4  # hypothetical ground truths scored per candidate
+DOWNSAMPLE = 10  # particles whose posterior entropy scores a scenario
 
 
 def _tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,15 +105,13 @@ class ContactStrategy:
 
 
 def _flat_patch_mask(master: ShapeModel, points: np.ndarray, normals: np.ndarray,
-                     margin: float, tol: float) -> np.ndarray:
+                     margin: float) -> np.ndarray:
     """True where a tangent ring of the given radius still hugs the surface.
 
     Rejects positions near edges, corners and cavity rims, where flush
     contact with a finite-footprint slave is impossible and the contact
     manifold turns ambiguous.
     """
-    if margin <= 0:
-        return np.ones(len(points), dtype=bool)
     k = 8
     th = 2.0 * np.pi * np.arange(k) / k
     ring = np.column_stack([np.cos(th), np.sin(th)])
@@ -120,7 +119,7 @@ def _flat_patch_mask(master: ShapeModel, points: np.ndarray, normals: np.ndarray
     for i, (p, n) in enumerate(zip(points, normals)):
         u, v = _tangent_basis(n)
         q = p[None, :] + margin * (ring[:, :1] * u[None, :] + ring[:, 1:] * v[None, :])
-        ok[i] = bool((np.abs(master.sdf_local(q)) <= tol).all())
+        ok[i] = bool((np.abs(master.sdf_local(q)) <= FLAT_TOL).all())
     return ok
 
 
@@ -129,44 +128,43 @@ def sample_contact_candidates(
     n_positions: int = DEFAULT_POSITIONS,
     n_orientations: int = DEFAULT_ORIENTATIONS,
     seed: int = 0,
-    elevation_max: float = DEFAULT_ELEVATION_MAX,
-    flat_margin: float = 0.0,
-    flat_tol: float = 3e-4,
+    flat_margin: float = FLAT_MARGIN,
 ) -> list[ContactStrategy]:
     """n_positions x n_orientations strategies, deterministic per seed.
 
     Positions are area-weighted uniform on the master surface with the face
-    normal as the local Z. With flat_margin > 0, positions whose tangent
-    neighborhood of that radius leaves the surface (edges, rims) are
-    rejection-resampled, so flush contact stays geometrically possible.
-    Orientations stratify the approach over rings of elevation up to
-    elevation_max: the first is the straight (anti-normal) approach, the
-    rest spread over azimuth rings; each orientation carries a sampled roll.
+    normal as the local Z. Positions whose tangent neighborhood of radius
+    flat_margin leaves the surface (edges, rims) are rejection-resampled, so
+    flush contact stays geometrically possible. Orientations stratify the
+    approach over rings of elevation up to ELEVATION_MAX: the first is the
+    straight (anti-normal) approach, the rest spread over azimuth rings;
+    each orientation carries a sampled roll.
     """
     if n_positions < 1 or n_orientations < 1:
         raise ValueError("need at least one position and one orientation")
+    if flat_margin <= 0:
+        raise ValueError("flat_margin must be positive")
     rng = np.random.default_rng(seed)
     points, faces = master.mesh.sample_surface(n_positions, seed=seed)
     normals = master.mesh.face_normals()[faces]
-    if flat_margin > 0:
-        collected_p, collected_n = [], []
-        need = n_positions
-        for attempt in range(40):
-            mask = _flat_patch_mask(master, points, normals, flat_margin, flat_tol)
-            collected_p.extend(points[mask])
-            collected_n.extend(normals[mask])
-            if len(collected_p) >= need:
-                break
-            pts, fcs = master.mesh.sample_surface(
-                max(need * 2, 8), seed=int(rng.integers(2**62))
-            )
-            points, normals = pts, master.mesh.face_normals()[fcs]
-        if len(collected_p) < need:
-            raise ValueError(
-                "could not find enough flat contact positions; lower flat_margin"
-            )
-        points = np.array(collected_p[:need])
-        normals = np.array(collected_n[:need])
+    collected_p, collected_n = [], []
+    need = n_positions
+    for attempt in range(40):
+        mask = _flat_patch_mask(master, points, normals, flat_margin)
+        collected_p.extend(points[mask])
+        collected_n.extend(normals[mask])
+        if len(collected_p) >= need:
+            break
+        pts, fcs = master.mesh.sample_surface(
+            max(need * 2, 8), seed=int(rng.integers(2**62))
+        )
+        points, normals = pts, master.mesh.face_normals()[fcs]
+    if len(collected_p) < need:
+        raise ValueError(
+            "could not find enough flat contact positions; lower flat_margin"
+        )
+    points = np.array(collected_p[:need])
+    normals = np.array(collected_n[:need])
 
     out: list[ContactStrategy] = []
     for p, n in zip(points, normals):
@@ -179,7 +177,7 @@ def sample_contact_candidates(
             extra = remaining - base * n_rings
             counts = [base + (1 if r < extra else 0) for r in range(n_rings)]
             for r, cnt in enumerate(counts, start=1):
-                elev = elevation_max * r / n_rings
+                elev = ELEVATION_MAX * r / n_rings
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 for a in range(cnt):
                     angles.append((phase + 2.0 * np.pi * a / cnt, elev))
@@ -212,10 +210,11 @@ class StrategySelection:
     mean_entropies: np.ndarray  # per candidate; NaN marks excluded candidates
 
 
-# a virtual probe rolls out a contact strategy under a batch of hypothetical
-# true in-hand states while the robot plans with z_plan; returns the gripper
-# pose at contact per hypothesis, None where the approach never contacts
-VirtualProbe = Callable[[ContactStrategy, list[Pose], Pose], list[Optional[Pose]]]
+# a virtual probe rolls out a contact strategy while the robot plans with
+# z_plan, under a batch of hypothetical true in-hand states; returns the
+# gripper pose at contact per hypothesis, None where the approach never
+# contacts (the signature of ProbeSimulator.probe_batch)
+VirtualProbe = Callable[[ContactStrategy, Pose, list[Pose]], list[Optional[Pose]]]
 
 
 def select_contact_strategy(
@@ -225,43 +224,40 @@ def select_contact_strategy(
     master_pose: Pose,
     virtual_probe: VirtualProbe,
     noise: NoiseConfig,
-    slave: ShapeModel | None = None,
-    slave_kf=None,
-    n_scenarios: int = DEFAULT_SCENARIOS,
-    n_downsample: int = DEFAULT_DOWNSAMPLE,
+    slave: ShapeModel,
+    slave_kf,
     seed: int = 0,
-    contact_samples: int = 64,
 ) -> StrategySelection:
     """Pick the candidate minimizing the mean posterior weight entropy.
 
-    For each candidate, n_scenarios particles drawn from the current set act
+    For each candidate, SCENARIOS particles drawn from the current set act
     as hypothetical ground truths; the virtual probe (noise-free) produces
-    the contact each would cause, and the entropy of the n_downsample-subset
-    posterior under that measurement is averaged. Scenarios without contact
-    are skipped; candidates with no valid scenario are excluded. Ties break
-    toward the lowest candidate index.
+    the contact each would cause, and the entropy of the posterior over a
+    DOWNSAMPLE-particle subset under that measurement is averaged. A
+    particle's distance is the minimum master SDF over its implied slave
+    surface samples. A scenario without contact leaves the posterior at the
+    prior; candidates with no contact in any scenario are excluded. Ties
+    break toward the lowest candidate index.
     """
     if not candidates:
         raise ValueError("candidate set is empty")
     m = len(ps)
-    n_d = min(n_downsample, m)
+    n_d = min(DOWNSAMPLE, m)
     # uniform stride downsampling of the particle set
     d_idx = np.unique(np.linspace(0, m - 1, n_d).round().astype(int))
     n_d = len(d_idx)
     sub_q = ps.quats[d_idx]
     sub_t = ps.translations[d_idx]
-    pts = None
-    if slave is not None and slave_kf is not None:
-        pts = slave_contact_points_in_keypoint_frame(slave, slave_kf, contact_samples)
+    pts = slave_contact_points_in_keypoint_frame(slave, slave_kf)
 
     rng = np.random.default_rng(seed)
-    scen_idx = rng.choice(m, size=(len(candidates), n_scenarios), p=ps.weights)
+    scen_idx = rng.choice(m, size=(len(candidates), SCENARIOS), p=ps.weights)
     z_plan = filter_estimate(ps)
 
     mean_entropy = np.full(len(candidates), np.nan)
     for k, cand in enumerate(candidates):
         z_truths = [ps.particle(int(j)) for j in scen_idx[k]]
-        grippers = virtual_probe(cand, z_truths, z_plan)
+        grippers = virtual_probe(cand, z_plan, z_truths)
         entropies = []
         any_contact = False
         for gripper in grippers:

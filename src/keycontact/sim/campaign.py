@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,6 @@ class CampaignConfig:
     particles: int = 500
     d_th: float = 0.002
     base_seed: int = 0
-    compare_vision_only: bool = True
-    flat_margin: float = 0.009
 
     def validate(self) -> None:
         fails = {}
@@ -67,13 +65,14 @@ class CampaignConfig:
 
     @staticmethod
     def from_json(d: dict) -> "CampaignConfig":
-        kwargs = {}
-        for key in (
-            "profiles", "clearance", "depth", "trials", "n_contacts", "selection",
-            "particles", "d_th", "base_seed", "compare_vision_only", "flat_margin",
-        ):
-            if key in d:
-                kwargs[key] = tuple(d[key]) if key == "profiles" else d[key]
+        """Config from a JSON object; raises ConfigError naming every unknown key."""
+        known = {f.name for f in fields(CampaignConfig)}
+        unknown = sorted(set(d) - known)
+        if unknown:
+            raise ConfigError({key: "unknown key" for key in unknown})
+        kwargs = dict(d)
+        if "profiles" in d:
+            kwargs["profiles"] = tuple(d["profiles"])
         if "noise_grid" in d:
             kwargs["noise_grid"] = tuple((float(a), float(b)) for a, b in d["noise_grid"])
         cfg = CampaignConfig(**kwargs)
@@ -107,18 +106,17 @@ def _run_trial(cfg: CampaignConfig, profile: str, sigma_t: float, sigma_r: float
         noise=SceneNoise(in_hand_sigma_t=sigma_t, in_hand_sigma_r=sigma_r),
     )
     v_lat, _, v_rot = scene.final_pose_errors(scene.z_perceived)
-    v_ok = scene.insertion_success(scene.z_perceived) if cfg.compare_vision_only else False
+    v_ok = scene.insertion_success(scene.z_perceived)
 
     rcfg = RefinementConfig(
         particles=cfg.particles,
         noise=NoiseConfig(d_th=cfg.d_th),
         selection=cfg.selection,
-        flat_margin=cfg.flat_margin,
         seed=seed,
     )
     diverged = False
     try:
-        res = run_refinement(scene, scene.insertion_waypoint, cfg.n_contacts, rcfg)
+        res = run_refinement(scene, cfg.n_contacts, rcfg)
         z = res.estimate.value
         steps = res.steps
     except RefinementDivergence as e:

@@ -172,10 +172,7 @@ class ProbeSimulator:
         return [gripper_at(t) if h else None for t, h in zip(travels, hit)]
 
     def virtual_probe(self):
-        """Batched rollout callable for strategy selection.
-
-        Returns f(strategy, z_truths, z_plan) -> probe_batch of a simulator
-        with VIRTUAL_SAMPLES samples and VIRTUAL_CONTACT_TOL tolerance.
-        """
-        lite = ProbeSimulator(self.scene, VIRTUAL_CONTACT_TOL, VIRTUAL_SAMPLES)
-        return lambda strategy, z_truths, z_plan: lite.probe_batch(strategy, z_plan, z_truths)
+        """Batched rollout callable for strategy selection: the bound
+        probe_batch of a simulator with VIRTUAL_SAMPLES samples and
+        VIRTUAL_CONTACT_TOL tolerance."""
+        return ProbeSimulator(self.scene, VIRTUAL_CONTACT_TOL, VIRTUAL_SAMPLES).probe_batch

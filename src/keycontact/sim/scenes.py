@@ -38,6 +38,13 @@ PROFILES = ("rectangle", "round", "oval", "hexagon", "star", "triangle", "pentag
 # downward-z keypoint orientation shared by both frames
 _KF_ROT = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
 
+PEG_SIZE = 0.005  # m, nominal circumradius of the peg profile
+INSERT_MARGIN = 0.002  # m the insertion waypoint stops short of the cavity floor
+BLOCK_MARGIN = 0.025  # m of block wall around the hole
+FLOOR = 0.020  # m of block below the cavity
+GRIP_EXTRA = 0.012  # m of peg above the hole mouth at full depth
+INSERTION_PEN_TOL = 2e-4  # m of sampled interpenetration a successful insertion may show
+
 
 def _regular_polygon(n: int, radius: float) -> np.ndarray:
     th = 2.0 * np.pi * np.arange(n) / n
@@ -223,9 +230,10 @@ class Scene:
         lateral = float(np.hypot(err.t[0], err.t[1]))
         return lateral, float(abs(err.t[2])), float(err.rotation_angle_to(Pose.identity()))
 
-    def insertion_success(self, z_estimate: Pose, pen_tol: float = 2e-4) -> bool:
+    def insertion_success(self, z_estimate: Pose) -> bool:
         """Success: lateral keypoint error within clearance and no sampled
-        interpenetration at the commanded full-depth pose (up to pen_tol)."""
+        interpenetration at the commanded full-depth pose (up to
+        INSERTION_PEN_TOL)."""
         lateral, _, _ = self.final_pose_errors(z_estimate)
         if lateral > self.clearance:
             return False
@@ -234,7 +242,7 @@ class Scene:
         pen = penetration_depth(
             self.master_shape, self.master_true, self.slave_shape, slave_pose
         )
-        return pen <= pen_tol
+        return pen <= INSERTION_PEN_TOL
 
 
 def _noise_pose(rng, sigma_t: float, sigma_r: float) -> Pose:
@@ -252,30 +260,22 @@ def make_peg_hole_scene(
     depth: float,
     seed: int,
     noise: SceneNoise = SceneNoise(),
-    size: float = 0.005,
-    insert_margin: float = 0.002,
-    block_margin: float = 0.025,
-    floor: float = 0.020,
-    grip_extra: float = 0.012,
-    cell: float = 0.002,
-    world_pose: Pose = Pose.identity(),
 ) -> Scene:
     """Build a peg + cavity-block scene with recorded perception noise.
 
-    The hole cross-section is the peg profile offset outward by the clearance
-    (round profiles scale the vertex radius exactly, so hole radius equals
-    peg radius + clearance by construction).
+    The master block sits at the world origin. The hole cross-section is the
+    peg profile offset outward by the clearance (round profiles scale the
+    vertex radius exactly, so hole radius equals peg radius + clearance by
+    construction).
     """
     if clearance < 0:
         raise ValueError("clearance must be >= 0")
     if depth <= 0:
         raise ValueError("depth must be positive")
-    if insert_margin >= depth:
-        raise ValueError("insert_margin must be smaller than depth")
-    peg_length = depth + grip_extra
-    master_shape, slave_shape = _shapes_cached(
-        profile, clearance, depth, size, block_margin, floor, peg_length, cell
-    )
+    if INSERT_MARGIN >= depth:
+        raise ValueError(f"depth must exceed the insertion margin {INSERT_MARGIN} m")
+    peg_length = depth + GRIP_EXTRA
+    master_shape, slave_shape = _shapes_cached(profile, clearance, depth)
 
     master_kf = KeypointFrame(
         np.zeros(3), _KF_ROT[:, 0], _KF_ROT[:, 1], _KF_ROT[:, 2], owner="hole_block", role="master"
@@ -286,6 +286,7 @@ def make_peg_hole_scene(
 
     z_true = Pose.from_rotation(_KF_ROT, (0.0, 0.0, -peg_length))
 
+    master_true = Pose.identity()
     rng = np.random.default_rng(seed)
     m_noise = _noise_pose(rng, noise.master_sigma_t, noise.master_sigma_r)
     z_noise = _noise_pose(rng, noise.in_hand_sigma_t, noise.in_hand_sigma_r)
@@ -294,19 +295,19 @@ def make_peg_hole_scene(
         profile=profile,
         clearance=float(clearance),
         depth=float(depth),
-        insert_margin=float(insert_margin),
-        peg_radius=float(size),
-        hole_radius=float(size + clearance),
+        insert_margin=INSERT_MARGIN,
+        peg_radius=PEG_SIZE,
+        hole_radius=float(PEG_SIZE + clearance),
         peg_length=float(peg_length),
         master_shape=master_shape,
         slave_shape=slave_shape,
-        master_true=world_pose,
+        master_true=master_true,
         z_true=z_true,
-        master_perceived=world_pose.compose(m_noise),
+        master_perceived=master_true.compose(m_noise),
         z_perceived=z_true.compose(z_noise),
         master_kf=master_kf,
         slave_kf=slave_kf,
-        insertion_waypoint=Pose(t=(0.0, 0.0, depth - insert_margin)),
+        insertion_waypoint=Pose(t=(0.0, 0.0, depth - INSERT_MARGIN)),
         noise=noise,
         seed=int(seed),
         noise_draw={
@@ -317,24 +318,23 @@ def make_peg_hole_scene(
 
 
 # scene geometry is identical across trials that differ only in noise draws,
-# so built shape models are memoized per parameter tuple
+# so built shape models are memoized per (profile, clearance, depth)
 _SHAPE_CACHE: dict[tuple, tuple[ShapeModel, ShapeModel]] = {}
 
 
-def _shapes_cached(profile, clearance, depth, size, block_margin, floor, peg_length, cell):
-    key = (profile, round(clearance, 9), round(depth, 9), round(size, 9),
-           round(block_margin, 9), round(floor, 9), round(peg_length, 9), round(cell, 9))
+def _shapes_cached(profile, clearance, depth):
+    key = (profile, round(clearance, 9), round(depth, 9))
     if key not in _SHAPE_CACHE:
         from ..geometry.primitives import prism_mesh
 
-        peg_poly = profile_polygon(profile, size)
+        peg_poly = profile_polygon(profile, PEG_SIZE)
         if profile == "round":
-            hole_poly = _regular_polygon(48, size + clearance)
+            hole_poly = _regular_polygon(48, PEG_SIZE + clearance)
         else:
             hole_poly = offset_polygon(peg_poly, clearance)
-        peg_mesh = prism_mesh(peg_poly, 0.0, peg_length)
-        half = float(np.abs(hole_poly).max()) + block_margin
+        peg_mesh = prism_mesh(peg_poly, 0.0, depth + GRIP_EXTRA)
+        half = float(np.abs(hole_poly).max()) + BLOCK_MARGIN
         outer = np.array([[half, -half], [half, half], [-half, half], [-half, -half]])
-        block_mesh = _block_with_cavity(outer, hole_poly, depth, floor)
-        _SHAPE_CACHE[key] = (ShapeModel(block_mesh, cell=cell), ShapeModel(peg_mesh, cell=cell))
+        block_mesh = _block_with_cavity(outer, hole_poly, depth, FLOOR)
+        _SHAPE_CACHE[key] = (ShapeModel(block_mesh), ShapeModel(peg_mesh))
     return _SHAPE_CACHE[key]

@@ -9,7 +9,7 @@ frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,15 +17,8 @@ from ..errors import DegenerateInputError, TransferStageError
 from ..geometry import PointCloud, Pose
 from ..keypoints import KeypointFrame
 from .grids import DEFAULT_VOXEL, FeatureGrid, otsu_region, region_similarity, voxelize_cloud
-from .matching import (
-    RANSAC_INLIER_EPS,
-    RANSAC_ITERATIONS,
-    kabsch_fit,
-    median_nn_feature_distance,
-    ransac_rigid_align,
-    relaxed_best_buddies,
-)
-from .nonrigid import CpdConfig, DeformationMap, nonrigid_register
+from .matching import kabsch_fit, median_nn_feature_distance, ransac_rigid_align, relaxed_best_buddies
+from .nonrigid import nonrigid_register
 
 __all__ = ["TransferConfig", "TransferDiagnostics", "solve_keypoint_frame", "transfer_keypoint"]
 
@@ -33,13 +26,7 @@ __all__ = ["TransferConfig", "TransferDiagnostics", "solve_keypoint_frame", "tra
 @dataclass(frozen=True)
 class TransferConfig:
     voxel_cell: float = DEFAULT_VOXEL
-    # feature-space best-buddies radius; None = 0.5 x median NN distance of
-    # the reference region (adaptive)
-    buddy_radius: float | None = None
-    ransac_iterations: int = RANSAC_ITERATIONS
-    ransac_inlier_eps: float = RANSAC_INLIER_EPS
-    seed: int = 0
-    cpd: CpdConfig = field(default_factory=CpdConfig)
+    seed: int = 0  # RANSAC sampling
 
 
 @dataclass(frozen=True)
@@ -142,28 +129,22 @@ def transfer_keypoint(
     if len(ref_region) == 0 or len(tgt_region) == 0:
         raise TransferStageError("otsu", "selected region is empty")
 
-    d_t = config.buddy_radius
-    if d_t is None:
-        d_t = 0.5 * median_nn_feature_distance(ref_region)
+    # feature-space best-buddies radius, adaptive to the reference region
+    d_t = 0.5 * median_nn_feature_distance(ref_region)
     corr = stage("best_buddies", relaxed_best_buddies, ref_region, tgt_region, d_t)
     if len(corr) < 3:
         raise TransferStageError("best_buddies", f"only {len(corr)} correspondences")
 
     # alignment maps target points into the reference-aligned space
-    tgt_to_ref = stage(
+    align, inliers = stage(
         "ransac",
         ransac_rigid_align,
         type(corr).from_pairs(corr.tgt_points, corr.ref_points),
-        config.ransac_iterations,
-        config.ransac_inlier_eps,
-        config.seed,
+        seed=config.seed,
     )
-    align, inliers = tgt_to_ref
 
     aligned_tgt = align.apply(tgt_region.centers)
-    deform = stage(
-        "nonrigid", nonrigid_register, ref_region.centers, aligned_tgt, config.cpd
-    )
+    deform = stage("nonrigid", nonrigid_register, ref_region.centers, aligned_tgt)
     deformed_ref = deform.apply(ref_region.centers)
     residual = float(
         np.sqrt(((deformed_ref - _nearest(deformed_ref, aligned_tgt)) ** 2).sum(axis=1)).mean()

@@ -1,0 +1,64 @@
+import json
+
+import pytest
+
+from keycontact.cli import main
+
+TINY_CAMPAIGN = {"profiles": ["round"], "trials": 1, "n_contacts": 1, "selection": "random", "particles": 20}
+
+
+def _error(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def _campaign(tmp_path, config: dict) -> int:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    return main(["campaign", "--config", str(cfg), "--out-csv", str(tmp_path / "rows.csv"),
+                 "--out-summary", str(tmp_path / "summary.json")])
+
+
+@pytest.mark.parametrize("bad_key", ["flat_margin", "trails"])
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, bad_key):
+    assert _campaign(tmp_path, {**TINY_CAMPAIGN, bad_key: 1}) == 2
+    err = _error(capsys)
+    assert err["error"] == "ConfigError"
+    assert set(err["fields"]) == {bad_key}
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_invalid_config_value_exits_2_naming_every_field(tmp_path, capsys):
+    assert _campaign(tmp_path, {**TINY_CAMPAIGN, "trials": 0, "selection": "best"}) == 2
+    err = _error(capsys)
+    assert err["error"] == "ConfigError"
+    assert set(err["fields"]) == {"trials", "selection"}
+
+
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    code = main(["campaign", "--config", str(tmp_path / "absent.json"), "--out-csv", str(tmp_path / "rows.csv"),
+                 "--out-summary", str(tmp_path / "summary.json")])
+    assert code == 1
+    err = _error(capsys)
+    assert err["error"] == "FileNotFoundError"
+    assert "absent.json" in err["message"]
+
+
+def test_refine_writes_the_documented_payload(tmp_path):
+    out = tmp_path / "refined.json"
+    code = main(["refine", "--contacts", "1", "--particles", "20", "--selection", "random", "--seed", "3",
+                 "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"schema", "estimate", "vision_estimate", "lateral_error", "depth_error",
+                            "rotation_error", "success", "contacts"}
+    assert payload["contacts"] == 1
+    assert isinstance(payload["success"], bool)
+
+
+def test_campaign_writes_header_and_one_row_per_trial(tmp_path):
+    assert _campaign(tmp_path, TINY_CAMPAIGN) == 0
+    header, *rows = (tmp_path / "rows.csv").read_text().splitlines()
+    assert header.startswith("profile,sigma_t,sigma_r,seed,")
+    assert len(rows) == 1 and rows[0].startswith("round,")
+    (cell,) = json.loads((tmp_path / "summary.json").read_text())["cells"]
+    assert cell["trials"] == 1

@@ -171,6 +171,26 @@ def test_rotation_angle_between_resolves_small_angles(angle):
     assert got == pytest.approx(angle, rel=1e-6, abs=1e-15)
 
 
+def test_rotation_angle_between_batched_matches_pairs(rotvecs):
+    q = quat_from_rotvec(rotvecs)
+    ref = -q[7]  # a sign flip must not change any angle
+    want = np.array([rotation_angle_between(x, ref) for x in q])
+    assert _same_bits(rotation_angle_between(q, ref), want)
+    assert _same_bits(rotation_angle_between(ref, q), np.array([rotation_angle_between(ref, x) for x in q]))
+    sub = q[::20]
+    grid = rotation_angle_between(sub[:, None, :], sub[None, :, :])
+    assert grid.shape == (len(sub), len(sub))
+    assert _same_bits(grid, np.array([[rotation_angle_between(a, b) for b in sub] for a in sub]))
+    assert (np.diag(grid) == 0.0).all()
+
+
+@pytest.mark.parametrize("angle", [1e-9, 1e-6])
+def test_rotation_angle_between_batched_resolves_small_angles(angle):
+    qa = np.array([[1.0, 0.0, 0.0, 0.0]] * 3)
+    qb = quat_from_rotvec(np.array([[angle, 0.0, 0.0], [0.0, -angle, 0.0], [0.0, 0.0, angle]]))
+    assert rotation_angle_between(qa, qb) == pytest.approx([angle] * 3, rel=1e-12)
+
+
 # --- point clouds ----------------------------------------------------------
 
 def test_cloud_min_distance_trivial():
