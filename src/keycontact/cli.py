@@ -191,8 +191,7 @@ def _cmd_campaign(args) -> int:
     seeds = None
     if args.seed_file:
         seeds = [int(line) for line in Path(args.seed_file).read_text().split() if line.strip()]
-    # the current sys.stderr; run_campaign's default is the stream bound at import
-    rows, summary = run_campaign(cfg, seeds=seeds, log=sys.stderr)
+    rows, summary = run_campaign(cfg, seeds=seeds)
     write_campaign_outputs(rows, summary, args.out_csv, args.out_summary)
     return 0
 

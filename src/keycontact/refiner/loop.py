@@ -52,7 +52,7 @@ class StepDiagnostics:
     contact: bool
     entropy: float  # posterior weight entropy after the update
     state_entropy: float  # log-det spread of the particle cloud
-    expected_ig: float
+    expected_ig: float | None  # None under random selection, which computes no IG
     candidate_index: int
     travel: float
     translation_error: float  # vs ground truth (simulation only)
@@ -116,10 +116,10 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
                 scene.slave_kf,
                 seed=s_sel,
             )
-            strategy, cand_idx, expected_ig = sel.strategy, sel.candidate_index, sel.expected_ig
+            strategy, cand_idx, expected_ig = sel.strategy, sel.candidate_index, float(sel.expected_ig)
         else:
             cand_idx = int(rng_random_sel.integers(len(candidates)))
-            strategy, expected_ig = candidates[cand_idx], float("nan")
+            strategy, expected_ig = candidates[cand_idx], None
 
         res = sim.probe(
             strategy,
@@ -154,7 +154,7 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
                 contact=bool(res.contact),
                 entropy=entropy,
                 state_entropy=state_entropy(ps),
-                expected_ig=float(expected_ig),
+                expected_ig=expected_ig,
                 candidate_index=cand_idx,
                 travel=float(res.travel),
                 translation_error=t_err,

@@ -146,13 +146,19 @@ def _run_trial(cfg: CampaignConfig, profile: str, sigma_t: float, sigma_r: float
     )
 
 
-def run_campaign(cfg: CampaignConfig, seeds=None, log=sys.stderr) -> tuple[list[TrialResult], dict]:
+_STDERR = object()  # run_campaign's default log: sys.stderr as of the call
+
+
+def run_campaign(cfg: CampaignConfig, seeds=None, log=_STDERR) -> tuple[list[TrialResult], dict]:
     """Execute all cells; returns (trial rows, summary dict).
 
     The seed list defaults to base_seed + trial index per cell; passing an
     explicit list pins it. Aggregation is indexed, so results do not depend
-    on execution order.
+    on execution order. The timing line goes to log, by default the
+    sys.stderr current at the call; log=None is silent.
     """
+    if log is _STDERR:
+        log = sys.stderr
     cfg.validate()
     t0 = time.monotonic()
     rows: list[TrialResult] = []

@@ -153,9 +153,16 @@ def ransac_rigid_align(
     rng = np.random.default_rng(seed)
     idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
     r_all, t_all, ok = _batched_minimal_fits(c.ref_points[idx], c.tgt_points[idx])
-    # residuals of every pair under every candidate: (K, N)
-    mapped = np.einsum("kij,nj->kni", r_all, c.ref_points) + t_all[:, None, :]
-    res = np.linalg.norm(mapped - c.tgt_points[None, :, :], axis=2)
+    # residuals of every pair under every candidate: (K, N), from one (K, 3, N)
+    # buffer whose coordinate rows are contiguous; the squares add as
+    # np.linalg.norm adds them, (x + y) + z
+    diff = r_all @ c.ref_points.T
+    diff += t_all[:, :, None]
+    diff -= c.tgt_points.T
+    diff *= diff
+    res = diff[:, 0] + diff[:, 1]
+    res += diff[:, 2]
+    np.sqrt(res, out=res)
     counts = np.where(ok, (res <= inlier_eps).sum(axis=1), -1)
     best = int(np.argmax(counts))  # ties: earliest iteration
     if counts[best] < 3:

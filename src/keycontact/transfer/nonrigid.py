@@ -4,6 +4,12 @@ EM over a Gaussian mixture: the E-step soft-assigns fixed points to moving
 points, the M-step solves for a smooth displacement field regularized by a
 Gaussian-kernel motion-coherence prior. The result is a DeformationMap that
 can be evaluated anywhere via kernel interpolation of the control weights.
+
+Each E-step holds one (N_ref, N_tgt) buffer: cdist writes the squared
+distances, which are scaled, exponentiated and normalized in place into the
+responsibilities. The kernels are built the same way. The only
+(N_ref, N_tgt, 3) temporary left is the one-time sigma^2 start: summing the
+cdist matrix instead adds in another order and moves the fit in its last bits.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = ["CpdConfig", "DeformationMap", "nonrigid_register"]
 
@@ -38,11 +45,11 @@ class DeformationMap:
     mu: np.ndarray
     scale: float
     converged: bool
-    final_objective: float
+    final_objective: float  # final sigma^2
+    iterations: int  # completed EM iterations
 
     def _kernel(self, query_norm: np.ndarray) -> np.ndarray:
-        d2 = ((query_norm[:, None, :] - self.control_points[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-d2 / (2.0 * self.bandwidth**2))
+        return _gaussian_kernel(query_norm, self.control_points, self.bandwidth)
 
     def displacement(self, points: np.ndarray) -> np.ndarray:
         """nu at world-frame query points (meters)."""
@@ -56,6 +63,13 @@ class DeformationMap:
         if not np.isfinite(out).all():
             raise ValueError("deformation produced non-finite values")
         return out
+
+
+def _gaussian_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-|a_i - b_j|^2 / (2 bandwidth^2)), built in one (len(a), len(b)) buffer."""
+    k = cdist(a, b, "sqeuclidean")
+    np.divide(k, -2.0 * bandwidth**2, out=k)
+    return np.exp(k, out=k)
 
 
 def nonrigid_register(
@@ -84,20 +98,24 @@ def nonrigid_register(
     xz = (x - mu) / scale
 
     beta, lam, w = config.beta, config.lam, config.outlier_w
-    g = np.exp(-((y[:, None, :] - y[None, :, :]) ** 2).sum(axis=2) / (2.0 * beta**2))
+    g = _gaussian_kernel(y, y, beta)
 
     sigma2 = ((xz[None, :, :] - y[:, None, :]) ** 2).sum() / (3.0 * n_ref * n_tgt)
     warped = y.copy()
     weights = np.zeros_like(y)
     converged = False
+    iterations = 0
     const_uniform = w / max(1e-12, (1.0 - w)) * n_ref / n_tgt
+    xz_sq = (xz * xz).sum(axis=1)
 
     for _ in range(config.max_iterations):
-        d2 = ((xz[None, :, :] - warped[:, None, :]) ** 2).sum(axis=2)  # (N_ref, N_tgt)
-        p = np.exp(-d2 / (2.0 * sigma2))
+        # E-step: responsibilities p (N_ref, N_tgt), in the distance buffer
+        p = cdist(warped, xz, "sqeuclidean")
+        np.divide(p, -2.0 * sigma2, out=p)
+        np.exp(p, out=p)
         denom = p.sum(axis=0) + const_uniform * (2.0 * np.pi * sigma2) ** 1.5
         denom = np.where(denom < 1e-300, 1e-300, denom)
-        p = p / denom[None, :]
+        p /= denom
 
         p1 = p.sum(axis=1)
         pt1 = p.sum(axis=0)
@@ -106,11 +124,13 @@ def nonrigid_register(
             break
         px = p @ xz
 
-        a = g * p1[:, None] + lam * sigma2 * np.eye(n_ref)
+        a = g * p1[:, None]
+        a.flat[:: n_ref + 1] += lam * sigma2
         weights = np.linalg.solve(a, px - p1[:, None] * y)
         warped = y + g @ weights
+        iterations += 1
 
-        xpx = (pt1 * (xz * xz).sum(axis=1)).sum()
+        xpx = (pt1 * xz_sq).sum()
         trpxw = (px * warped).sum()
         wtw = (p1 * (warped * warped).sum(axis=1)).sum()
         sigma2_new = (xpx - 2.0 * trpxw + wtw) / (3.0 * n_p)
@@ -129,4 +149,5 @@ def nonrigid_register(
         scale=scale,
         converged=converged,
         final_objective=float(sigma2),
+        iterations=iterations,
     )

@@ -9,7 +9,7 @@ frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,21 +38,13 @@ class TransferDiagnostics:
     ransac_inliers: int
     registration_residual: float
     registration_converged: bool
+    registration_iterations: int  # completed CPD EM iterations
+    registration_sigma2: float  # final CPD sigma^2 (normalized coordinates)
     otsu_threshold_ref: float
     otsu_threshold_tgt: float
 
     def to_json(self) -> dict:
-        return {
-            "ref_region_size": self.ref_region_size,
-            "tgt_region_size": self.tgt_region_size,
-            "region_size_ratio": self.region_size_ratio,
-            "correspondences": self.correspondences,
-            "ransac_inliers": self.ransac_inliers,
-            "registration_residual": self.registration_residual,
-            "registration_converged": self.registration_converged,
-            "otsu_threshold_ref": self.otsu_threshold_ref,
-            "otsu_threshold_tgt": self.otsu_threshold_tgt,
-        }
+        return asdict(self)
 
 
 def solve_keypoint_frame(
@@ -167,6 +159,8 @@ def transfer_keypoint(
         ransac_inliers=int(inliers.sum()),
         registration_residual=residual,
         registration_converged=deform.converged,
+        registration_iterations=deform.iterations,
+        registration_sigma2=deform.final_objective,
         otsu_threshold_ref=float(thr_ref),
         otsu_threshold_tgt=float(thr_tgt),
     )

@@ -62,3 +62,13 @@ def test_campaign_writes_header_and_one_row_per_trial(tmp_path):
     assert len(rows) == 1 and rows[0].startswith("round,")
     (cell,) = json.loads((tmp_path / "summary.json").read_text())["cells"]
     assert cell["trials"] == 1
+
+
+def test_refine_random_diagnostics_write_null_expected_ig(tmp_path):
+    diag = tmp_path / "steps.jsonl"
+    code = main(["refine", "--contacts", "1", "--particles", "20", "--selection", "random", "--seed", "3",
+                 "--out", str(tmp_path / "refined.json"), "--diagnostics", str(diag)])
+    assert code == 0
+    (step,) = [json.loads(line) for line in diag.read_text().splitlines()]
+    assert step["step"] == 1
+    assert step["expected_ig"] is None

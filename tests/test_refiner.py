@@ -1,3 +1,5 @@
+import contextlib
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -143,3 +145,15 @@ def test_campaign_outputs_byte_identical_across_reruns(tmp_path):
     assert csv_a.read_bytes() == csv_b.read_bytes()
     assert js_a.read_bytes() == js_b.read_bytes()
     assert len(csv_a.read_text().splitlines()) == 1 + cfg.trials
+
+
+def test_campaign_logs_to_the_stderr_current_at_the_call():
+    cfg = CampaignConfig(profiles=("round",), trials=1, n_contacts=1, selection="random", particles=20)
+    captured = io.StringIO()
+    with contextlib.redirect_stderr(captured):
+        run_campaign(cfg)
+    assert captured.getvalue().startswith("campaign: 1 trials in ")
+    silent = io.StringIO()
+    with contextlib.redirect_stderr(silent):
+        run_campaign(cfg, log=None)
+    assert silent.getvalue() == ""

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from keycontact.errors import DegenerateInputError, TransferStageError
 from keycontact.geometry import PointCloud, Pose
 from keycontact.keypoints import KeypointFrame
+from keycontact.serialize import canonical_json
 from keycontact.transfer import (
     CorrespondenceSet,
     CpdConfig,
@@ -19,6 +22,7 @@ from keycontact.transfer import (
     transfer_keypoint,
     voxelize_cloud,
 )
+from keycontact.transfer.matching import _batched_minimal_fits
 
 
 def random_pose(rng, scale=0.1):
@@ -273,6 +277,43 @@ def test_ransac_degenerate_rejected():
         ransac_rigid_align(CorrespondenceSet.from_pairs(line[:2], line[:2]), seed=0)
 
 
+def einsum_ransac_reference(c, seed, inlier_eps=0.005, iterations=2000):
+    """ransac_rigid_align with the residual tensor built by einsum."""
+    rng = np.random.default_rng(seed)
+    idx = np.array([rng.choice(len(c), size=3, replace=False) for _ in range(iterations)])
+    r_all, t_all, ok = _batched_minimal_fits(c.ref_points[idx], c.tgt_points[idx])
+    mapped = np.einsum("kij,nj->kni", r_all, c.ref_points) + t_all[:, None, :]
+    res = np.linalg.norm(mapped - c.tgt_points[None, :, :], axis=2)
+    counts = np.where(ok, (res <= inlier_eps).sum(axis=1), -1)
+    inliers = res[int(np.argmax(counts))] <= inlier_eps
+    for _ in range(8):
+        pose = kabsch_fit(c.ref_points[inliers], c.tgt_points[inliers])
+        new = np.linalg.norm(pose.apply(c.ref_points) - c.tgt_points, axis=1) <= inlier_eps
+        if new.sum() < 3:
+            break
+        stable = (new == inliers).all()
+        inliers = new
+        if stable:
+            break
+    pose = kabsch_fit(c.ref_points[inliers], c.tgt_points[inliers])
+    return pose, np.linalg.norm(pose.apply(c.ref_points) - c.tgt_points, axis=1) <= inlier_eps
+
+
+def test_ransac_matches_einsum_reference():
+    rng = np.random.default_rng(24)
+    for seed in range(20):
+        ref = rng.uniform(-0.1, 0.1, (120, 3))
+        tgt = random_pose(rng).apply(ref) + rng.normal(0, 0.002, ref.shape)
+        outliers = rng.choice(120, size=40, replace=False)
+        tgt[outliers] += rng.uniform(-0.05, 0.05, (40, 3))
+        corr = CorrespondenceSet.from_pairs(ref, tgt)
+        pose, inliers = ransac_rigid_align(corr, seed=seed)
+        want_pose, want_inliers = einsum_ransac_reference(corr, seed)
+        assert np.array_equal(inliers, want_inliers)
+        assert pose.translation_distance_to(want_pose) < 1e-12
+        assert pose.rotation_angle_to(want_pose) < 1e-12
+
+
 def test_kabsch_weighted():
     rng = np.random.default_rng(10)
     ref = rng.uniform(-1, 1, (20, 3))
@@ -331,6 +372,82 @@ def test_cpd_heavy_regularization_stays_rigid():
 def test_cpd_requires_enough_points():
     with pytest.raises(ValueError):
         nonrigid_register(np.zeros((5, 3)), np.zeros((20, 3)))
+
+
+def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
+    """The CPD loop with every distance built as an (N, M, 3) broadcast.
+
+    Returns (weights, final sigma^2, converged, completed iterations, phi)
+    for comparison with nonrigid_register.
+    """
+    y0, x = np.asarray(ref_points, float), np.asarray(tgt_points, float)
+    n_ref, n_tgt = len(y0), len(x)
+    both = np.vstack([y0, x])
+    mu = both.mean(axis=0)
+    scale = float(np.sqrt(((both - mu) ** 2).sum(axis=1).mean()))
+    y, xz = (y0 - mu) / scale, (x - mu) / scale
+    beta, lam, w = config.beta, config.lam, config.outlier_w
+    g = np.exp(-((y[:, None, :] - y[None, :, :]) ** 2).sum(axis=2) / (2.0 * beta**2))
+    sigma2 = ((xz[None, :, :] - y[:, None, :]) ** 2).sum() / (3.0 * n_ref * n_tgt)
+    warped, weights = y.copy(), np.zeros_like(y)
+    converged, iterations = False, 0
+    const_uniform = w / (1.0 - w) * n_ref / n_tgt
+    for _ in range(config.max_iterations):
+        d2 = ((xz[None, :, :] - warped[:, None, :]) ** 2).sum(axis=2)
+        p = np.exp(-d2 / (2.0 * sigma2))
+        denom = np.maximum(p.sum(axis=0) + const_uniform * (2.0 * np.pi * sigma2) ** 1.5, 1e-300)
+        p = p / denom[None, :]
+        p1, pt1 = p.sum(axis=1), p.sum(axis=0)
+        n_p = p1.sum()
+        px = p @ xz
+        a = g * p1[:, None] + lam * sigma2 * np.eye(n_ref)
+        weights = np.linalg.solve(a, px - p1[:, None] * y)
+        warped = y + g @ weights
+        iterations += 1
+        sigma2_new = max(
+            ((pt1 * (xz * xz).sum(axis=1)).sum() - 2.0 * (px * warped).sum()
+             + (p1 * (warped * warped).sum(axis=1)).sum()) / (3.0 * n_p),
+            1e-14,
+        )
+        done = abs(sigma2_new - sigma2) < config.tolerance
+        sigma2 = sigma2_new
+        if done:
+            converged = True
+            break
+
+    def phi(q):
+        d2 = ((((q - mu) / scale)[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        return q + (np.exp(-d2 / (2.0 * beta**2)) @ weights) * scale
+
+    return weights, sigma2, converged, iterations, phi
+
+
+@pytest.mark.parametrize("case", ["random", "warped", "subset"])
+def test_cpd_matches_broadcast_reference(case):
+    rng = np.random.default_rng({"random": 21, "warped": 22, "subset": 23}[case])
+    ref = rng.uniform(-0.05, 0.05, (300, 3))
+    if case == "random":
+        tgt = rng.uniform(-0.05, 0.05, (280, 3))
+    elif case == "warped":
+        tgt = random_pose(rng, 0.02).apply(ref + 0.004 * np.sin(ref[:, [1, 2, 0]] * 60))
+    else:
+        tgt = ref[rng.permutation(300)[:240]] + rng.normal(0, 0.001, (240, 3))
+    weights, sigma2, converged, iterations, phi = broadcast_cpd_reference(ref, tgt)
+    dmap = nonrigid_register(ref, tgt)
+    np.testing.assert_allclose(dmap.weights, weights, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(dmap.final_objective, sigma2, rtol=1e-12)
+    assert dmap.converged == converged
+    assert dmap.iterations == iterations
+    query = np.vstack([ref, tgt, rng.uniform(-0.08, 0.08, (50, 3))])
+    np.testing.assert_allclose(dmap.apply(query), phi(query), rtol=1e-12, atol=1e-15)
+
+
+def test_cpd_reports_iterations_within_budget():
+    pts = grid_cloud()
+    dmap = nonrigid_register(pts, pts + 0.002, CpdConfig(max_iterations=5, tolerance=0.0))
+    assert dmap.iterations == 5 and not dmap.converged
+    dmap = nonrigid_register(pts, pts + 0.002)
+    assert dmap.converged and 1 <= dmap.iterations < CpdConfig().max_iterations
 
 
 # --- keypoint frame solve ------------------------------------------------------------
@@ -453,6 +570,18 @@ def test_pipeline_feature_noise_degrades_gracefully(ref_object):
         errs.append(out.as_pose().translation_distance_to(want))
     assert errs[0] < 1e-6
     assert errs[1] < 0.005
+
+
+def test_pipeline_diagnostics_report_cpd_iterations_and_sigma2(ref_object):
+    cloud, kf = ref_object
+    rng = np.random.default_rng(19)
+    target = PointCloud(random_pose(rng, 0.05).apply(cloud.points), cloud.features)
+    _, diag = transfer_keypoint(cloud, kf, target, TransferConfig(seed=6))
+    payload = json.loads(canonical_json(diag.to_json()))
+    assert isinstance(payload["registration_iterations"], int)
+    assert 1 <= payload["registration_iterations"] <= CpdConfig().max_iterations
+    assert payload["registration_sigma2"] > 0.0
+    assert payload["registration_converged"] is True
 
 
 def test_pipeline_stage_error_is_typed(ref_object):
