@@ -3,7 +3,9 @@
 Records persist as canonical JSON in a plain directory; ids are SHA-256
 digests of the canonical bytes, so identical content maps to the same id and
 round-trips are byte-lossless. Writes take an advisory lock file; reads are
-lock-free. The default bank path comes from $KEYCONTACT_BANK.
+lock-free. Every file is written to a temporary name and renamed into place,
+so a reader or a crashed writer never leaves a half-written record or index.
+The default bank path comes from $KEYCONTACT_BANK.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ ENV_BANK = "KEYCONTACT_BANK"
 
 def default_bank_path() -> Path:
     return Path(os.environ.get(ENV_BANK, "./keycontact_bank"))
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path's content in one rename; the old or the new file is seen, never a mix."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -190,7 +199,7 @@ class Bank:
                 time.sleep(0.02)
 
     def _write_index(self, ids: list[str]) -> None:
-        self.index_path.write_text(canonical_json({"schema": SCHEMA_VERSION, "order": ids}))
+        _write_atomic(self.index_path, canonical_json({"schema": SCHEMA_VERSION, "order": ids}))
 
     def _read_index(self) -> list[str]:
         d = json.loads(self.index_path.read_text())
@@ -199,7 +208,12 @@ class Bank:
 
     # -- core ops -----------------------------------------------------------
     def put(self, record) -> str:
-        """Store a record; returns its content id. Idempotent per content."""
+        """Store a record; returns its content id. Idempotent per content.
+
+        The record file is written before the index. A writer that crashed
+        between the two left a record the index does not list; putting the
+        same content again indexes it.
+        """
         if not hasattr(record, "to_json"):
             raise BankError(f"cannot store {type(record).__name__}")
         payload = canonical_json(record.to_json())
@@ -208,8 +222,9 @@ class Bank:
         try:
             path = self.records_dir / f"{rid}.json"
             if not path.exists():
-                path.write_text(payload)
-                order = self._read_index()
+                _write_atomic(path, payload)
+            order = self._read_index()
+            if rid not in order:
                 order.append(rid)
                 self._write_index(order)
         finally:

@@ -37,14 +37,19 @@ def _as_vec3(v) -> np.ndarray:
     return a
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis; (..., n) -> (...).
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis; (..., n) -> (...).
 
-    Each norm is one BLAS dot per vector, as ``np.linalg.norm`` computes a
-    1-D norm, so a batched call matches per-row calls bit for bit (an
-    elementwise square-and-sum does not).
+    Each product is one BLAS dot per pair of vectors, as ``np.dot`` computes
+    a 1-D dot, so a batched call matches per-row calls bit for bit (an
+    elementwise multiply-and-sum does not).
     """
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, bit-identical per row to ``np.linalg.norm`` of a 1-D vector."""
+    return np.sqrt(_dot(v, v))
 
 
 def _stack_last(*cols) -> np.ndarray:
@@ -69,18 +74,24 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def _cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product with u (3,) against v (..., 3); avoids np.cross overhead."""
-    out = np.empty_like(v)
-    out[..., 0] = u[1] * v[..., 2] - u[2] * v[..., 1]
-    out[..., 1] = u[2] * v[..., 0] - u[0] * v[..., 2]
-    out[..., 2] = u[0] * v[..., 1] - u[1] * v[..., 0]
+    """Cross product over the last axis, u and v broadcasting; avoids np.cross overhead."""
+    out = np.empty(np.broadcast(u, v).shape)
+    out[..., 0] = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
+    out[..., 1] = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
+    out[..., 2] = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
     return out
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector(s) v by unit quaternion q. v may be (3,) or (N, 3)."""
-    w = q[0]
-    u = q[1:]
+    """Rotate vector(s) v by unit quaternion(s) q.
+
+    q (..., 4) and v (..., 3) broadcast over their leading axes: one (4,)
+    quaternion rotates a (3,) or (N, 3) v, and (G, 1, 4) quaternions rotate
+    an (N, 3) v into (G, N, 3). Each row is bit-identical to rotating it by
+    its own quaternion alone.
+    """
+    w = q[..., :1]
+    u = q[..., 1:]
     v = np.asarray(v, dtype=float)
     # Rodrigues-style expansion: v' = v + 2w (u x v) + 2 u x (u x v)
     uv = _cross3(u, v)
@@ -100,53 +111,29 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_quat(m: np.ndarray) -> np.ndarray:
-    """Rotation matrix to scalar-first unit quaternion (Shepperd's method)."""
+    """Rotation matrix to scalar-first unit quaternion (Shepperd's method).
+
+    (3, 3) gives (4,); (..., 3, 3) gives (..., 4), each row bit-identical to
+    converting its matrix alone. The scalar part is made non-negative.
+    """
     m = np.asarray(m, dtype=float)
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [
-                0.25 * s,
-                (m[2, 1] - m[1, 2]) / s,
-                (m[0, 2] - m[2, 0]) / s,
-                (m[1, 0] - m[0, 1]) / s,
-            ]
-        )
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [
-                (m[2, 1] - m[1, 2]) / s,
-                0.25 * s,
-                (m[0, 1] + m[1, 0]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-            ]
-        )
-    elif m[1, 1] > m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [
-                (m[0, 2] - m[2, 0]) / s,
-                (m[0, 1] + m[1, 0]) / s,
-                0.25 * s,
-                (m[1, 2] + m[2, 1]) / s,
-            ]
-        )
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [
-                (m[1, 0] - m[0, 1]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-                (m[1, 2] + m[2, 1]) / s,
-                0.25 * s,
-            ]
-        )
-    q = q / np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+    r = m.reshape(-1, 3, 3)
+    rows = np.arange(len(r))
+    m00, m11, m22 = r[:, 0, 0], r[:, 1, 1], r[:, 2, 2]
+    tr = m00 + m11 + m22
+    # each row is built from its largest component: 0 w, 1 x, 2 y, 3 z
+    big = np.where(tr > 0.0, 0, np.where((m00 > m11) & (m00 > m22), 1, np.where(m11 > m22, 2, 3)))
+    s = np.sqrt(np.stack([tr + 1.0, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11])[big, rows])
+    s = s * 2.0
+    # numerator of component c when component b is the largest, symmetric in b and c
+    d21, d02, d10 = r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]
+    s01, s02, s12 = r[:, 0, 1] + r[:, 1, 0], r[:, 0, 2] + r[:, 2, 0], r[:, 1, 2] + r[:, 2, 1]
+    pair = np.stack([[s, d21, d02, d10], [d21, s, s01, s02], [d02, s01, s, s12], [d10, s02, s12, s]])
+    q = pair[big, :, rows] / s[:, None]
+    q[rows, big] = 0.25 * s
+    q = q / _norm(q)[:, None]
+    q = np.where(q[:, :1] < 0.0, -q, q)
+    return q.reshape(m.shape[:-2] + (4,))
 
 
 def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:

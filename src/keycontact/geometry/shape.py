@@ -206,7 +206,7 @@ class SdfGrid:
 
     def __post_init__(self):
         o = np.asarray(self.origin, dtype=float).reshape(3)
-        v = np.asarray(self.values, dtype=float)
+        v = np.ascontiguousarray(self.values, dtype=float)  # query gathers from v.ravel()
         o.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "origin", o)
@@ -221,34 +221,31 @@ class SdfGrid:
 
         Points outside the grid domain are clamped to the boundary; the
         Euclidean offset from the clamp position is added on top, which keeps
-        the exterior extension positive and monotone along outward rays.
+        the exterior extension positive and monotone along outward rays. The
+        8 cell corners are gathered by flat index into the raveled values.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         shape = np.array(self.values.shape)
-        g = (pts - self.origin) / self.cell
-        g_cl = np.clip(g, 0.0, (shape - 1) - 1e-9)
-        outside = np.linalg.norm((g - g_cl) * self.cell, axis=1)
-        i = np.floor(g_cl).astype(int)
-        i = np.minimum(i, shape - 2)
-        f = g_cl - i
-        v = self.values
-        ix, iy, iz = i[:, 0], i[:, 1], i[:, 2]
-        fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-        c000 = v[ix, iy, iz]
-        c100 = v[ix + 1, iy, iz]
-        c010 = v[ix, iy + 1, iz]
-        c110 = v[ix + 1, iy + 1, iz]
-        c001 = v[ix, iy, iz + 1]
-        c101 = v[ix + 1, iy, iz + 1]
-        c011 = v[ix, iy + 1, iz + 1]
-        c111 = v[ix + 1, iy + 1, iz + 1]
-        c00 = c000 * (1 - fx) + c100 * fx
-        c10 = c010 * (1 - fx) + c110 * fx
-        c01 = c001 * (1 - fx) + c101 * fx
-        c11 = c011 * (1 - fx) + c111 * fx
-        c0 = c00 * (1 - fy) + c10 * fy
-        c1 = c01 * (1 - fy) + c11 * fy
-        return c0 * (1 - fz) + c1 * fz + outside
+        # grid coordinates as rows (3, N), so every per-axis step is contiguous
+        g = (pts.T - self.origin[:, None]) / self.cell
+        g_cl = np.clip(g, 0.0, ((shape - 1) - 1e-9)[:, None])
+        off = (g - g_cl) * self.cell
+        outside = np.sqrt((off[0] * off[0] + off[1] * off[1]) + off[2] * off[2])  # np.linalg.norm's sum order
+        # 0 <= g_cl < shape - 1, so truncation floors to a cell index <= shape - 2
+        i = g_cl.astype(np.intp)
+        fx, fy, fz = g_cl - i
+        gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
+        v = self.values.ravel()
+        sx, sy = shape[1] * shape[2], shape[2]
+        at = i[0] * sx + i[1] * sy + i[2]  # flat index of corner (0, 0, 0)
+        c00 = v.take(at) * gx + v.take(at + sx) * fx
+        c10 = v.take(at + sy) * gx + v.take(at + (sx + sy)) * fx
+        at += 1  # the z + 1 face
+        c01 = v.take(at) * gx + v.take(at + sx) * fx
+        c11 = v.take(at + sy) * gx + v.take(at + (sx + sy)) * fx
+        c0 = c00 * gy + c10 * fy
+        c1 = c01 * gy + c11 * fy
+        return c0 * gz + c1 * fz + outside
 
 
 class ShapeModel:

@@ -11,6 +11,7 @@ hypothesized slave surface to the master shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -160,27 +161,39 @@ def filter_predict(ps: ParticleSet, noise: NoiseConfig, seed: int = 0) -> Partic
 def contact_distances(
     quats: np.ndarray,
     trans: np.ndarray,
-    gripper: Pose,
+    gripper: Pose | Sequence[Pose],
     master: ShapeModel,
     master_pose: Pose,
     slave_contact_points: np.ndarray,
 ) -> np.ndarray:
-    """Signed contact distance per particle hypothesis at a gripper pose.
+    """Signed contact distance per particle hypothesis at one or G gripper poses.
 
     slave_contact_points are slave surface samples expressed in the slave
     keypoint frame (the keypoint itself is the origin and is always
     included). The distance of a hypothesis is the minimum master SDF over
     its implied slave surface, the same quantity the probe drives to zero at
-    contact.
+    contact. One gripper pose gives (M,); a sequence of G poses gives
+    (G, M) from one SDF query, row g bit-identical to scoring pose g alone.
     """
-    g_rot = gripper.rotation_matrix()
-    kp_world = quat_rotate(gripper.q, trans) + gripper.t  # (M, 3)
+    single = isinstance(gripper, Pose)
+    grippers = [gripper] if single else gripper
+    g_q = np.array([g.q for g in grippers])
+    g_t = np.array([g.t for g in grippers])
     m = len(quats)
-    # per-particle keypoint rotation in world: R_g @ R_zj
-    rot = np.einsum("ij,mjk->mik", g_rot, quat_to_matrix(quats))
-    pts = np.einsum("mik,nk->mni", rot, slave_contact_points) + kp_world[:, None, :]
-    d = sdf_query(master, master_pose, pts.reshape(-1, 3)).reshape(m, -1)
-    return d.min(axis=1)
+    kp_world = quat_rotate(g_q[:, None, :], trans) + g_t[:, None, :]  # (G, M, 3)
+    # per-pair keypoint rotation in world, rot[g, m] = R_g @ R_zm, and the
+    # slave points under it, from elementwise products: faster than einsum's
+    # generic loops, and summed in the order einsum summed them on x86-64
+    # ((0 + 1) + 2, then (0 + 2) + 1), so filter outputs kept their bits
+    r_g = quat_to_matrix(g_q)[:, None, :, :, None]  # g, -, i, j, -
+    r_z = quat_to_matrix(quats)[None, :, None, :, :]  # -, m, -, j, k
+    rot = (r_g[..., 0, :] * r_z[..., 0, :] + r_g[..., 1, :] * r_z[..., 1, :]) + r_g[..., 2, :] * r_z[..., 2, :]
+    rot = rot[:, :, None]  # g, m, -, i, k
+    p = slave_contact_points[:, None, :]  # n, -, k
+    pts = (rot[..., 0] * p[..., 0] + rot[..., 2] * p[..., 2]) + rot[..., 1] * p[..., 1]
+    pts += kp_world[:, :, None, :]
+    d = sdf_query(master, master_pose, pts.reshape(-1, 3)).reshape(len(grippers), m, -1).min(axis=2)
+    return d[0] if single else d
 
 
 def slave_contact_points_in_keypoint_frame(

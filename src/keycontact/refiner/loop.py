@@ -12,6 +12,7 @@ from .filter import (
     NoiseConfig,
     ParticleSet,
     RelativePoseError,
+    effective_sample_size,
     filter_estimate,
     filter_init,
     filter_predict,
@@ -52,6 +53,8 @@ class StepDiagnostics:
     contact: bool
     entropy: float  # posterior weight entropy after the update
     state_entropy: float  # log-det spread of the particle cloud
+    ess: float  # 1 / sum(w^2) of the weights `entropy` is taken from, before any resample
+    resampled: bool  # the update's ESS fell below M/2, so the set was resampled
     expected_ig: float | None  # None under random selection, which computes no IG
     candidate_index: int
     travel: float
@@ -128,8 +131,9 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
             noise=config.noise,
             seed=s_probe,
         )
-        diverged = False
+        diverged = resampled = False
         entropy = weight_entropy(ps)
+        ess = effective_sample_size(ps)
         if res.contact:
             ps_new, diverged = filter_update(
                 ps,
@@ -144,7 +148,9 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
             else:
                 consecutive_zero = 0
                 entropy = weight_entropy(ps_new)
+                ess = effective_sample_size(ps_new)
                 ps = resample(ps_new, seed=s_res)
+                resampled = ps is not ps_new
         est = filter_estimate(ps)
         t_err = float(np.linalg.norm(est.t - scene.z_true.t))
         r_err = float(est.rotation_angle_to(scene.z_true))
@@ -154,6 +160,8 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
                 contact=bool(res.contact),
                 entropy=entropy,
                 state_entropy=state_entropy(ps),
+                ess=ess,
+                resampled=resampled,
                 expected_ig=expected_ig,
                 candidate_index=cand_idx,
                 travel=float(res.travel),

@@ -7,6 +7,12 @@ roll of its x axis). Selection scores each candidate by the expected entropy
 of the posterior weight distribution over hypothetical contact scenarios and
 keeps the minimizer; the information gain follows as log(N_d) minus that
 entropy under a uniform prior over the downsampled subset.
+
+A selection step is batched end to end: strategy_frames gives the world
+frames of all candidates at once, one virtual-probe call rolls out every
+candidate-scenario pair in a single lock-step march, and one
+contact_distances call (one SDF query) scores all resulting contacts
+against the downsampled particles.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..geometry import Pose, ShapeModel, sdf_query
+from ..geometry import Pose, ShapeModel
+from ..geometry.pose import _dot, _norm
 from .filter import (
     NoiseConfig,
     ParticleSet,
@@ -32,6 +39,7 @@ __all__ = [
     "sample_contact_candidates",
     "select_contact_strategy",
     "information_gain",
+    "strategy_frames",
     "DEFAULT_POSITIONS",
     "DEFAULT_ORIENTATIONS",
 ]
@@ -77,31 +85,40 @@ class ContactStrategy:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
-    def approach_direction(self, master_pose: Pose) -> np.ndarray:
-        """World unit vector pointing into the surface along the approach."""
-        y_local = np.cross(self.z_local, self.x_local)
-        d_local = -(
-            np.cos(self.elevation) * self.z_local
-            + np.sin(self.elevation)
-            * (np.cos(self.azimuth) * self.x_local + np.sin(self.azimuth) * y_local)
-        )
-        return master_pose.apply_direction(d_local / np.linalg.norm(d_local))
 
-    def keypoint_rotation(self, master_pose: Pose) -> np.ndarray:
-        """World rotation for the slave keypoint frame: z = approach, x rolled."""
-        z = self.approach_direction(master_pose)
-        ref = master_pose.apply_direction(self.x_local)
-        u = ref - np.dot(ref, z) * z
-        if np.linalg.norm(u) < 1e-9:
-            ref = master_pose.apply_direction(np.cross(self.z_local, self.x_local))
-            u = ref - np.dot(ref, z) * z
-        u = u / np.linalg.norm(u)
-        x = np.cos(self.roll) * u + np.sin(self.roll) * np.cross(z, u)
-        y = np.cross(z, x)
-        return np.column_stack([x, y, z])
+def strategy_frames(
+    strategies: Sequence[ContactStrategy], master_pose: Pose
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """World frames of S strategies against a master pose, batched.
 
-    def target_point_world(self, master_pose: Pose) -> np.ndarray:
-        return master_pose.apply(self.contact_point)
+    Returns the slave keypoint rotations (S, 3, 3), whose z column is the
+    approach and whose x column is the master tangent reference projected
+    off the approach and rolled about it; the approach directions (S, 3),
+    unit vectors pointing into the surface; and the contact points in world
+    (S, 3). Where the tangent reference is parallel to the approach
+    (|u| < 1e-9) the row falls back to the other tangent axis. Each row is
+    bit-identical to computing its strategy alone.
+    """
+    z_loc = np.array([s.z_local for s in strategies]).reshape(-1, 3)
+    x_loc = np.array([s.x_local for s in strategies]).reshape(-1, 3)
+    az = np.array([s.azimuth for s in strategies])[:, None]
+    el = np.array([s.elevation for s in strategies])[:, None]
+    roll = np.array([s.roll for s in strategies])[:, None]
+    y_loc = np.cross(z_loc, x_loc)
+    d_local = -(np.cos(el) * z_loc + np.sin(el) * (np.cos(az) * x_loc + np.sin(az) * y_loc))
+    z = master_pose.apply_direction(d_local / _norm(d_local)[:, None])
+
+    ref = master_pose.apply_direction(x_loc)
+    u = ref - _dot(ref, z)[:, None] * z
+    flat = _norm(u) < 1e-9
+    if flat.any():
+        ref = master_pose.apply_direction(y_loc[flat])
+        u[flat] = ref - _dot(ref, z[flat])[:, None] * z[flat]
+    u = u / _norm(u)[:, None]
+    x = np.cos(roll) * u + np.sin(roll) * np.cross(z, u)
+    y = np.cross(z, x)
+    targets = master_pose.apply(np.array([s.contact_point for s in strategies]).reshape(-1, 3))
+    return np.stack([x, y, z], axis=2), z, targets
 
 
 def _flat_patch_mask(master: ShapeModel, points: np.ndarray, normals: np.ndarray,
@@ -210,11 +227,11 @@ class StrategySelection:
     mean_entropies: np.ndarray  # per candidate; NaN marks excluded candidates
 
 
-# a virtual probe rolls out a contact strategy while the robot plans with
-# z_plan, under a batch of hypothetical true in-hand states; returns the
-# gripper pose at contact per hypothesis, None where the approach never
-# contacts (the signature of ProbeSimulator.probe_batch)
-VirtualProbe = Callable[[ContactStrategy, Pose, list[Pose]], list[Optional[Pose]]]
+# a virtual probe rolls out H hypotheses in one batch while the robot plans
+# with z_plan: hypothesis h follows strategy h with true in-hand state h.
+# It returns the gripper pose at contact per hypothesis, None where the
+# approach never contacts (the signature of ProbeSimulator.probe_batch).
+VirtualProbe = Callable[[Sequence[ContactStrategy], Pose, Sequence[Pose]], list[Optional[Pose]]]
 
 
 def select_contact_strategy(
@@ -237,7 +254,9 @@ def select_contact_strategy(
     particle's distance is the minimum master SDF over its implied slave
     surface samples. A scenario without contact leaves the posterior at the
     prior; candidates with no contact in any scenario are excluded. Ties
-    break toward the lowest candidate index.
+    break toward the lowest candidate index. All candidate-scenario pairs
+    are rolled out in one virtual-probe call and scored in one
+    contact_distances call.
     """
     if not candidates:
         raise ValueError("candidate set is empty")
@@ -246,37 +265,35 @@ def select_contact_strategy(
     # uniform stride downsampling of the particle set
     d_idx = np.unique(np.linspace(0, m - 1, n_d).round().astype(int))
     n_d = len(d_idx)
-    sub_q = ps.quats[d_idx]
-    sub_t = ps.translations[d_idx]
     pts = slave_contact_points_in_keypoint_frame(slave, slave_kf)
 
     rng = np.random.default_rng(seed)
     scen_idx = rng.choice(m, size=(len(candidates), SCENARIOS), p=ps.weights)
     z_plan = filter_estimate(ps)
 
-    mean_entropy = np.full(len(candidates), np.nan)
-    for k, cand in enumerate(candidates):
-        z_truths = [ps.particle(int(j)) for j in scen_idx[k]]
-        grippers = virtual_probe(cand, z_plan, z_truths)
-        entropies = []
-        any_contact = False
-        for gripper in grippers:
-            if gripper is None:
-                # a miss leaves the posterior at the (uniform) prior
-                entropies.append(float(np.log(n_d)))
-                continue
-            any_contact = True
-            d = contact_distances(sub_q, sub_t, gripper, master, master_pose, pts)
-            lik = contact_likelihood(d, noise.d_th)
-            total = lik.sum()
-            if total <= 0.0:
-                entropies.append(float(np.log(n_d)))  # uninformative scenario
-                continue
-            w = lik / total
-            w = w[w > 0]
-            entropies.append(float(-(w * np.log(w)).sum()))
-        if any_contact:
-            mean_entropy[k] = float(np.mean(entropies))
+    # one rollout of every (candidate, scenario) pair, candidate-major
+    grippers = virtual_probe(
+        [cand for cand in candidates for _ in range(SCENARIOS)],
+        z_plan,
+        [ps.particle(int(j)) for j in scen_idx.ravel()],
+    )
+    hit = np.array([g is not None for g in grippers])
+    # a miss, or a contact no subset particle explains, leaves the posterior
+    # at the (uniform) prior
+    entropy = np.full(hit.shape, np.log(n_d))
+    if hit.any():
+        d = contact_distances(
+            ps.quats[d_idx], ps.translations[d_idx], [g for g in grippers if g is not None],
+            master, master_pose, pts,
+        )
+        lik = contact_likelihood(d, noise.d_th)
+        total = lik.sum(axis=1, keepdims=True)
+        w = np.divide(lik, total, out=np.zeros_like(lik), where=total > 0.0)
+        h = -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=1)  # 0 log 0 = 0
+        entropy[hit] = np.where(total[:, 0] > 0.0, h, np.log(n_d))
+    entropy = entropy.reshape(len(candidates), SCENARIOS)
+    any_contact = hit.reshape(len(candidates), SCENARIOS).any(axis=1)
+    mean_entropy = np.where(any_contact, entropy.mean(axis=1), np.nan)
 
     if np.isnan(mean_entropy).all():
         raise ValueError("no candidate produced a valid contact scenario")

@@ -20,9 +20,28 @@ from ..refiner import NoiseConfig, RefinementConfig, run_refinement
 from ..serialize import canonical_json
 from .scenes import PROFILES, Scene, SceneNoise, make_peg_hole_scene
 
-__all__ = ["CampaignConfig", "TrialResult", "run_campaign", "write_campaign_outputs"]
+__all__ = ["CampaignConfig", "TrialResult", "run_campaign", "wilson_interval", "write_campaign_outputs"]
 
 _FMT = "{:.10g}"
+Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval of a binomial success rate.
+
+    Unlike the normal-approximation interval it stays inside [0, 1] and
+    keeps a nonzero width at 0/n and n/n, the rates small cells produce;
+    there its bound at 0 or 1 is exact.
+    """
+    if trials < 1 or not 0 <= successes <= trials:
+        raise ValueError(f"need 0 <= successes <= trials and trials >= 1, got {successes}/{trials}")
+    p = successes / trials
+    z2n = Z95 * Z95 / trials
+    center = (p + 0.5 * z2n) / (1.0 + z2n)
+    half = Z95 / (1.0 + z2n) * np.sqrt(p * (1.0 - p) / trials + 0.25 * z2n / trials)
+    lo = 0.0 if successes == 0 else float(center - half)
+    hi = 1.0 if successes == trials else float(center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -190,6 +209,8 @@ def run_campaign(cfg: CampaignConfig, seeds=None, log=_STDERR) -> tuple[list[Tri
                     "trials": len(cell),
                     "vision_success_rate": float(np.mean([r.vision_success for r in cell])),
                     "refined_success_rate": float(np.mean([r.refined_success for r in cell])),
+                    "vision_success_ci95": wilson_interval(sum(r.vision_success for r in cell), len(cell)),
+                    "refined_success_ci95": wilson_interval(sum(r.refined_success for r in cell), len(cell)),
                     "mean_translation_error": float(terr.mean()),
                     "p95_translation_error": float(np.quantile(terr, 0.95)),
                     "mean_lateral_error": float(lat.mean()),

@@ -6,19 +6,22 @@ surface samples; the contact travel is refined by bisection to the contact
 tolerance. One lock-step march serves both kinds of probe: a real probe
 marches one hypothesis, the true in-hand state, against the true master
 pose and reports a noisy gripper pose; a virtual rollout marches a batch of
-hypothesized in-hand states against the perceived master pose, noise-free.
+hypotheses, each with its own strategy and in-hand state, against the
+perceived master pose, noise-free. Strategy selection rolls out every
+candidate-scenario pair of a refinement step in one such march.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..geometry import Pose
+from ..geometry.pose import _norm, matrix_to_quat, quat_multiply, quat_rotate, quat_to_matrix
 from ..refiner.filter import ContactMeasurement, NoiseConfig
-from ..refiner.strategy import ContactStrategy
+from ..refiner.strategy import ContactStrategy, strategy_frames
 from .scenes import Scene
 
 __all__ = ["ProbeResult", "ProbeSimulator"]
@@ -53,39 +56,45 @@ class ProbeSimulator:
         self._kf_inv = scene.slave_kf.as_pose().inverse()
 
     def _march(
-        self, strategy: ContactStrategy, z_plan: Pose, z_actuals: list[Pose], contact_master: Pose
-    ) -> tuple[np.ndarray, np.ndarray, Callable[[float], Pose]]:
-        """Lock-step sphere-march plus bisection of one strategy under several in-hand states.
+        self,
+        kp_rot: np.ndarray,
+        approach: np.ndarray,
+        start: np.ndarray,
+        q_actual: np.ndarray,
+        t_actual: np.ndarray,
+        z_plan: Pose,
+        contact_master: Pose,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lock-step sphere-march plus bisection of H hypotheses.
 
+        Hypothesis h approaches along approach[h] from start[h] with planned
+        keypoint rotation kp_rot[h] (from strategy_frames), while the slave
+        actually sits at the in-hand state (q_actual[h], t_actual[h]).
         Every hypothesis advances by its own safe step (one SDF batch per
         iteration): the min sample SDF bounds the safe advance, since the
-        SDF is 1-Lipschitz along the straight path. Returns the travels, the
-        contact flags (a miss ends at MAX_TRAVEL) and the map from a travel
-        to the planned gripper pose there.
+        SDF is 1-Lipschitz along the straight path. Returns the travels and
+        the contact flags (a miss ends at MAX_TRAVEL); each hypothesis'
+        result is the same whatever else is in the batch.
         """
-        master = self.scene.master_perceived
-        kp_rot = strategy.keypoint_rotation(master)
-        approach = strategy.approach_direction(master)
-        start = strategy.target_point_world(master) - STANDOFF * approach
         m_inv = contact_master.inverse()
         m_inv_rot, m_inv_t = m_inv.rotation_matrix(), m_inv.t
         inv_plan = z_plan.inverse()
 
-        # actual keypoint = planned keypoint o (z_plan^-1 o z_actual)
-        s_count = len(z_actuals)
+        # actual keypoint = planned keypoint o (z_plan^-1 o z_actual); the
+        # offset quaternion is normalized twice, as Pose.compose leaves it
+        off_q = quat_multiply(inv_plan.q, q_actual)
+        off_q = off_q / _norm(off_q)[:, None]
+        off_q = off_q / _norm(off_q)[:, None]
+        off_t = quat_rotate(inv_plan.q, t_actual) + inv_plan.t
+        akp_rot = kp_rot @ quat_to_matrix(off_q)
+        rotated = self._slave_samples @ (akp_rot @ self._kf_inv.rotation_matrix()).transpose(0, 2, 1)
+        const_t = (kp_rot @ off_t[:, :, None])[:, :, 0] + akp_rot @ self._kf_inv.t
         n = len(self._slave_samples)
-        rotated = np.empty((s_count, n, 3))
-        const_t = np.empty((s_count, 3))
-        for i, z_a in enumerate(z_actuals):
-            off = inv_plan.compose(z_a)
-            akp_rot = kp_rot @ off.rotation_matrix()
-            slave_rot = akp_rot @ self._kf_inv.rotation_matrix()
-            rotated[i] = self._slave_samples @ slave_rot.T
-            const_t[i] = kp_rot @ off.t + akp_rot @ self._kf_inv.t
+        s_count = len(kp_rot)
 
         def sdf_at(travels: np.ndarray, active: np.ndarray) -> np.ndarray:
             """Min sample SDF per active hypothesis at its own travel."""
-            pos = start[None, :] + travels[active, None] * approach[None, :] + const_t[active]
+            pos = start[active] + travels[active, None] * approach[active] + const_t[active]
             world = rotated[active] + pos[:, None, :]
             local = world.reshape(-1, 3) @ m_inv_rot.T + m_inv_t
             d = self.scene.master_shape.sdf_local(local).reshape(-1, n)
@@ -125,12 +134,39 @@ class ProbeSimulator:
             below = dm <= 0.0
             hi[idx[below]] = mids[idx[below]]
             lo[idx[~below]] = mids[idx[~below]]
-        travels = np.where(bracketed, hi, travels)
+        return np.where(bracketed, hi, travels), hit
 
-        def gripper_at(travel: float) -> Pose:
-            return Pose.from_rotation(kp_rot, start + travel * approach).compose(inv_plan)
+    def _rollout(
+        self,
+        strategies: Sequence[ContactStrategy],
+        z_plan: Pose,
+        z_actuals: Sequence[Pose],
+        contact_master: Pose,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """March hypothesis h along strategies[h] with the slave at z_actuals[h].
 
-        return travels, hit, gripper_at
+        The robot plans against the perceived master pose; contact is
+        checked against contact_master. Returns the travels, the contact
+        flags, and the planned gripper pose at each travel as quaternions
+        (H, 4) and translations (H, 3). The gripper pose is keypoint pose o
+        z_plan^-1 with its quaternion normalized as Pose.from_rotation and
+        Pose.compose leave it, so Pose(q[h], t[h]) is bit-identical to
+        composing the Poses.
+        """
+        if len(strategies) != len(z_actuals):
+            raise ValueError(f"{len(strategies)} strategies for {len(z_actuals)} hypotheses")
+        kp_rot, approach, target = strategy_frames(strategies, self.scene.master_perceived)
+        start = target - STANDOFF * approach
+        q_actual = np.array([z.q for z in z_actuals]).reshape(-1, 4)
+        t_actual = np.array([z.t for z in z_actuals]).reshape(-1, 3)
+        travels, hit = self._march(kp_rot, approach, start, q_actual, t_actual, z_plan, contact_master)
+        inv_plan = z_plan.inverse()
+        kp_q = matrix_to_quat(kp_rot)
+        kp_q = kp_q / _norm(kp_q)[:, None]
+        g_q = quat_multiply(kp_q, inv_plan.q)
+        g_q = g_q / _norm(g_q)[:, None]
+        g_t = quat_rotate(kp_q, inv_plan.t) + (start + travels[:, None] * approach)
+        return travels, hit, g_q, g_t
 
     def probe(
         self,
@@ -143,11 +179,12 @@ class ProbeSimulator:
         """Advance along the strategy approach until contact or budget end.
 
         Contact is checked against the true master pose with the true
-        in-hand state z_actual; at contact the reported gripper pose carries
-        N(0, contact_sigma) noise per axis (contact_sigma = 0: none).
+        in-hand state z_actual: a march of one hypothesis. At contact the
+        reported gripper pose carries N(0, contact_sigma) noise per axis
+        (contact_sigma = 0: none).
         """
-        (travel,), (hit,), gripper_at = self._march(strategy, z_plan, [z_actual], self.scene.master_true)
-        gripper = gripper_at(travel)
+        (travel,), (hit,), (g_q,), (g_t,) = self._rollout([strategy], z_plan, [z_actual], self.scene.master_true)
+        gripper = Pose(g_q, g_t)
         if hit and noise.contact_sigma > 0:
             rng = np.random.default_rng(seed)
             gripper = Pose(gripper.q, gripper.t + rng.normal(0.0, noise.contact_sigma, 3))
@@ -161,15 +198,25 @@ class ProbeSimulator:
             confirmed=result.contact,
         )
 
-    def probe_batch(self, strategy: ContactStrategy, z_plan: Pose, z_actuals: list[Pose]) -> list[Optional[Pose]]:
-        """Noise-free rollouts of one strategy under several in-hand hypotheses.
+    def probe_batch(
+        self,
+        strategies: ContactStrategy | Sequence[ContactStrategy],
+        z_plan: Pose,
+        z_actuals: Sequence[Pose],
+    ) -> list[Optional[Pose]]:
+        """Noise-free rollouts of H hypotheses in one lock-step march.
 
-        Contact is checked against the perceived master pose, the frame the
-        filter scores particles in. Returns the gripper pose at contact per
-        hypothesis, or None where the approach never contacts.
+        Hypothesis h follows strategies[h] with the slave at z_actuals[h];
+        a single strategy is shared by every hypothesis. Contact is checked
+        against the perceived master pose, the frame the filter scores
+        particles in. Returns the gripper pose at contact per hypothesis,
+        or None where the approach never contacts; each entry is bit-identical
+        to rolling its hypothesis out alone.
         """
-        travels, hit, gripper_at = self._march(strategy, z_plan, z_actuals, self.scene.master_perceived)
-        return [gripper_at(t) if h else None for t, h in zip(travels, hit)]
+        if isinstance(strategies, ContactStrategy):
+            strategies = [strategies] * len(z_actuals)
+        _, hit, g_q, g_t = self._rollout(strategies, z_plan, z_actuals, self.scene.master_perceived)
+        return [Pose(q, t) if contact else None for q, t, contact in zip(g_q, g_t, hit)]
 
     def virtual_probe(self):
         """Batched rollout callable for strategy selection: the bound

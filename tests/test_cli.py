@@ -72,3 +72,24 @@ def test_refine_random_diagnostics_write_null_expected_ig(tmp_path):
     (step,) = [json.loads(line) for line in diag.read_text().splitlines()]
     assert step["step"] == 1
     assert step["expected_ig"] is None
+
+
+def test_refine_diagnostics_report_ess_and_resampling_deterministically(tmp_path):
+    particles = 40
+    runs = []
+    for run in range(2):
+        diag = tmp_path / f"steps{run}.jsonl"
+        code = main(["refine", "--contacts", "3", "--particles", str(particles), "--selection", "ig", "--seed", "3",
+                     "--out", str(tmp_path / f"refined{run}.json"), "--diagnostics", str(diag)])
+        assert code == 0
+        runs.append(diag.read_bytes())
+    assert runs[0] == runs[1]  # no timing field enters the diagnostics
+    steps = [json.loads(line) for line in runs[0].decode().splitlines()]
+    assert [s["step"] for s in steps] == [1, 2, 3]
+    for s in steps:
+        assert isinstance(s["resampled"], bool)
+        assert 1.0 <= s["ess"] <= particles * (1 + 1e-12)
+        # resampling fires exactly when an accepted update leaves ESS below M/2
+        updated = s["contact"] and not s["diverged"]
+        assert s["resampled"] == (updated and s["ess"] < particles / 2)
+    assert any(s["resampled"] for s in steps)

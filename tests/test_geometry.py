@@ -24,7 +24,7 @@ from keycontact.geometry import (
     sdf_query,
     union_aabb_volume,
 )
-from keycontact.geometry.pose import quat_multiply
+from keycontact.geometry.pose import matrix_to_quat, quat_multiply, quat_rotate
 
 
 def random_pose(rng):
@@ -159,6 +159,46 @@ def test_quat_multiply_batched_matches_rows_and_broadcasts(rotvecs):
     assert quat_multiply(a, b).flags.c_contiguous
 
 
+def _scalar_matrix_to_quat(m):
+    # Shepperd's method, one matrix at a time
+    tr = m[0, 0] + m[1, 1] + m[2, 2]
+    if tr > 0.0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array([0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s])
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = np.array([(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s])
+    elif m[1, 1] > m[2, 2]:
+        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = np.array([(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s])
+    else:
+        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = np.array([(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s])
+    q = q / np.linalg.norm(q)
+    return -q if q[0] < 0.0 else q
+
+
+def test_matrix_to_quat_batched_matches_rows_on_every_branch(rotvecs):
+    mats = quat_to_matrix(quat_from_rotvec(rotvecs))
+    # half-turns about each axis and about diagonals reach the x, y and z branches
+    half_turns = [np.diag(d) for d in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0])]
+    half_turns += [quat_to_matrix(np.array(q) / np.linalg.norm(q)) for q in ([0, 1, 1, 0], [0, 0, 1, 1], [0, 1, 0, 1])]
+    mats = np.concatenate([mats, np.array(half_turns)])
+    batched = matrix_to_quat(mats)
+    assert _same_bits(batched, np.array([_scalar_matrix_to_quat(m) for m in mats]))
+    assert _same_bits(batched, np.array([matrix_to_quat(m) for m in mats]))
+    assert _same_bits(matrix_to_quat(mats.reshape(-1, 2, 3, 3)[:, 1]), batched[1::2])
+
+
+def test_quat_rotate_broadcasts_quaternions_against_vectors(rotvecs):
+    q = quat_from_rotvec(rotvecs)
+    v = np.random.default_rng(2).normal(size=(7, 3))
+    grid = quat_rotate(q[:, None, :], v)
+    assert grid.shape == (len(q), len(v), 3)
+    assert _same_bits(grid, np.array([quat_rotate(r, v) for r in q]))
+    assert _same_bits(quat_rotate(q, v[0]), np.array([quat_rotate(r, v[0]) for r in q]))
+
+
 @pytest.mark.parametrize("angle", [0.0, 1e-12, 1e-9, 1e-6, 0.1, np.pi])
 def test_rotation_angle_between_resolves_small_angles(angle):
     qa = np.array([1.0, 0.0, 0.0, 0.0])
@@ -227,6 +267,46 @@ def test_sdf_cube_center_and_face(unit_cube):
     tol = unit_cube.grid.cell_diagonal
     assert sdf_query(unit_cube, Pose.identity(), np.array([0.0, 0.0, 0.0])) == pytest.approx(-0.5, abs=tol)
     assert sdf_query(unit_cube, Pose.identity(), np.array([0.0, 0.0, 1.5])) == pytest.approx(1.0, abs=tol)
+
+
+def _corner_formula_query(grid, points):
+    # the 8-corner trilinear interpolation with a clamp-plus-offset exterior
+    pts = np.atleast_2d(points)
+    shape = np.array(grid.values.shape)
+    g = (pts - grid.origin) / grid.cell
+    g_cl = np.clip(g, 0.0, (shape - 1) - 1e-9)
+    outside = np.linalg.norm((g - g_cl) * grid.cell, axis=1)
+    i = np.minimum(np.floor(g_cl).astype(int), shape - 2)
+    f = g_cl - i
+    v = grid.values
+    ix, iy, iz = i[:, 0], i[:, 1], i[:, 2]
+    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
+    c00 = v[ix, iy, iz] * (1 - fx) + v[ix + 1, iy, iz] * fx
+    c10 = v[ix, iy + 1, iz] * (1 - fx) + v[ix + 1, iy + 1, iz] * fx
+    c01 = v[ix, iy, iz + 1] * (1 - fx) + v[ix + 1, iy, iz + 1] * fx
+    c11 = v[ix, iy + 1, iz + 1] * (1 - fx) + v[ix + 1, iy + 1, iz + 1] * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    return c0 * (1 - fz) + c1 * fz + outside
+
+
+def test_sdf_grid_query_matches_corner_formula_bitwise(unit_cube):
+    grid = unit_cube.grid
+    rng = np.random.default_rng(5)
+    lo = grid.origin
+    hi = grid.origin + grid.cell * (np.array(grid.values.shape) - 1)
+    inside = rng.uniform(lo, hi, size=(500, 3))
+    beyond = rng.uniform(lo - 0.3, hi + 0.3, size=(500, 3))  # many outside the grid
+    upper = rng.uniform(lo, hi, size=(60, 3))
+    upper[:20, 0], upper[20:40, 1], upper[40:, 2] = hi[0], hi[1], hi[2]  # on the upper faces
+    nodes = lo + grid.cell * np.array([[0, 0, 0], [3, 5, 7], [1, 1, 1]])  # exactly on grid nodes
+    pts = np.vstack([inside, beyond, upper, [lo], [hi], nodes])
+    got = grid.query(pts)
+    assert _same_bits(got, _corner_formula_query(grid, pts))
+    assert _same_bits(grid.query(pts[3]), _corner_formula_query(grid, pts[3]))
+    # a grid whose values are not C-ordered is gathered the same way
+    fortran = type(grid)(grid.origin, grid.cell, np.asfortranarray(grid.values))
+    assert _same_bits(fortran.query(pts), got)
 
 
 def _point_triangle_distance_reference(p, a, b, c):

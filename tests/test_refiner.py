@@ -10,12 +10,17 @@ from keycontact.refiner import (
     NoiseConfig,
     ParticleSet,
     effective_sample_size,
+    filter_estimate,
     filter_init,
     filter_update,
     resample,
     sample_contact_candidates,
+    select_contact_strategy,
 )
+from keycontact.refiner.filter import contact_distances, contact_likelihood, slave_contact_points_in_keypoint_frame
+from keycontact.refiner.strategy import DOWNSAMPLE, SCENARIOS, strategy_frames
 from keycontact.sim import CampaignConfig, ProbeSimulator, make_peg_hole_scene, run_campaign, write_campaign_outputs
+from keycontact.sim.campaign import Z95, wilson_interval
 from keycontact.sim.probe import CONTACT_TOL, MAX_TRAVEL, PROBE_SAMPLES
 
 NO_CONTACT_NOISE = NoiseConfig(contact_sigma=0.0)
@@ -91,6 +96,133 @@ def test_probe_noise_moves_only_the_reported_translation(scene, candidates):
     assert 0.0 < np.linalg.norm(noisy.end_effector_pose.t - clean.end_effector_pose.t) < 5e-3
 
 
+def _same_pose(a, b):
+    return a.q.tobytes() == b.q.tobytes() and a.t.tobytes() == b.t.tobytes()
+
+
+def test_probe_batch_of_mixed_strategies_matches_one_call_per_hypothesis(scene, candidates):
+    sim = ProbeSimulator(scene)
+    ps = filter_init(scene.z_perceived, NoiseConfig(), 30, seed=6)
+    far = Pose(scene.z_true.q, scene.z_true.t + np.array([1.0, 0.0, 0.0]))  # never touches
+    strategies = [candidates[k % len(candidates)] for k in range(len(candidates) * 3)]
+    z_actuals = [ps.particle(3 * h % 30) for h in range(len(strategies))]
+    z_actuals[4] = far
+    batch = sim.probe_batch(strategies, scene.z_perceived, z_actuals)
+    assert len(batch) == len(strategies) and batch[4] is None
+    for strategy, z_actual, got in zip(strategies, z_actuals, batch):
+        (alone,) = sim.probe_batch([strategy], scene.z_perceived, [z_actual])
+        assert (got is None) == (alone is None)
+        if got is not None:
+            assert _same_pose(got, alone)
+    assert sim.probe_batch([], scene.z_perceived, []) == []
+    with pytest.raises(ValueError):
+        sim.probe_batch(strategies[:2], scene.z_perceived, z_actuals[:3])
+
+
+def _scalar_approach(s, master_pose):
+    # the frame formulas of one strategy at a time, as ContactStrategy's
+    # approach_direction and keypoint_rotation computed them
+    y_local = np.cross(s.z_local, s.x_local)
+    d_local = -(np.cos(s.elevation) * s.z_local
+                + np.sin(s.elevation) * (np.cos(s.azimuth) * s.x_local + np.sin(s.azimuth) * y_local))
+    return master_pose.apply_direction(d_local / np.linalg.norm(d_local))
+
+
+def _scalar_keypoint_rotation(s, master_pose):
+    z = _scalar_approach(s, master_pose)
+    ref = master_pose.apply_direction(s.x_local)
+    u = ref - np.dot(ref, z) * z
+    if np.linalg.norm(u) < 1e-9:
+        ref = master_pose.apply_direction(np.cross(s.z_local, s.x_local))
+        u = ref - np.dot(ref, z) * z
+    u = u / np.linalg.norm(u)
+    x = np.cos(s.roll) * u + np.sin(s.roll) * np.cross(z, u)
+    return np.column_stack([x, np.cross(z, x), z])
+
+
+def test_strategy_frames_match_per_strategy_frames_bitwise(scene, candidates):
+    # elevation 90 deg at azimuth 0 points the approach along x_local: the
+    # projected reference vanishes and the frame falls back to y_local
+    edge_on = [replace(c, elevation=float(np.pi / 2), azimuth=0.0) for c in candidates[:3]]
+    strategies = list(candidates) + edge_on
+    master = scene.master_perceived
+    rot, approach, target = strategy_frames(strategies, master)
+    assert rot.shape == (len(strategies), 3, 3)
+    for k, s in enumerate(strategies):
+        (alone_rot,), (alone_approach,), (alone_target,) = strategy_frames([s], master)
+        for got, want in ((rot[k], _scalar_keypoint_rotation(s, master)), (rot[k], alone_rot),
+                          (approach[k], _scalar_approach(s, master)), (approach[k], alone_approach),
+                          (target[k], master.apply(s.contact_point)), (target[k], alone_target)):
+            assert got.tobytes() == want.tobytes()
+    for k in range(len(candidates), len(strategies)):  # the fallback frames stay proper rotations
+        assert np.allclose(rot[k].T @ rot[k], np.eye(3), atol=1e-12) and np.linalg.det(rot[k]) > 0
+
+
+def test_contact_distances_of_many_grippers_match_one_call_each(scene, candidates):
+    sim = ProbeSimulator(scene)
+    ps = filter_init(scene.z_perceived, NoiseConfig(), 12, seed=8)
+    grippers = [sim.probe(c, scene.z_perceived, scene.z_true, NO_CONTACT_NOISE).end_effector_pose for c in candidates]
+    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf)
+    args = (scene.master_shape, scene.master_perceived, pts)
+    d = contact_distances(ps.quats, ps.translations, grippers, *args)
+    assert d.shape == (len(grippers), len(ps))
+    for g, gripper in enumerate(grippers):
+        alone = contact_distances(ps.quats, ps.translations, gripper, *args)
+        assert alone.shape == (len(ps),) and alone.tobytes() == d[g].tobytes()
+
+
+def _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed):
+    """The candidate-at-a-time scoring loop, for comparison with the batched one."""
+    m = len(ps)
+    d_idx = np.unique(np.linspace(0, m - 1, min(DOWNSAMPLE, m)).round().astype(int))
+    n_d = len(d_idx)
+    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf)
+    scen_idx = np.random.default_rng(seed).choice(m, size=(len(candidates), SCENARIOS), p=ps.weights)
+    z_plan = filter_estimate(ps)
+    mean_entropy = np.full(len(candidates), np.nan)
+    for k, cand in enumerate(candidates):
+        grippers = vprobe(cand, z_plan, [ps.particle(int(j)) for j in scen_idx[k]])
+        entropies = []
+        for gripper in grippers:
+            if gripper is None:
+                entropies.append(float(np.log(n_d)))
+                continue
+            d = contact_distances(ps.quats[d_idx], ps.translations[d_idx], gripper, scene.master_shape,
+                                  scene.master_perceived, pts)
+            lik = contact_likelihood(d, noise.d_th)
+            if lik.sum() <= 0.0:
+                entropies.append(float(np.log(n_d)))
+                continue
+            w = lik / lik.sum()
+            w = w[w > 0]
+            entropies.append(float(-(w * np.log(w)).sum()))
+        if any(g is not None for g in grippers):
+            mean_entropy[k] = float(np.mean(entropies))
+    return int(np.nanargmin(mean_entropy)), mean_entropy
+
+
+@pytest.mark.parametrize("profile", ["round", "hexagon"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_selection_matches_the_per_candidate_loop(profile, seed):
+    scene = make_peg_hole_scene(profile, 0.002, 0.006, seed=seed)
+    noise = NoiseConfig(d_th=0.002)
+    sim = ProbeSimulator(scene)
+    ps = filter_init(scene.z_perceived, noise, 60, seed=seed)
+    if seed > 0:  # scenarios drawn from non-uniform weights
+        res = sim.probe(sample_contact_candidates(scene.master_shape, seed=seed + 10)[0], scene.z_perceived,
+                        scene.z_true, noise, seed=seed)
+        ps, _ = filter_update(ps, sim.measurement(res), scene.master_shape, scene.slave_shape, noise, scene.slave_kf)
+    candidates = sample_contact_candidates(scene.master_shape, seed=seed)
+    vprobe = sim.virtual_probe()
+    sel = select_contact_strategy(ps, candidates, scene.master_shape, scene.master_perceived, vprobe, noise,
+                                  scene.slave_shape, scene.slave_kf, seed=seed)
+    best, want = _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed)
+    assert sel.candidate_index == best and sel.strategy is candidates[best]
+    assert np.array_equal(np.isnan(sel.mean_entropies), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.abs(sel.mean_entropies[ok] - want[ok]).max() <= 1e-12
+
+
 # --- filter -----------------------------------------------------------------
 
 def test_weights_normalized_after_update_and_resample(scene, candidates):
@@ -157,3 +289,37 @@ def test_campaign_logs_to_the_stderr_current_at_the_call():
     with contextlib.redirect_stderr(silent):
         run_campaign(cfg, log=None)
     assert silent.getvalue() == ""
+
+
+def _wilson_closed_form(k, n):
+    # (k + z^2/2 -+ z sqrt(k (n - k) / n + z^2 / 4)) / (n + z^2)
+    z = Z95
+    mid, half = k + z * z / 2, z * np.sqrt(k * (n - k) / n + z * z / 4)
+    return (mid - half) / (n + z * z), (mid + half) / (n + z * z)
+
+
+@pytest.mark.parametrize("k", [0, 11, 12])
+def test_wilson_interval_matches_the_closed_form(k):
+    lo, hi = wilson_interval(k, 12)
+    want_lo, want_hi = _wilson_closed_form(k, 12)
+    assert lo == pytest.approx(want_lo, abs=1e-12) and hi == pytest.approx(want_hi, abs=1e-12)
+    assert 0.0 <= lo <= k / 12 <= hi <= 1.0
+
+
+def test_wilson_interval_known_values():
+    z2 = Z95 * Z95
+    assert wilson_interval(0, 12) == (0.0, pytest.approx(z2 / (12 + z2), abs=1e-12))  # 0.2425
+    assert wilson_interval(12, 12) == (pytest.approx(12 / (12 + z2), abs=1e-12), 1.0)  # 0.7575
+    assert wilson_interval(11, 12) == (pytest.approx(0.6461, abs=5e-5), pytest.approx(0.9851, abs=5e-5))
+    with pytest.raises(ValueError):
+        wilson_interval(3, 0)
+
+
+def test_campaign_summary_carries_wilson_intervals():
+    cfg = CampaignConfig(profiles=("round",), trials=2, n_contacts=1, selection="random", particles=20)
+    rows, summary = run_campaign(cfg, log=None)
+    (cell,) = summary["cells"]
+    for key in ("vision_success", "refined_success"):
+        k = sum(getattr(r, key) for r in rows)
+        assert cell[f"{key}_ci95"] == wilson_interval(k, len(rows))
+        assert cell[f"{key}_ci95"][0] <= cell[f"{key}_rate"] <= cell[f"{key}_ci95"][1]
