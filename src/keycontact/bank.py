@@ -2,7 +2,8 @@
 
 Records persist as canonical JSON in a plain directory; ids are SHA-256
 digests of the canonical bytes, so identical content maps to the same id and
-round-trips are byte-lossless. Writes take an advisory lock file; reads are
+round-trips are byte-lossless. Writes hold an exclusive flock on a lock file
+that is never removed, so the lock ends with its holder's process; reads are
 lock-free. Every file is written to a temporary name and renamed into place,
 so a reader or a crashed writer never leaves a half-written record or index.
 The default bank path comes from $KEYCONTACT_BANK.
@@ -10,11 +11,13 @@ The default bank path comes from $KEYCONTACT_BANK.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,6 +38,7 @@ __all__ = [
 ]
 
 ENV_BANK = "KEYCONTACT_BANK"
+LOCK_TIMEOUT_S = 10.0  # how long put waits for a live writer's lock
 
 
 def default_bank_path() -> Path:
@@ -174,7 +178,7 @@ def overlap_score(query_tokens: frozenset[str], doc_tokens: frozenset[str]) -> f
 
 
 class Bank:
-    """Directory-backed record store. Single-writer via an advisory lock file."""
+    """Directory-backed record store. One writer at a time, via an advisory flock."""
 
     def __init__(self, root=None):
         self.root = Path(root) if root is not None else default_bank_path()
@@ -185,18 +189,24 @@ class Bank:
             self._write_index([])
 
     # -- locking ------------------------------------------------------------
+    @contextmanager
     def _lock(self):
+        """Hold an exclusive flock on .lock; the kernel releases it when its holder exits or dies."""
         lock = self.root / ".lock"
-        deadline = time.monotonic() + 10.0
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                return lock
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise BankError(f"bank locked: {lock} exists")
-                time.sleep(0.02)
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+        try:
+            deadline = time.monotonic() + LOCK_TIMEOUT_S
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() > deadline:
+                        raise BankError(f"bank locked: another writer holds {lock}")
+                    time.sleep(0.02)
+            yield
+        finally:
+            os.close(fd)  # releases the lock
 
     def _write_index(self, ids: list[str]) -> None:
         _write_atomic(self.index_path, canonical_json({"schema": SCHEMA_VERSION, "order": ids}))
@@ -218,8 +228,7 @@ class Bank:
             raise BankError(f"cannot store {type(record).__name__}")
         payload = canonical_json(record.to_json())
         rid = hashlib.sha256(payload.encode()).hexdigest()
-        lock = self._lock()
-        try:
+        with self._lock():
             path = self.records_dir / f"{rid}.json"
             if not path.exists():
                 _write_atomic(path, payload)
@@ -227,8 +236,6 @@ class Bank:
             if rid not in order:
                 order.append(rid)
                 self._write_index(order)
-        finally:
-            os.unlink(lock)
         return rid
 
     def get_raw(self, rid: str) -> dict:
@@ -258,11 +265,12 @@ class Bank:
         carrying a semantic constraint with that label (the user-supplied
         stand-in for semantic filtering).
         """
-        if not self.ids():
+        order = self.ids()
+        if not order:
             raise BankError("bank is empty")
         q = tokenize(query)
         scored = []
-        for pos, rid in enumerate(self.ids()):
+        for pos, rid in enumerate(order):
             d = self.get_raw(rid)
             text = d.get("description") if d.get("kind") == "skill" else d.get("task", "")
             if label_filter is not None:

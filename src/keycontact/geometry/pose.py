@@ -224,6 +224,22 @@ class Pose:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
 
+    @classmethod
+    def from_unit(cls, q, t=(0.0, 0.0, 0.0)) -> "Pose":
+        """Pose whose q is kept as given when it already is a Pose quaternion.
+
+        q is kept bit for bit when normalizing it moves no component by more
+        than one ulp of 1, as with a q read back from a stored Pose: a second
+        normalization moves about 2% of those in the last bit. Any other q is
+        normalized as in Pose(q, t).
+        """
+        pose = cls(q, t)
+        q = np.array(q, dtype=float).reshape(4)
+        if np.abs(pose.q - q).max() <= np.finfo(float).eps:
+            q.setflags(write=False)
+            object.__setattr__(pose, "q", q)
+        return pose
+
     @staticmethod
     def identity() -> "Pose":
         return Pose()

@@ -203,14 +203,21 @@ class SdfGrid:
     origin: np.ndarray  # world position of grid node (0,0,0)
     cell: float
     values: np.ndarray  # (nx, ny, nz)
+    # the raveled values shifted to each cell corner (dx, dy, dz), dz fastest:
+    # corner k of the cell at flat index a is _corners[k][a]
+    _corners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         o = np.asarray(self.origin, dtype=float).reshape(3)
-        v = np.ascontiguousarray(self.values, dtype=float)  # query gathers from v.ravel()
+        v = np.ascontiguousarray(self.values, dtype=float)
         o.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "values", v)
+        flat = v.ravel()
+        sx, sy = v.shape[1] * v.shape[2], v.shape[2]
+        shifts = [dx * sx + dy * sy + dz for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+        object.__setattr__(self, "_corners", tuple(flat[s:] for s in shifts))
 
     @property
     def cell_diagonal(self) -> float:
@@ -221,31 +228,52 @@ class SdfGrid:
 
         Points outside the grid domain are clamped to the boundary; the
         Euclidean offset from the clamp position is added on top, which keeps
-        the exterior extension positive and monotone along outward rays. The
-        8 cell corners are gathered by flat index into the raveled values.
+        the exterior extension positive and monotone along outward rays. When
+        every point lies inside, a scalar 0.0 stands in for the offset, so a
+        -0.0 interpolation still comes out +0.0. The 8 cell corners are read
+        by flat index from shifted views of the raveled values. Each output
+        is bit-identical to the 8-corner formula with np.clip and
+        np.linalg.norm, whatever the batch it is queried in.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        shape = np.array(self.values.shape)
-        # grid coordinates as rows (3, N), so every per-axis step is contiguous
-        g = (pts.T - self.origin[:, None]) / self.cell
-        g_cl = np.clip(g, 0.0, ((shape - 1) - 1e-9)[:, None])
-        off = (g - g_cl) * self.cell
-        outside = np.sqrt((off[0] * off[0] + off[1] * off[1]) + off[2] * off[2])  # np.linalg.norm's sum order
+        shape = self.values.shape
+        # grid coordinates as rows (3, N)
+        g = pts.T - self.origin[:, None]
+        g /= self.cell
+        g_cl = np.maximum(g, 0.0)
+        np.minimum(g_cl, (np.array(shape) - 1 - 1e-9)[:, None], out=g_cl)
+        off = g - g_cl
+        if off.any():
+            off *= self.cell
+            off *= off
+            outside = off[0] + off[1]  # np.linalg.norm's sum order
+            outside += off[2]
+            np.sqrt(outside, out=outside)
+        else:
+            outside = 0.0
         # 0 <= g_cl < shape - 1, so truncation floors to a cell index <= shape - 2
         i = g_cl.astype(np.intp)
-        fx, fy, fz = g_cl - i
-        gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
-        v = self.values.ravel()
-        sx, sy = shape[1] * shape[2], shape[2]
-        at = i[0] * sx + i[1] * sy + i[2]  # flat index of corner (0, 0, 0)
-        c00 = v.take(at) * gx + v.take(at + sx) * fx
-        c10 = v.take(at + sy) * gx + v.take(at + (sx + sy)) * fx
-        at += 1  # the z + 1 face
-        c01 = v.take(at) * gx + v.take(at + sx) * fx
-        c11 = v.take(at + sy) * gx + v.take(at + (sx + sy)) * fx
-        c0 = c00 * gy + c10 * fy
-        c1 = c01 * gy + c11 * fy
-        return c0 * gz + c1 * fz + outside
+        f = g_cl  # the fractional part, in place
+        f -= i
+        fx, fy, fz = f
+        gx, gy, gz = 1 - f
+        at = i[0] * (shape[1] * shape[2])  # flat index of corner (0, 0, 0)
+        at += i[1] * shape[2]
+        at += i[2]
+        v000, v001, v010, v011, v100, v101, v110, v111 = (c.take(at) for c in self._corners)
+        c0 = _lerp(_lerp(v000, v100, gx, fx), _lerp(v010, v110, gx, fx), gy, fy)
+        c1 = _lerp(_lerp(v001, v101, gx, fx), _lerp(v011, v111, gx, fx), gy, fy)
+        d = _lerp(c0, c1, gz, fz)
+        d += outside
+        return d
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, ga: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """a * ga + b * fb, in place in a and b."""
+    a *= ga
+    b *= fb
+    a += b
+    return a
 
 
 class ShapeModel:

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 DEFAULT_PARTICLES = 500
+# slave points per array pass of contact_distances: larger passes spill the
+# cache and fault in fresh pages for every temporary, which took longer than
+# the arithmetic
+BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -173,13 +177,34 @@ def contact_distances(
     included). The distance of a hypothesis is the minimum master SDF over
     its implied slave surface, the same quantity the probe drives to zero at
     contact. One gripper pose gives (M,); a sequence of G poses gives
-    (G, M) from one SDF query, row g bit-identical to scoring pose g alone.
+    (G, M), row g bit-identical to scoring pose g alone.
+
+    Rows are independent, so they are scored in blocks of about
+    BLOCK_POINTS slave points, over the gripper poses when G > 1 and over
+    the particles when G = 1, and the blocks are joined in order.
     """
     single = isinstance(gripper, Pose)
     grippers = [gripper] if single else gripper
     g_q = np.array([g.q for g in grippers])
     g_t = np.array([g.t for g in grippers])
-    m = len(quats)
+    args = (master, master_pose, slave_contact_points)
+    by_pose = len(g_q) > 1
+    rows = len(g_q) if by_pose else len(quats)
+    points = len(g_q) * len(quats) * len(slave_contact_points)
+    n_blocks = max(1, min(rows, round(points / BLOCK_POINTS)))
+    blocks = []
+    for b in range(n_blocks):
+        lo, hi = rows * b // n_blocks, rows * (b + 1) // n_blocks
+        if by_pose:
+            blocks.append(_min_sdf(g_q[lo:hi], g_t[lo:hi], quats, trans, *args))
+        else:
+            blocks.append(_min_sdf(g_q, g_t, quats[lo:hi], trans[lo:hi], *args))
+    d = np.concatenate(blocks, axis=0 if by_pose else 1)
+    return d[0] if single else d
+
+
+def _min_sdf(g_q, g_t, quats, trans, master, master_pose, slave_contact_points) -> np.ndarray:
+    """(G, M) minimum master SDF over the slave points of every gripper-particle pair."""
     kp_world = quat_rotate(g_q[:, None, :], trans) + g_t[:, None, :]  # (G, M, 3)
     # per-pair keypoint rotation in world, rot[g, m] = R_g @ R_zm, and the
     # slave points under it, from elementwise products: faster than einsum's
@@ -192,8 +217,8 @@ def contact_distances(
     p = slave_contact_points[:, None, :]  # n, -, k
     pts = (rot[..., 0] * p[..., 0] + rot[..., 2] * p[..., 2]) + rot[..., 1] * p[..., 1]
     pts += kp_world[:, :, None, :]
-    d = sdf_query(master, master_pose, pts.reshape(-1, 3)).reshape(len(grippers), m, -1).min(axis=2)
-    return d[0] if single else d
+    d = sdf_query(master, master_pose, pts.reshape(-1, 3))
+    return d.reshape(len(g_q), len(quats), -1).min(axis=2)
 
 
 def slave_contact_points_in_keypoint_frame(

@@ -43,8 +43,14 @@ def _plain(x: Any) -> Any:
 
 
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace, repr floats."""
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Deterministic JSON text: sorted keys, no whitespace, repr floats.
+
+    NaN and infinities have no JSON form and raise SchemaError.
+    """
+    try:
+        return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as e:
+        raise SchemaError(f"not canonical JSON: {e}") from e
 
 
 def vec_to_json(v) -> list[float]:
@@ -57,9 +63,17 @@ def pose_to_json(p: Pose) -> dict:
 
 
 def pose_from_json(d: dict) -> Pose:
+    """Inverse of pose_to_json, bit for bit (see Pose.from_unit)."""
     try:
-        return Pose(np.array(d["q"], dtype=float), np.array(d["t"], dtype=float))
-    except (KeyError, TypeError) as e:
+        q = np.array(d["q"], dtype=float)
+        t = np.array(d["t"], dtype=float)
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError(f"malformed pose record: {e}") from e
+    if q.shape != (4,) or t.shape != (3,):
+        raise SchemaError(f"malformed pose record: q has shape {q.shape}, t has shape {t.shape}")
+    try:
+        return Pose.from_unit(q, t)
+    except ValueError as e:  # a quaternion far from unit norm
         raise SchemaError(f"malformed pose record: {e}") from e
 
 

@@ -1,8 +1,16 @@
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import keycontact
+from keycontact import bank as bank_module
 from keycontact.bank import Bank, PlanRecord, SkillRecord
+from keycontact.errors import BankError
 from keycontact.geometry import Pose
 from keycontact.keypoints import KeypointFrame, WaypointPath
 from keycontact.serialize import canonical_json
@@ -62,3 +70,81 @@ def test_put_indexes_a_record_a_crashed_writer_left_unindexed(tmp_path):
     assert bank.ids() == [kept, rid]
     assert _same_content(bank.get(rid), orphan)
     assert bank.put(orphan) == rid and bank.ids() == [kept, rid]
+
+
+_SRC = str(Path(keycontact.__file__).resolve().parents[1])
+
+# holds the bank's write lock until killed, as a writer that dies mid-put would
+_HOLDER = """
+import fcntl, os, sys, time
+fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+time.sleep(60)
+"""
+
+# says it is ready, waits for the go file, then puts its records one at a time
+_WRITER = """
+import sys, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from keycontact.bank import Bank, PlanRecord
+bank = Bank(sys.argv[2])
+print("ready", flush=True)
+while not Path(sys.argv[3]).exists():
+    time.sleep(0.001)
+for k in range(int(sys.argv[5])):
+    bank.put(PlanRecord(f"writer {sys.argv[4]} task {k}", ("step",)))
+"""
+
+
+def test_put_waits_for_a_live_writer_and_not_for_a_killed_one(tmp_path, monkeypatch):
+    bank = Bank(tmp_path / "bank")
+    holder = subprocess.Popen([sys.executable, "-c", _HOLDER, str(tmp_path / "bank" / ".lock")],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        monkeypatch.setattr(bank_module, "LOCK_TIMEOUT_S", 0.2)
+        with pytest.raises(BankError, match="locked"):
+            bank.put(_skill("insert the peg"))
+        assert bank.ids() == []
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+    start = time.monotonic()
+    rid = bank.put(_skill("insert the peg"))
+    assert time.monotonic() - start < 1.0
+    assert bank.ids() == [rid]
+
+
+def test_concurrent_writers_lose_no_index_entry(tmp_path):
+    root, go, n_writers, n_puts = tmp_path / "bank", tmp_path / "go", 3, 20
+    Bank(root)
+    writers = [subprocess.Popen([sys.executable, "-c", _WRITER, _SRC, str(root), str(go), str(w), str(n_puts)],
+                                stdout=subprocess.PIPE, text=True) for w in range(n_writers)]
+    try:
+        assert [w.stdout.readline() for w in writers] == ["ready\n"] * n_writers
+        go.touch()
+        assert [w.wait(timeout=60) for w in writers] == [0] * n_writers
+    finally:
+        for w in writers:
+            w.kill()
+            w.wait()
+            w.stdout.close()
+    bank = Bank(root)
+    tasks = sorted(bank.get(rid).task for rid in bank.ids())
+    assert tasks == sorted(f"writer {w} task {k}" for w in range(n_writers) for k in range(n_puts))
+    for w in range(n_writers):  # each writer's records in its own order
+        mine = [bank.get(rid).task for rid in bank.ids() if bank.get(rid).task.startswith(f"writer {w} ")]
+        assert mine == [f"writer {w} task {k}" for k in range(n_puts)]
+
+
+def test_query_text_reads_the_index_once(tmp_path, monkeypatch):
+    bank = Bank(tmp_path / "bank")
+    ids = [bank.put(_skill(text)) for text in ("insert the peg", "pour water")]
+    reads = []
+    read_index = bank._read_index
+    monkeypatch.setattr(bank, "_read_index", lambda: reads.append(1) or read_index())
+    assert [rid for rid, _ in bank.query_text("peg", n_top=2)] == ids
+    assert len(reads) == 1

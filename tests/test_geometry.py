@@ -25,6 +25,7 @@ from keycontact.geometry import (
     union_aabb_volume,
 )
 from keycontact.geometry.pose import matrix_to_quat, quat_multiply, quat_rotate
+from keycontact.geometry.shape import SdfGrid
 
 
 def random_pose(rng):
@@ -307,6 +308,73 @@ def test_sdf_grid_query_matches_corner_formula_bitwise(unit_cube):
     # a grid whose values are not C-ordered is gathered the same way
     fortran = type(grid)(grid.origin, grid.cell, np.asfortranarray(grid.values))
     assert _same_bits(fortran.query(pts), got)
+
+
+def _clip_take_query(grid, points):
+    # the query as it stood before the shifted-view gather: np.clip, the
+    # exterior offset for every point, 8 gathers at index-added flat indices
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    shape = np.array(grid.values.shape)
+    g = (pts.T - grid.origin[:, None]) / grid.cell
+    g_cl = np.clip(g, 0.0, ((shape - 1) - 1e-9)[:, None])
+    off = (g - g_cl) * grid.cell
+    outside = np.sqrt((off[0] * off[0] + off[1] * off[1]) + off[2] * off[2])
+    i = g_cl.astype(np.intp)
+    fx, fy, fz = g_cl - i
+    gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
+    v = grid.values.ravel()
+    sx, sy = shape[1] * shape[2], shape[2]
+    at = i[0] * sx + i[1] * sy + i[2]
+    c00 = v.take(at) * gx + v.take(at + sx) * fx
+    c10 = v.take(at + sy) * gx + v.take(at + (sx + sy)) * fx
+    at += 1
+    c01 = v.take(at) * gx + v.take(at + sx) * fx
+    c11 = v.take(at + sy) * gx + v.take(at + (sx + sy)) * fx
+    c0 = c00 * gy + c10 * fy
+    c1 = c01 * gy + c11 * fy
+    return c0 * gz + c1 * fz + outside
+
+
+def test_sdf_grid_query_matches_clip_take_reference_bitwise(unit_cube):
+    grid = unit_cube.grid
+    rng = np.random.default_rng(11)
+    lo = grid.origin
+    hi = grid.origin + grid.cell * (np.array(grid.values.shape) - 1)
+    inside = rng.uniform(lo, hi, size=(400, 3))
+    beyond = rng.uniform(lo - 0.3, hi + 0.3, size=(400, 3))
+    boundary = rng.uniform(lo, hi, size=(60, 3))
+    boundary[:10, 0], boundary[10:20, 1], boundary[20:30, 2] = lo[0], lo[1], lo[2]
+    boundary[30:40, 0], boundary[40:50, 1], boundary[50:, 2] = hi[0], hi[1], hi[2]
+    nodes = lo + grid.cell * rng.integers(0, np.array(grid.values.shape), size=(50, 3))
+    for pts in (inside, boundary, nodes, np.vstack([inside, beyond, boundary, nodes]), beyond):
+        got = grid.query(pts)
+        assert _same_bits(got, _clip_take_query(grid, pts))
+    for p in (inside[0], beyond[0], nodes[0], hi):  # a single (3,) point
+        assert _same_bits(grid.query(p), _clip_take_query(grid, p))
+        assert grid.query(p).shape == (1,)
+    assert not grid.values.flags.writeable and all(not c.flags.writeable for c in grid._corners)
+
+
+def test_sdf_grid_query_turns_negative_zero_into_positive_zero():
+    # zero values, some of them -0.0, at an origin of +0.0: inside points
+    # interpolate to -0.0, and -0.0 coordinates are clamped differently by
+    # np.clip (to -0.0) than by np.maximum (to +0.0)
+    values = np.zeros((3, 4, 5))
+    values[:, :2] = -0.0
+    grid = SdfGrid(np.zeros(3), 0.5, values)
+    pts = np.array([
+        [0.25, 0.25, 0.25],  # every corner -0.0
+        [0.0, 0.0, 0.0],
+        [-0.0, -0.0, -0.0],
+        [-0.0, 0.75, 1.0],
+        [0.6, 0.1, 1.3],
+    ])
+    beyond = np.array([[1.0, 1.5, 2.0], [-1.0, 0.2, 0.2]])  # the top node lies 1e-9 cells past the clamp
+    assert np.signbit(_corner_formula_query(grid, pts[:1])).tolist() == [False]
+    for batch in (pts, np.vstack([pts, beyond])):  # all inside, and some outside
+        got = grid.query(batch)
+        assert _same_bits(got, _clip_take_query(grid, batch))
+        assert not np.signbit(got).any()
 
 
 def _point_triangle_distance_reference(p, a, b, c):

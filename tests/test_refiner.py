@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from keycontact.geometry import Pose, sdf_query
+from keycontact.geometry import Pose, quat_from_rotvec, sdf_query
+from keycontact.geometry.pose import quat_multiply
 from keycontact.refiner import (
     NoiseConfig,
     ParticleSet,
@@ -17,6 +18,7 @@ from keycontact.refiner import (
     sample_contact_candidates,
     select_contact_strategy,
 )
+from keycontact.refiner import filter as filter_module
 from keycontact.refiner.filter import contact_distances, contact_likelihood, slave_contact_points_in_keypoint_frame
 from keycontact.refiner.strategy import DOWNSAMPLE, SCENARIOS, strategy_frames
 from keycontact.sim import CampaignConfig, ProbeSimulator, make_peg_hole_scene, run_campaign, write_campaign_outputs
@@ -169,6 +171,48 @@ def test_contact_distances_of_many_grippers_match_one_call_each(scene, candidate
     for g, gripper in enumerate(grippers):
         alone = contact_distances(ps.quats, ps.translations, gripper, *args)
         assert alone.shape == (len(ps),) and alone.tobytes() == d[g].tobytes()
+
+
+def _jittered_grippers(scene, candidates, n, seed):
+    """n gripper poses scattered by about 1 mm and 1 degree around real probe contacts."""
+    sim = ProbeSimulator(scene)
+    hits = [sim.probe(c, scene.z_perceived, scene.z_true, NO_CONTACT_NOISE).end_effector_pose for c in candidates]
+    rng = np.random.default_rng(seed)
+    base = [hits[k % len(hits)] for k in range(n)]
+    turns = quat_from_rotvec(rng.normal(0.0, 0.02, (n, 3)))
+    return [Pose(quat_multiply(g.q, r), g.t + rng.normal(0.0, 0.001, 3)) for g, r in zip(base, turns)]
+
+
+@pytest.mark.parametrize("n_grippers, n_particles", [(192, 10), (1, 500)])
+def test_contact_distances_do_not_depend_on_the_block_size(scene, candidates, monkeypatch, n_grippers,
+                                                           n_particles):
+    ps = filter_init(scene.z_perceived, NoiseConfig(), n_particles, seed=4)
+    grippers = _jittered_grippers(scene, candidates, n_grippers, seed=n_grippers)
+    gripper = grippers if n_grippers > 1 else grippers[0]
+    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf)
+    rows = []
+    min_sdf, default_block = filter_module._min_sdf, filter_module.BLOCK_POINTS
+
+    def recording(g_q, g_t, quats, *args):
+        rows.append(len(g_q) if n_grippers > 1 else len(quats))
+        return min_sdf(g_q, g_t, quats, *args)
+
+    monkeypatch.setattr(filter_module, "_min_sdf", recording)
+
+    def distances(block_points):
+        rows.clear()
+        monkeypatch.setattr(filter_module, "BLOCK_POINTS", block_points)
+        return contact_distances(ps.quats, ps.translations, gripper, scene.master_shape, scene.master_perceived,
+                                 pts)
+
+    one_pass = distances(10**9)
+    assert rows == [max(n_grippers, n_particles)]
+    assert one_pass.shape == ((n_grippers, n_particles) if n_grippers > 1 else (n_particles,))
+    assert (np.abs(one_pass) < NoiseConfig().d_th).any() and len(np.unique(one_pass)) > n_particles // 2
+    for block_points in (default_block, 1000, 1):
+        assert distances(block_points).tobytes() == one_pass.tobytes()
+        assert len(rows) > 1 and sum(rows) == max(n_grippers, n_particles)
+    assert rows == [1] * max(n_grippers, n_particles)  # one row per block at the smallest size
 
 
 def _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed):
