@@ -16,7 +16,7 @@ import numpy as np
 
 from . import serialize
 from .bank import Bank, PlanRecord, SkillRecord, default_bank_path
-from .errors import ConfigError, KeycontactError
+from .errors import ConfigError, KeycontactError, RefinementDivergence
 from .grounding import HAND_ID, load_trajectories
 from .pipelines import ground_demo, learn_records
 from .serialize import canonical_json
@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--d-th", type=float, default=0.002)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", required=True)
-    r.add_argument("--diagnostics", default=None, help="JSON Lines per contact step")
+    r.add_argument("--diagnostics", default=None,
+                   help="JSON Lines per contact step, also up to a divergence")
 
     c = sub.add_parser("campaign", help="config JSON -> metrics CSV + summary")
     c.add_argument("--config", required=True)
@@ -163,7 +164,13 @@ def _cmd_refine(args) -> int:
         selection=args.selection,
         seed=args.seed,
     )
-    res = run_refinement(scene, args.contacts, cfg)
+    try:
+        res = run_refinement(scene, args.contacts, cfg)
+    except RefinementDivergence as e:
+        # the steps up to the divergence say where the filter lost contact
+        if args.diagnostics:
+            Path(args.diagnostics).write_text(_step_lines(e.diagnostics or ()))
+        raise
     z = res.estimate.value
     lat, dep, rot = scene.final_pose_errors(z)
     payload = {
@@ -176,12 +183,17 @@ def _cmd_refine(args) -> int:
         "success": scene.insertion_success(z),
         "contacts": args.contacts,
     }
-    Path(args.out).write_text(canonical_json(payload) + "\n")
+    text = canonical_json(payload) + "\n"
+    lines = _step_lines(res.steps)  # a SchemaError here leaves both files unwritten
+    Path(args.out).write_text(text)
     if args.diagnostics:
-        with open(args.diagnostics, "w") as fh:
-            for s in res.steps:
-                fh.write(canonical_json(s.to_json()) + "\n")
+        Path(args.diagnostics).write_text(lines)
     return 0
+
+
+def _step_lines(steps) -> str:
+    """One canonical JSON line per step diagnostic, all built before any file opens."""
+    return "".join(canonical_json(s.to_json()) + "\n" for s in steps)
 
 
 def _cmd_campaign(args) -> int:

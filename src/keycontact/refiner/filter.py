@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..geometry import Pose, ShapeModel, average_quaternions, quat_from_rotvec, quat_to_rotvec, sdf_query
+from ..geometry import Pose, ShapeModel, average_quaternions, quat_from_rotvec, quat_to_rotvec
 from ..geometry.pose import quat_multiply, quat_rotate, quat_to_matrix
 
 __all__ = [
@@ -179,6 +179,13 @@ def contact_distances(
     contact. One gripper pose gives (M,); a sequence of G poses gives
     (G, M), row g bit-identical to scoring pose g alone.
 
+    The inverse of master_pose is folded into each gripper rotation and each
+    pair's keypoint, so every slave point is written once, straight into
+    master-frame coordinate rows, and never passes through world
+    coordinates. At an identity master_pose the fold is exact; at any other
+    pose a distance can differ in its last bits (about 1e-17 m) from
+    mapping world points through the inverse pose.
+
     Rows are independent, so they are scored in blocks of about
     BLOCK_POINTS slave points, over the gripper poses when G > 1 and over
     the particles when G = 1, and the blocks are joined in order.
@@ -187,7 +194,7 @@ def contact_distances(
     grippers = [gripper] if single else gripper
     g_q = np.array([g.q for g in grippers])
     g_t = np.array([g.t for g in grippers])
-    args = (master, master_pose, slave_contact_points)
+    args = (master, master_pose.inverse(), slave_contact_points)
     by_pose = len(g_q) > 1
     rows = len(g_q) if by_pose else len(quats)
     points = len(g_q) * len(quats) * len(slave_contact_points)
@@ -203,21 +210,31 @@ def contact_distances(
     return d[0] if single else d
 
 
-def _min_sdf(g_q, g_t, quats, trans, master, master_pose, slave_contact_points) -> np.ndarray:
-    """(G, M) minimum master SDF over the slave points of every gripper-particle pair."""
-    kp_world = quat_rotate(g_q[:, None, :], trans) + g_t[:, None, :]  # (G, M, 3)
-    # per-pair keypoint rotation in world, rot[g, m] = R_g @ R_zm, and the
-    # slave points under it, from elementwise products: faster than einsum's
-    # generic loops, and summed in the order einsum summed them on x86-64
-    # ((0 + 1) + 2, then (0 + 2) + 1), so filter outputs kept their bits
-    r_g = quat_to_matrix(g_q)[:, None, :, :, None]  # g, -, i, j, -
+def _min_sdf(g_q, g_t, quats, trans, master, master_inv, slave_contact_points) -> np.ndarray:
+    """(G, M) minimum master SDF over the slave points of every gripper-particle pair.
+
+    master_inv maps world to master coordinates; it is folded into the
+    keypoints and the gripper rotations before any slave point is formed.
+    """
+    kp = master_inv.apply(quat_rotate(g_q[:, None, :], trans) + g_t[:, None, :])  # (G, M, 3)
+    # per-pair keypoint rotation in the master frame, rot[g, m] = R_g' @ R_zm
+    # with R_g' = R_inv @ R_g, from elementwise products: faster than
+    # einsum's generic loops, and summed in the order einsum summed them on
+    # x86-64 ((0 + 1) + 2, then (0 + 2) + 1), so filter outputs kept their bits
+    r_g = quat_to_matrix(quat_multiply(master_inv.q, g_q))[:, None, :, :, None]  # g, -, i, j, -
     r_z = quat_to_matrix(quats)[None, :, None, :, :]  # -, m, -, j, k
     rot = (r_g[..., 0, :] * r_z[..., 0, :] + r_g[..., 1, :] * r_z[..., 1, :]) + r_g[..., 2, :] * r_z[..., 2, :]
-    rot = rot[:, :, None]  # g, m, -, i, k
-    p = slave_contact_points[:, None, :]  # n, -, k
-    pts = (rot[..., 0] * p[..., 0] + rot[..., 2] * p[..., 2]) + rot[..., 1] * p[..., 1]
-    pts += kp_world[:, :, None, :]
-    d = sdf_query(master, master_pose, pts.reshape(-1, 3))
+    # coordinate i of every slave point as one row (G, M, n), products in place
+    p0, p1, p2 = slave_contact_points.T
+    rows = np.empty((3, len(g_q), len(quats), len(p0)))
+    term = np.empty(rows.shape[1:])
+    for i, row in enumerate(rows):
+        r = rot[:, :, i, :, None]  # g, m, k, -
+        np.multiply(r[:, :, 0], p0, out=row)
+        row += np.multiply(r[:, :, 2], p2, out=term)
+        row += np.multiply(r[:, :, 1], p1, out=term)
+        row += kp[:, :, i, None]
+    d = master.sdf_local(rows.reshape(3, -1).T)
     return d.reshape(len(g_q), len(quats), -1).min(axis=2)
 
 

@@ -55,13 +55,18 @@ SCENARIOS = 4  # hypothetical ground truths scored per candidate
 DOWNSAMPLE = 10  # particles whose posterior entropy scores a scenario
 
 
-def _tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal tangent pair for a unit normal."""
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(normal)))] = 1.0
-    x = e - np.dot(e, normal) * normal
-    x = x / np.linalg.norm(x)
-    return x, np.cross(normal, x)
+def _tangent_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal tangent pairs (P, 3) for unit normals (P, 3).
+
+    Row p projects the axis least aligned with normal p off it; it is
+    bit-identical to doing so for that normal alone with np.dot and
+    np.linalg.norm.
+    """
+    e = np.zeros_like(normals)
+    e[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
+    x = e - _dot(e, normals)[:, None] * normals
+    x = x / _norm(x)[:, None]
+    return x, np.cross(normals, x)
 
 
 @dataclass(frozen=True)
@@ -127,17 +132,16 @@ def _flat_patch_mask(master: ShapeModel, points: np.ndarray, normals: np.ndarray
 
     Rejects positions near edges, corners and cavity rims, where flush
     contact with a finite-footprint slave is impossible and the contact
-    manifold turns ambiguous.
+    manifold turns ambiguous. The 8-point rings of all positions go through
+    one SDF query.
     """
     k = 8
     th = 2.0 * np.pi * np.arange(k) / k
-    ring = np.column_stack([np.cos(th), np.sin(th)])
-    ok = np.empty(len(points), dtype=bool)
-    for i, (p, n) in enumerate(zip(points, normals)):
-        u, v = _tangent_basis(n)
-        q = p[None, :] + margin * (ring[:, :1] * u[None, :] + ring[:, 1:] * v[None, :])
-        ok[i] = bool((np.abs(master.sdf_local(q)) <= FLAT_TOL).all())
-    return ok
+    ring = np.column_stack([np.cos(th), np.sin(th)])[None, :, :, None]  # -, k, 2, -
+    u, v = _tangent_basis(normals)
+    q = points[:, None, :] + margin * (ring[:, :, 0] * u[:, None, :] + ring[:, :, 1] * v[:, None, :])
+    d = master.sdf_local(q.reshape(-1, 3)).reshape(len(points), k)
+    return (np.abs(d) <= FLAT_TOL).all(axis=1)
 
 
 def sample_contact_candidates(
@@ -184,8 +188,8 @@ def sample_contact_candidates(
     normals = np.array(collected_n[:need])
 
     out: list[ContactStrategy] = []
-    for p, n in zip(points, normals):
-        x_loc, _ = _tangent_basis(n)
+    x_locs, _ = _tangent_basis(normals)
+    for p, n, x_loc in zip(points, normals, x_locs):
         angles: list[tuple[float, float]] = [(0.0, 0.0)]
         remaining = n_orientations - 1
         if remaining > 0:
@@ -228,10 +232,11 @@ class StrategySelection:
 
 
 # a virtual probe rolls out H hypotheses in one batch while the robot plans
-# with z_plan: hypothesis h follows strategy h with true in-hand state h.
+# with z_plan: hypothesis h follows strategy h with the true in-hand state
+# given by row h of the quaternion (H, 4) and translation (H, 3) arrays.
 # It returns the gripper pose at contact per hypothesis, None where the
 # approach never contacts (the signature of ProbeSimulator.probe_batch).
-VirtualProbe = Callable[[Sequence[ContactStrategy], Pose, Sequence[Pose]], list[Optional[Pose]]]
+VirtualProbe = Callable[[Sequence[ContactStrategy], Pose, np.ndarray, np.ndarray], list[Optional[Pose]]]
 
 
 def select_contact_strategy(
@@ -272,10 +277,9 @@ def select_contact_strategy(
     z_plan = filter_estimate(ps)
 
     # one rollout of every (candidate, scenario) pair, candidate-major
+    scen = scen_idx.ravel()
     grippers = virtual_probe(
-        [cand for cand in candidates for _ in range(SCENARIOS)],
-        z_plan,
-        [ps.particle(int(j)) for j in scen_idx.ravel()],
+        [cand for cand in candidates for _ in range(SCENARIOS)], z_plan, ps.quats[scen], ps.translations[scen]
     )
     hit = np.array([g is not None for g in grippers])
     # a miss, or a contact no subset particle explains, leaves the posterior

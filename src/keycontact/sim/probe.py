@@ -9,12 +9,19 @@ pose and reports a noisy gripper pose; a virtual rollout marches a batch of
 hypotheses, each with its own strategy and in-hand state, against the
 perceived master pose, noise-free. Strategy selection rolls out every
 candidate-scenario pair of a refinement step in one such march.
+
+A march folds the inverse of its master pose into the hypotheses once, so
+the slave samples are written as master-frame coordinate rows and never
+pass through world coordinates. At an identity master pose, which every
+scene with noise-free master perception has, the fold changes no bit;
+under any other master pose an SDF value can differ in its last bits from
+mapping world points through the inverse pose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +62,7 @@ class ProbeSimulator:
         self._slave_samples = np.vstack([scene.slave_kf.origin[None, :], pts])
         self._kf_inv = scene.slave_kf.as_pose().inverse()
 
-    def _march(
+    def _sdf_along(
         self,
         kp_rot: np.ndarray,
         approach: np.ndarray,
@@ -64,22 +71,21 @@ class ProbeSimulator:
         t_actual: np.ndarray,
         z_plan: Pose,
         contact_master: Pose,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lock-step sphere-march plus bisection of H hypotheses.
+    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """sdf_at(travels, active): min sample SDF of each active hypothesis at its own travel.
 
         Hypothesis h approaches along approach[h] from start[h] with planned
         keypoint rotation kp_rot[h] (from strategy_frames), while the slave
-        actually sits at the in-hand state (q_actual[h], t_actual[h]).
-        Every hypothesis advances by its own safe step (one SDF batch per
-        iteration): the min sample SDF bounds the safe advance, since the
-        SDF is 1-Lipschitz along the straight path. Returns the travels and
-        the contact flags (a miss ends at MAX_TRAVEL); each hypothesis'
-        result is the same whatever else is in the batch.
+        actually sits at the in-hand state (q_actual[h], t_actual[h]). The
+        inverse of contact_master is folded once into the rotated samples,
+        the start points, the approaches and the keypoint offsets, which are
+        kept as master-frame coordinate rows; each call only adds the
+        travelled offset to the rows of the active hypotheses. At an
+        identity contact_master the fold is exact; at any other pose a
+        distance can differ in its last bits from mapping world points
+        through the inverse pose.
         """
-        m_inv = contact_master.inverse()
-        m_inv_rot, m_inv_t = m_inv.rotation_matrix(), m_inv.t
         inv_plan = z_plan.inverse()
-
         # actual keypoint = planned keypoint o (z_plan^-1 o z_actual); the
         # offset quaternion is normalized twice, as Pose.compose leaves it
         off_q = quat_multiply(inv_plan.q, q_actual)
@@ -87,19 +93,35 @@ class ProbeSimulator:
         off_q = off_q / _norm(off_q)[:, None]
         off_t = quat_rotate(inv_plan.q, t_actual) + inv_plan.t
         akp_rot = kp_rot @ quat_to_matrix(off_q)
-        rotated = self._slave_samples @ (akp_rot @ self._kf_inv.rotation_matrix()).transpose(0, 2, 1)
         const_t = (kp_rot @ off_t[:, :, None])[:, :, 0] + akp_rot @ self._kf_inv.t
+
+        m_inv = contact_master.inverse()
+        local_rot = m_inv.rotation_matrix() @ (akp_rot @ self._kf_inv.rotation_matrix())
+        rotated = self._slave_samples @ local_rot.transpose(0, 2, 1)  # (H, n, 3)
+        rows = np.ascontiguousarray(rotated.transpose(2, 0, 1))  # (3, H, n)
+        start, approach, const_t = m_inv.apply(start), m_inv.apply_direction(approach), m_inv.apply_direction(const_t)
         n = len(self._slave_samples)
-        s_count = len(kp_rot)
+        master = self.scene.master_shape
 
         def sdf_at(travels: np.ndarray, active: np.ndarray) -> np.ndarray:
-            """Min sample SDF per active hypothesis at its own travel."""
             pos = start[active] + travels[active, None] * approach[active] + const_t[active]
-            world = rotated[active] + pos[:, None, :]
-            local = world.reshape(-1, 3) @ m_inv_rot.T + m_inv_t
-            d = self.scene.master_shape.sdf_local(local).reshape(-1, n)
-            return d.min(axis=1)
+            local = rows[:, active]
+            local += pos.T[:, :, None]
+            return master.sdf_local(local.reshape(3, -1).T).reshape(-1, n).min(axis=1)
 
+        return sdf_at
+
+    def _march(
+        self, sdf_at: Callable[[np.ndarray, np.ndarray], np.ndarray], s_count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lock-step sphere-march plus bisection of s_count hypotheses.
+
+        Every hypothesis advances by its own safe step (one sdf_at batch per
+        iteration): the min sample SDF bounds the safe advance, since the
+        SDF is 1-Lipschitz along the straight path. Returns the travels and
+        the contact flags (a miss ends at MAX_TRAVEL); each hypothesis'
+        result is the same whatever else is in the batch.
+        """
         tol = self.contact_tol
         travels = np.zeros(s_count)
         lo = np.zeros(s_count)
@@ -140,10 +162,11 @@ class ProbeSimulator:
         self,
         strategies: Sequence[ContactStrategy],
         z_plan: Pose,
-        z_actuals: Sequence[Pose],
+        q_actual: np.ndarray,
+        t_actual: np.ndarray,
         contact_master: Pose,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """March hypothesis h along strategies[h] with the slave at z_actuals[h].
+        """March hypothesis h along strategies[h] with the slave at (q_actual[h], t_actual[h]).
 
         The robot plans against the perceived master pose; contact is
         checked against contact_master. Returns the travels, the contact
@@ -153,13 +176,13 @@ class ProbeSimulator:
         Pose.compose leave it, so Pose(q[h], t[h]) is bit-identical to
         composing the Poses.
         """
-        if len(strategies) != len(z_actuals):
-            raise ValueError(f"{len(strategies)} strategies for {len(z_actuals)} hypotheses")
+        if not len(strategies) == len(q_actual) == len(t_actual):
+            raise ValueError(f"{len(strategies)} strategies for {len(q_actual)} in-hand quaternions "
+                             f"and {len(t_actual)} translations")
         kp_rot, approach, target = strategy_frames(strategies, self.scene.master_perceived)
         start = target - STANDOFF * approach
-        q_actual = np.array([z.q for z in z_actuals]).reshape(-1, 4)
-        t_actual = np.array([z.t for z in z_actuals]).reshape(-1, 3)
-        travels, hit = self._march(kp_rot, approach, start, q_actual, t_actual, z_plan, contact_master)
+        sdf_at = self._sdf_along(kp_rot, approach, start, q_actual, t_actual, z_plan, contact_master)
+        travels, hit = self._march(sdf_at, len(kp_rot))
         inv_plan = z_plan.inverse()
         kp_q = matrix_to_quat(kp_rot)
         kp_q = kp_q / _norm(kp_q)[:, None]
@@ -183,7 +206,9 @@ class ProbeSimulator:
         reported gripper pose carries N(0, contact_sigma) noise per axis
         (contact_sigma = 0: none).
         """
-        (travel,), (hit,), (g_q,), (g_t,) = self._rollout([strategy], z_plan, [z_actual], self.scene.master_true)
+        (travel,), (hit,), (g_q,), (g_t,) = self._rollout(
+            [strategy], z_plan, z_actual.q[None], z_actual.t[None], self.scene.master_true
+        )
         gripper = Pose(g_q, g_t)
         if hit and noise.contact_sigma > 0:
             rng = np.random.default_rng(seed)
@@ -202,20 +227,29 @@ class ProbeSimulator:
         self,
         strategies: ContactStrategy | Sequence[ContactStrategy],
         z_plan: Pose,
-        z_actuals: Sequence[Pose],
+        q_actuals: np.ndarray,
+        t_actuals: np.ndarray,
     ) -> list[Optional[Pose]]:
         """Noise-free rollouts of H hypotheses in one lock-step march.
 
-        Hypothesis h follows strategies[h] with the slave at z_actuals[h];
-        a single strategy is shared by every hypothesis. Contact is checked
-        against the perceived master pose, the frame the filter scores
-        particles in. Returns the gripper pose at contact per hypothesis,
-        or None where the approach never contacts; each entry is bit-identical
-        to rolling its hypothesis out alone.
+        Hypothesis h follows strategies[h] with the slave at the in-hand
+        state (q_actuals[h], t_actuals[h]), as a ParticleSet holds them:
+        (H, 4) and (H, 3) arrays. Each quaternion is normalized as Pose
+        normalizes it, so hypothesis h rolls out as Pose(q_actuals[h],
+        t_actuals[h]) would. A single strategy is shared by every
+        hypothesis. Contact is checked against the perceived master pose,
+        the frame the filter scores particles in. Returns the gripper pose
+        at contact per hypothesis, or None where the approach never
+        contacts; each entry is bit-identical to rolling its hypothesis out
+        alone.
         """
+        q_actual = np.asarray(q_actuals, dtype=float).reshape(-1, 4)
+        t_actual = np.asarray(t_actuals, dtype=float).reshape(-1, 3)
+        q_actual = q_actual / _norm(q_actual)[:, None]
+        q_actual[q_actual[:, 0] < 0.0] *= -1.0
         if isinstance(strategies, ContactStrategy):
-            strategies = [strategies] * len(z_actuals)
-        _, hit, g_q, g_t = self._rollout(strategies, z_plan, z_actuals, self.scene.master_perceived)
+            strategies = [strategies] * len(q_actual)
+        _, hit, g_q, g_t = self._rollout(strategies, z_plan, q_actual, t_actual, self.scene.master_perceived)
         return [Pose(q, t) if contact else None for q, t, contact in zip(g_q, g_t, hit)]
 
     def virtual_probe(self):

@@ -93,3 +93,44 @@ def test_refine_diagnostics_report_ess_and_resampling_deterministically(tmp_path
         updated = s["contact"] and not s["diverged"]
         assert s["resampled"] == (updated and s["ess"] < particles / 2)
     assert any(s["resampled"] for s in steps)
+
+
+def _always_diverge(monkeypatch):
+    from keycontact.refiner import loop
+
+    monkeypatch.setattr(loop, "filter_update", lambda ps, *args, **kwargs: (ps, True))
+    return loop.DIVERGENCE_LIMIT
+
+
+def _refine_8_contacts(tmp_path, diag) -> int:
+    return main(["refine", "--contacts", "8", "--particles", "20", "--selection", "random", "--seed", "3",
+                 "--out", str(tmp_path / "refined.json"), "--diagnostics", str(diag)])
+
+
+def test_refine_divergence_writes_its_steps_and_the_json_error(tmp_path, capsys, monkeypatch):
+    limit = _always_diverge(monkeypatch)
+    diag = tmp_path / "steps.jsonl"
+    assert _refine_8_contacts(tmp_path, diag) == 1
+    err = _error(capsys)
+    assert err["error"] == "RefinementDivergence" and "consecutive" in err["message"]
+    assert not (tmp_path / "refined.json").exists()
+    steps = [json.loads(line) for line in diag.read_text().splitlines()]
+    assert [s["step"] for s in steps] == list(range(1, len(steps) + 1))
+    # every contact diverged, and the run stopped at the limit-th of them
+    assert all(s["diverged"] == s["contact"] for s in steps)
+    assert sum(s["diverged"] for s in steps) == limit and steps[-1]["diverged"]
+
+
+@pytest.mark.parametrize("diverge", [False, True])
+def test_refine_diagnostics_that_fail_to_serialize_leave_no_file(tmp_path, capsys, monkeypatch, diverge):
+    from keycontact.refiner import loop
+
+    if diverge:
+        _always_diverge(monkeypatch)
+    calls = iter(range(100))
+    # the second step carries a NaN, which canonical JSON rejects
+    monkeypatch.setattr(loop, "state_entropy", lambda ps: float("nan") if next(calls) == 1 else 0.0)
+    diag = tmp_path / "steps.jsonl"
+    assert _refine_8_contacts(tmp_path, diag) == 1
+    assert _error(capsys)["error"] == "SchemaError"
+    assert not diag.exists() and not (tmp_path / "refined.json").exists()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from keycontact.geometry import Pose, quat_from_rotvec, sdf_query
-from keycontact.geometry.pose import quat_multiply
+from keycontact.geometry.pose import _norm, quat_multiply, quat_rotate, quat_to_matrix
+from keycontact.geometry.shape import SdfGrid
 from keycontact.refiner import (
     NoiseConfig,
     ParticleSet,
@@ -20,10 +21,18 @@ from keycontact.refiner import (
 )
 from keycontact.refiner import filter as filter_module
 from keycontact.refiner.filter import contact_distances, contact_likelihood, slave_contact_points_in_keypoint_frame
-from keycontact.refiner.strategy import DOWNSAMPLE, SCENARIOS, strategy_frames
+from keycontact.refiner import strategy as strategy_module
+from keycontact.refiner.strategy import (
+    DOWNSAMPLE,
+    FLAT_TOL,
+    SCENARIOS,
+    _flat_patch_mask,
+    _tangent_basis,
+    strategy_frames,
+)
 from keycontact.sim import CampaignConfig, ProbeSimulator, make_peg_hole_scene, run_campaign, write_campaign_outputs
 from keycontact.sim.campaign import Z95, wilson_interval
-from keycontact.sim.probe import CONTACT_TOL, MAX_TRAVEL, PROBE_SAMPLES
+from keycontact.sim.probe import CONTACT_TOL, MAX_TRAVEL, PROBE_SAMPLES, STANDOFF
 
 NO_CONTACT_NOISE = NoiseConfig(contact_sigma=0.0)
 
@@ -70,7 +79,7 @@ def test_probe_miss_reports_full_travel(scene, candidates):
     res = sim.probe(candidates[0], scene.z_perceived, far, NoiseConfig())
     assert not res.contact
     assert res.travel == MAX_TRAVEL
-    assert sim.probe_batch(candidates[0], scene.z_perceived, [far]) == [None]
+    assert sim.probe_batch(candidates[0], scene.z_perceived, far.q[None], far.t[None]) == [None]
 
 
 def test_probe_equals_probe_batch_without_master_noise(scene, candidates):
@@ -81,7 +90,7 @@ def test_probe_equals_probe_batch_without_master_noise(scene, candidates):
         for j in range(0, 20, 5):
             z_actual = ps.particle(j)
             res = sim.probe(cand, scene.z_perceived, z_actual, NO_CONTACT_NOISE)
-            (batch,) = sim.probe_batch(cand, scene.z_perceived, [z_actual])
+            (batch,) = sim.probe_batch(cand, scene.z_perceived, ps.quats[j:j + 1], ps.translations[j:j + 1])
             if not res.contact:
                 assert batch is None
                 continue
@@ -107,18 +116,34 @@ def test_probe_batch_of_mixed_strategies_matches_one_call_per_hypothesis(scene, 
     ps = filter_init(scene.z_perceived, NoiseConfig(), 30, seed=6)
     far = Pose(scene.z_true.q, scene.z_true.t + np.array([1.0, 0.0, 0.0]))  # never touches
     strategies = [candidates[k % len(candidates)] for k in range(len(candidates) * 3)]
-    z_actuals = [ps.particle(3 * h % 30) for h in range(len(strategies))]
-    z_actuals[4] = far
-    batch = sim.probe_batch(strategies, scene.z_perceived, z_actuals)
+    scen = 3 * np.arange(len(strategies)) % 30
+    q_actuals, t_actuals = ps.quats[scen], ps.translations[scen].copy()
+    t_actuals[4] = far.t
+    batch = sim.probe_batch(strategies, scene.z_perceived, q_actuals, t_actuals)
     assert len(batch) == len(strategies) and batch[4] is None
-    for strategy, z_actual, got in zip(strategies, z_actuals, batch):
-        (alone,) = sim.probe_batch([strategy], scene.z_perceived, [z_actual])
+    for h, (strategy, got) in enumerate(zip(strategies, batch)):
+        (alone,) = sim.probe_batch([strategy], scene.z_perceived, q_actuals[h:h + 1], t_actuals[h:h + 1])
         assert (got is None) == (alone is None)
         if got is not None:
             assert _same_pose(got, alone)
-    assert sim.probe_batch([], scene.z_perceived, []) == []
+    assert sim.probe_batch([], scene.z_perceived, np.empty((0, 4)), np.empty((0, 3))) == []
     with pytest.raises(ValueError):
-        sim.probe_batch(strategies[:2], scene.z_perceived, z_actuals[:3])
+        sim.probe_batch(strategies[:2], scene.z_perceived, q_actuals[:3], t_actuals[:3])
+
+
+def test_probe_batch_normalizes_quaternions_as_pose_does(scene, candidates):
+    sim = ProbeSimulator(replace(scene, master_perceived=scene.master_true))
+    ps = filter_init(scene.z_perceived, NoiseConfig(), 12, seed=3)
+    strategies = [candidates[k % len(candidates)] for k in range(12)]
+    # -q is the same rotation, and a scaled q is renormalized as Pose renormalizes it
+    for q in (-ps.quats, ps.quats * (1.0 + 1e-7)):
+        got = sim.probe_batch(strategies, scene.z_perceived, q, ps.translations)
+        assert any(g is not None for g in got)
+        for strategy, g, q_h, t_h in zip(strategies, got, q, ps.translations):
+            res = sim.probe(strategy, scene.z_perceived, Pose(q_h, t_h), NO_CONTACT_NOISE)
+            assert (g is None) == (not res.contact)
+            if g is not None:
+                assert _same_pose(g, res.end_effector_pose)
 
 
 def _scalar_approach(s, master_pose):
@@ -215,6 +240,162 @@ def test_contact_distances_do_not_depend_on_the_block_size(scene, candidates, mo
     assert rows == [1] * max(n_grippers, n_particles)  # one row per block at the smallest size
 
 
+# a master pose off the identity, for the kernels that fold its inverse in
+MOVED_MASTER = Pose.from_rotvec([0.03, -0.02, 0.05], [0.004, -0.003, 0.002])
+
+
+def _world_min_sdf(g_q, g_t, quats, trans, master, master_pose, slave_contact_points):
+    """Scoring as it was before the master-pose fold: world points, then sdf_query."""
+    kp_world = quat_rotate(g_q[:, None, :], trans) + g_t[:, None, :]
+    r_g = quat_to_matrix(g_q)[:, None, :, :, None]
+    r_z = quat_to_matrix(quats)[None, :, None, :, :]
+    rot = (r_g[..., 0, :] * r_z[..., 0, :] + r_g[..., 1, :] * r_z[..., 1, :]) + r_g[..., 2, :] * r_z[..., 2, :]
+    rot = rot[:, :, None]
+    p = slave_contact_points[:, None, :]
+    pts = (rot[..., 0] * p[..., 0] + rot[..., 2] * p[..., 2]) + rot[..., 1] * p[..., 1]
+    pts += kp_world[:, :, None, :]
+    d = sdf_query(master, master_pose, pts.reshape(-1, 3))
+    return d.reshape(len(g_q), len(quats), -1).min(axis=2)
+
+
+@pytest.mark.parametrize("n_grippers, n_particles", [(192, 10), (1, 500)])
+@pytest.mark.parametrize("moved", [False, True])
+def test_contact_distances_match_scoring_in_world_coordinates(scene, candidates, n_grippers, n_particles, moved):
+    master_pose = MOVED_MASTER if moved else scene.master_perceived
+    ps = filter_init(scene.z_perceived, NoiseConfig(), n_particles, seed=5)
+    # grippers near contact, carried along with the master
+    grippers = [master_pose.compose(g) for g in _jittered_grippers(scene, candidates, n_grippers, seed=7)]
+    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf)
+    d = contact_distances(ps.quats, ps.translations, grippers if n_grippers > 1 else grippers[0],
+                          scene.master_shape, master_pose, pts)
+    want = _world_min_sdf(np.array([g.q for g in grippers]), np.array([g.t for g in grippers]), ps.quats,
+                          ps.translations, scene.master_shape, master_pose, pts)
+    want = want if n_grippers > 1 else want[0]
+    assert d.shape == want.shape and (np.abs(d) < NoiseConfig().d_th).any()
+    if moved:
+        assert np.abs(d - want).max() <= 1e-15
+    else:
+        assert d.tobytes() == want.tobytes()
+
+
+def _world_sdf_along(sim, kp_rot, approach, start, q_actual, t_actual, z_plan, contact_master):
+    """The march's SDF as it was before the master-pose fold: world points, then the inverse pose."""
+    m_inv = contact_master.inverse()
+    m_inv_rot, m_inv_t = m_inv.rotation_matrix(), m_inv.t
+    inv_plan = z_plan.inverse()
+    off_q = quat_multiply(inv_plan.q, q_actual)
+    off_q = off_q / _norm(off_q)[:, None]
+    off_q = off_q / _norm(off_q)[:, None]
+    off_t = quat_rotate(inv_plan.q, t_actual) + inv_plan.t
+    akp_rot = kp_rot @ quat_to_matrix(off_q)
+    rotated = sim._slave_samples @ (akp_rot @ sim._kf_inv.rotation_matrix()).transpose(0, 2, 1)
+    const_t = (kp_rot @ off_t[:, :, None])[:, :, 0] + akp_rot @ sim._kf_inv.t
+    n = len(sim._slave_samples)
+
+    def sdf_at(travels, active):
+        pos = start[active] + travels[active, None] * approach[active] + const_t[active]
+        world = rotated[active] + pos[:, None, :]
+        local = world.reshape(-1, 3) @ m_inv_rot.T + m_inv_t
+        return sim.scene.master_shape.sdf_local(local).reshape(-1, n).min(axis=1)
+
+    return sdf_at
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_march_sdf_matches_world_coordinates(scene, candidates, moved):
+    sim = ProbeSimulator(scene)
+    contact_master = MOVED_MASTER if moved else scene.master_perceived
+    ps = filter_init(scene.z_perceived, NoiseConfig(), 40, seed=9)
+    strategies = [candidates[k % len(candidates)] for k in range(40)]
+    kp_rot, approach, target = strategy_frames(strategies, scene.master_perceived)
+    args = (kp_rot, approach, target - STANDOFF * approach, ps.quats, ps.translations, scene.z_perceived,
+            contact_master)
+    got, want = sim._sdf_along(*args), _world_sdf_along(sim, *args)
+    travels = np.linspace(0.0, MAX_TRAVEL, 40)
+    for active in (np.ones(40, dtype=bool), np.arange(40) % 3 == 1):
+        d, d_want = got(travels, active), want(travels, active)
+        assert len(d) == active.sum() and (np.abs(d) < 1e-3).any()
+        if moved:
+            assert np.abs(d - d_want).max() <= 1e-15
+        else:
+            assert d.tobytes() == d_want.tobytes()
+
+
+def test_probe_batch_is_bit_identical_to_marching_in_world_coordinates(scene, candidates, monkeypatch):
+    sim = ProbeSimulator(scene)
+    ps = filter_init(scene.z_perceived, NoiseConfig(), 30, seed=6)
+    strategies = [candidates[k % len(candidates)] for k in range(30)]
+    got = sim.probe_batch(strategies, scene.z_perceived, ps.quats, ps.translations)
+    monkeypatch.setattr(ProbeSimulator, "_sdf_along", _world_sdf_along)
+    want = sim.probe_batch(strategies, scene.z_perceived, ps.quats, ps.translations)
+    assert sum(g is not None for g in got) >= len(got) // 2
+    assert [g is None for g in got] == [w is None for w in want]
+    assert all(_same_pose(g, w) for g, w in zip(got, want) if g is not None)
+
+
+def test_every_sdf_point_of_a_selection_step_goes_through_the_grid_query(scene, monkeypatch):
+    sim = ProbeSimulator(scene)
+    vprobe = sim.virtual_probe()
+    noise = NoiseConfig(d_th=0.002)
+    ps = filter_init(scene.z_perceived, noise, 60, seed=2)
+    candidates = sample_contact_candidates(scene.master_shape, seed=2)
+    queried, marched, scored = [], [], []
+    query, along, distances = SdfGrid.query, ProbeSimulator._sdf_along, strategy_module.contact_distances
+
+    def counting_query(self, points):
+        queried.append(len(points))
+        return query(self, points)
+
+    def counting_along(self, *args):
+        sdf_at = along(self, *args)
+        return lambda travels, active: marched.append(int(active.sum()) * len(self._slave_samples)) or sdf_at(
+            travels, active)
+
+    def counting_distances(quats, trans, grippers, master, master_pose, pts):
+        scored.append(len(quats) * len(grippers) * len(pts))
+        return distances(quats, trans, grippers, master, master_pose, pts)
+
+    monkeypatch.setattr(SdfGrid, "query", counting_query)
+    monkeypatch.setattr(ProbeSimulator, "_sdf_along", counting_along)
+    monkeypatch.setattr(strategy_module, "contact_distances", counting_distances)
+    select_contact_strategy(ps, candidates, scene.master_shape, scene.master_perceived, vprobe, noise,
+                            scene.slave_shape, scene.slave_kf, seed=2)
+    assert marched and scored
+    assert sum(queried) == sum(marched) + sum(scored)
+
+
+def _per_position_flat_mask(master, points, normals, margin):
+    """The flat-patch test one position at a time, one SDF query each."""
+    th = 2.0 * np.pi * np.arange(8) / 8
+    ring = np.column_stack([np.cos(th), np.sin(th)])
+    ok, tangents = [], []
+    for p, n in zip(points, normals):
+        e = np.zeros(3)
+        e[int(np.argmin(np.abs(n)))] = 1.0
+        u = e - np.dot(e, n) * n
+        u = u / np.linalg.norm(u)
+        v = np.cross(n, u)
+        q = p[None, :] + margin * (ring[:, :1] * u[None, :] + ring[:, 1:] * v[None, :])
+        ok.append(bool((np.abs(master.sdf_local(q)) <= FLAT_TOL).all()))
+        tangents.append((u, v))
+    return np.array(ok), tangents
+
+
+@pytest.mark.parametrize("profile", ["round", "hexagon"])
+@pytest.mark.parametrize("margin", [0.003, 0.009])
+def test_flat_patch_mask_matches_the_per_position_loop(profile, margin):
+    master = make_peg_hole_scene(profile, 0.002, 0.006, seed=0).master_shape
+    points, faces = master.mesh.sample_surface(300, seed=4)
+    normals = master.mesh.face_normals()[faces]
+    want, tangents = _per_position_flat_mask(master, points, normals, margin)
+    got = _flat_patch_mask(master, points, normals, margin)
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert want.any() and not want.all()
+    u, v = _tangent_basis(normals)
+    for k, (u_want, v_want) in enumerate(tangents):
+        assert u[k].tobytes() == u_want.tobytes() and v[k].tobytes() == v_want.tobytes()
+
+
 def _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed):
     """The candidate-at-a-time scoring loop, for comparison with the batched one."""
     m = len(ps)
@@ -225,7 +406,7 @@ def _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed):
     z_plan = filter_estimate(ps)
     mean_entropy = np.full(len(candidates), np.nan)
     for k, cand in enumerate(candidates):
-        grippers = vprobe(cand, z_plan, [ps.particle(int(j)) for j in scen_idx[k]])
+        grippers = vprobe(cand, z_plan, ps.quats[scen_idx[k]], ps.translations[scen_idx[k]])
         entropies = []
         for gripper in grippers:
             if gripper is None:
