@@ -27,14 +27,24 @@ DEFAULT_CELL = 0.002  # 2 mm grid resolution, enough for mm-scale clearances
 GRID_PADDING = 4  # grid cells beyond the mesh bounding box on each side
 PENETRATION_SAMPLES = 2000  # surface samples per shape in penetration_depth
 _CHUNK = 4096
+_BLOCK_PAIRS = 12_000  # point-triangle pairs a distance block aims at
+_MIN_BLOCK = 64  # fewest points in a distance block
+_CULL_SLACK = 1e-6  # m of culling slack per m of the largest coordinate
 
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Vertices (V, 3) in meters and triangle faces (F, 3) as vertex indices."""
+    """Vertices (V, 3) in meters and triangle faces (F, 3) as vertex indices.
+
+    The corner arrays, face normals and face areas are computed once, as
+    read-only arrays.
+    """
 
     vertices: np.ndarray
     faces: np.ndarray
+    _triangles: tuple = field(init=False, repr=False, compare=False)
+    _normals: np.ndarray = field(init=False, repr=False, compare=False)
+    _areas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -45,29 +55,29 @@ class TriangleMesh:
             raise ValueError(f"faces must be (F, 3) triangles, got {f.shape}")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("face index out of range")
-        v.setflags(write=False)
-        f.setflags(write=False)
+        a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        n = np.cross(b - a, c - a)
+        norms = np.linalg.norm(n, axis=1, keepdims=True)
+        areas = 0.5 * norms[:, 0]
+        norms[norms < 1e-30] = 1.0
+        normals = n / norms
+        for arr in (v, f, a, b, c, normals, areas):
+            arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
+        object.__setattr__(self, "_triangles", (a, b, c))
+        object.__setattr__(self, "_normals", normals)
+        object.__setattr__(self, "_areas", areas)
 
     @property
     def triangles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            self.vertices[self.faces[:, 0]],
-            self.vertices[self.faces[:, 1]],
-            self.vertices[self.faces[:, 2]],
-        )
+        return self._triangles
 
     def face_normals(self) -> np.ndarray:
-        a, b, c = self.triangles
-        n = np.cross(b - a, c - a)
-        norms = np.linalg.norm(n, axis=1, keepdims=True)
-        norms[norms < 1e-30] = 1.0
-        return n / norms
+        return self._normals
 
     def face_areas(self) -> np.ndarray:
-        a, b, c = self.triangles
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        return self._areas
 
     def aabb(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -93,70 +103,204 @@ class TriangleMesh:
         return pts, face_idx
 
 
+class _TriangleTerms:
+    """Point-independent per-triangle constants of the distance kernel."""
+
+    def __init__(self, mesh: TriangleMesh):
+        a, b, c = mesh.triangles
+        ab = b - a
+        ac = c - a
+        n = np.cross(ab, ac)
+        n2 = (n * n).sum(axis=1)
+        # a zero-area triangle's plane term bounds no distance, so culling
+        # never drops one
+        self.degenerate = n2 < 1e-30
+        bc = c - b
+        # one row per constant, so a block gathers them in one take
+        self.consts = np.stack([
+            (a * ab).sum(axis=1),
+            (b * ab).sum(axis=1),
+            (c * ab).sum(axis=1),
+            (a * ac).sum(axis=1),
+            (b * ac).sum(axis=1),
+            (c * ac).sum(axis=1),
+            (a * a).sum(axis=1),
+            (b * b).sum(axis=1),
+            (c * c).sum(axis=1),
+            (a * n).sum(axis=1),
+            np.where(self.degenerate, 1.0, n2),
+            np.maximum((ab * ab).sum(axis=1), 1e-30),
+            np.maximum((ac * ac).sum(axis=1), 1e-30),
+            np.maximum((bc * bc).sum(axis=1), 1e-30),
+        ])
+        self.vectors = (ab, ac, a, b, c, n)
+        self.box_lo = np.minimum(np.minimum(a, b), c)
+        self.box_hi = np.maximum(np.maximum(a, b), c)
+
+    def min_sq_distances(self, p: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """Min squared distance from each row of p to the triangles cols (default all).
+
+        The products are full-width matmuls gathered to cols, so each value
+        is bit-identical to the all-triangle pass; the classification runs in
+        place on (len(p), len(cols)) arrays.
+        """
+        if cols is None:
+            consts = self.consts
+            p_ab, p_ac, p_a, p_b, p_c, p_n = (p @ v.T for v in self.vectors)
+        else:
+            consts = self.consts.take(cols, axis=1)
+            p_ab, p_ac, p_a, p_b, p_c, p_n = ((p @ v.T).take(cols, axis=1) for v in self.vectors)
+        a_ab, b_ab, c_ab, a_ac, b_ac, c_ac, a2, b2, c2, a_n, n2, len_ab2, len_ac2, len_bc2 = consts
+        p2 = (p * p).sum(axis=1)[:, None]
+
+        d1 = p_ab - a_ab
+        d3 = p_ab - b_ab
+        d5 = np.subtract(p_ab, c_ab, out=p_ab)
+        d2 = p_ac - a_ac
+        d4 = p_ac - b_ac
+        d6 = np.subtract(p_ac, c_ac, out=p_ac)
+        for v2, k2 in ((p_a, a2), (p_b, b2), (p_c, c2)):  # squared vertex distances
+            v2 *= 2.0
+            np.subtract(p2, v2, out=v2)
+            v2 += k2
+        ap2, bp2, cp2 = p_a, p_b, p_c
+
+        d_sq = p_n  # interior fallback: squared distance to the plane
+        d_sq -= a_n
+        np.square(d_sq, out=d_sq)
+        d_sq /= n2
+        # later regions override earlier ones: edges bc, ac, ab, then
+        # vertices c, b, a (Ericson's order, read backwards)
+        s = d4 - d3
+        t = d5 - d6
+        mask = (s >= 0) & (t >= 0)
+        np.multiply(d3, d6, out=t)
+        t -= d5 * d4  # va
+        mask &= t <= 0
+        np.square(s, out=s)
+        s /= len_bc2
+        np.subtract(bp2, s, out=s)
+        np.copyto(d_sq, s, where=mask)
+        # edge ac: vb = d5 d2 - d1 d6; edge ab: vc = d1 d4 - d3 d2
+        for lead, u, w, tail, len2 in ((d2, d5, d1, d6, len_ac2), (d1, d4, d2, d3, len_ab2)):
+            np.multiply(lead, u, out=t)
+            t -= w * tail
+            mask = t <= 0
+            mask &= lead >= 0
+            mask &= tail <= 0
+            np.square(lead, out=s)
+            s /= len2
+            np.subtract(ap2, s, out=s)
+            np.copyto(d_sq, s, where=mask)
+        np.copyto(d_sq, cp2, where=(d6 >= 0) & (d5 <= d6))
+        np.copyto(d_sq, bp2, where=(d3 >= 0) & (d4 <= d3))
+        np.copyto(d_sq, ap2, where=(d1 <= 0) & (d2 <= 0))
+        return d_sq.min(axis=1)
+
+
 def _point_triangle_distances(points: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
     """Unsigned min distance from each point to the mesh surface.
 
     Region classification (vertex / edge / face) in the Ericson style, but
     expressed through point-independent precomputation plus matmuls so no
     (N, M, 3) temporaries are materialized.
+
+    Culling: the points are sorted into compact cubes of about
+    _BLOCK_PAIRS / M points each (at least _MIN_BLOCK), the cube side set
+    by the points' extent and count. Every point of a block lies within h,
+    half the block's box diagonal, of the box centre c, so its nearest
+    distance is at most D(c) + h, where D(c) is one exact query at c. A
+    triangle whose bounding box lies farther than D(c) + h + slack from
+    the block's box is nearer to none of its points than that, and is not
+    classified. The slack, _CULL_SLACK times the largest coordinate (at
+    least 1 m), lies far above the kernel's rounding, about sqrt(eps) |p|
+    near the surface. Zero-area triangles are always classified.
+
+    Bit-identity: every classified pair takes its products from full-width
+    matmuls over the block's rows, gathered to the kept triangles, and the
+    same element-wise arithmetic as the all-triangle pass; the min is exact.
+    So each distance equals the all-triangle pass's bit for bit. A 1-row
+    matmul goes through gemv, whose rounding differs from the GEMM rows,
+    so blocks have 2 to 4095 rows; only a 1-point input is one row.
     """
-    a, b, c = mesh.triangles
-    ab = b - a
-    ac = c - a
-    n = np.cross(ab, ac)
-    n2 = (n * n).sum(axis=1)
-    n2 = np.where(n2 < 1e-30, 1.0, n2)
-    len_ab2 = np.maximum((ab * ab).sum(axis=1), 1e-30)
-    len_ac2 = np.maximum((ac * ac).sum(axis=1), 1e-30)
-    bc = c - b
-    len_bc2 = np.maximum((bc * bc).sum(axis=1), 1e-30)
-
-    a_ab = (a * ab).sum(axis=1)
-    a_ac = (a * ac).sum(axis=1)
-    b_ab = (b * ab).sum(axis=1)
-    b_ac = (b * ac).sum(axis=1)
-    c_ab = (c * ab).sum(axis=1)
-    c_ac = (c * ac).sum(axis=1)
-    a_n = (a * n).sum(axis=1)
-    a2 = (a * a).sum(axis=1)
-    b2 = (b * b).sum(axis=1)
-    c2 = (c * c).sum(axis=1)
-
+    points = np.asarray(points, dtype=float)
+    terms = _TriangleTerms(mesh)
+    n_tri = len(terms.degenerate)
+    rows = min(max(_MIN_BLOCK, _BLOCK_PAIRS // max(n_tri, 1)), _CHUNK // 2 - 1)
+    order, cuts = _cube_blocks(points, rows)
+    pts = points[order]
+    starts, stops = cuts[:-1], cuts[1:]
+    reach = None
+    if len(starts) > 1 and not terms.degenerate.all():
+        box_lo = np.minimum.reduceat(pts, starts, axis=0)
+        box_hi = np.maximum.reduceat(pts, starts, axis=0)
+        centres = 0.5 * (box_lo + box_hi)
+        live = np.flatnonzero(~terms.degenerate) if terms.degenerate.any() else None
+        reach = np.concatenate([
+            terms.min_sq_distances(centres[lo : lo + rows], live) for lo in range(0, len(centres), rows)])
+        np.maximum(reach, 0.0, out=reach)
+        np.sqrt(reach, out=reach)
+        reach += 0.5 * np.sqrt(((box_hi - box_lo) ** 2).sum(axis=1))
+        reach += _CULL_SLACK * max(1.0, float(np.abs(points).max()), float(np.abs(mesh.vertices).max()))
+        reach *= reach
+    d_sq = np.empty(len(points))
+    for k, (lo, hi) in enumerate(zip(starts, stops)):
+        cols = None
+        if reach is not None:
+            gap = np.maximum(terms.box_lo - box_hi[k], box_lo[k] - terms.box_hi)
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            near = gap.sum(axis=1) <= reach[k]
+            near |= terms.degenerate
+            cols = np.flatnonzero(near)
+        d_sq[lo:hi] = terms.min_sq_distances(pts[lo:hi], cols)
     out = np.empty(len(points))
-    for lo in range(0, len(points), _CHUNK):
-        p = points[lo : lo + _CHUNK]
-        p2 = (p * p).sum(axis=1)[:, None]
-        p_ab = p @ ab.T
-        p_ac = p @ ac.T
-        d1 = p_ab - a_ab[None, :]
-        d2 = p_ac - a_ac[None, :]
-        d3 = p_ab - b_ab[None, :]
-        d4 = p_ac - b_ac[None, :]
-        d5 = p_ab - c_ab[None, :]
-        d6 = p_ac - c_ac[None, :]
-        ap2 = p2 - 2.0 * (p @ a.T) + a2[None, :]
-        bp2 = p2 - 2.0 * (p @ b.T) + b2[None, :]
-        cp2 = p2 - 2.0 * (p @ c.T) + c2[None, :]
-
-        va = d3 * d6 - d5 * d4
-        vb = d5 * d2 - d1 * d6
-        vc = d1 * d4 - d3 * d2
-
-        plane = (p @ n.T - a_n[None, :]) ** 2 / n2[None, :]  # interior fallback
-
-        d_sq = plane
-        on_bc = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
-        d_sq = np.where(on_bc, bp2 - (d4 - d3) ** 2 / len_bc2[None, :], d_sq)
-        on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-        d_sq = np.where(on_ac, ap2 - d2**2 / len_ac2[None, :], d_sq)
-        on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-        d_sq = np.where(on_ab, ap2 - d1**2 / len_ab2[None, :], d_sq)
-        d_sq = np.where((d6 >= 0) & (d5 <= d6), cp2, d_sq)
-        d_sq = np.where((d3 >= 0) & (d4 <= d3), bp2, d_sq)
-        d_sq = np.where((d1 <= 0) & (d2 <= 0), ap2, d_sq)
-
-        out[lo : lo + _CHUNK] = np.sqrt(np.maximum(d_sq.min(axis=1), 0.0))
+    out[order] = d_sq
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
     return out
+
+
+def _cube_blocks(points: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort points into cubes of about rows points each.
+
+    Returns the sorting permutation and the block cuts into it: block k is
+    order[cuts[k]:cuts[k + 1]]. A cube of more than 2 rows points is split
+    into pieces of rows, consecutive pieces merge while they fit in rows
+    points, and a 1-point block joins its neighbour.
+    """
+    n = len(points)
+    if n <= rows:
+        return np.arange(n), np.array([0, n])
+    origin = points.min(axis=0)
+    ext = points.max(axis=0) - origin
+    live = ext > 0
+    if live.any():
+        side = (float(np.prod(ext[live])) * rows / n) ** (1.0 / live.sum())
+        side = max(side, float(ext.max()) / 2**20)  # keeps the cube keys in int64
+        cell = ((points - origin) / side).astype(np.int64)
+        dims = cell.max(axis=0) + 1
+        keys = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+        order = np.argsort(keys, kind="stable")
+        bounds = (np.flatnonzero(np.diff(keys[order])) + 1).tolist()
+    else:
+        order = np.arange(n)
+        bounds = []
+    ends: list[int] = []
+    for lo, hi in zip([0, *bounds], [*bounds, n]):
+        if hi - lo > 2 * rows:
+            ends.extend(range(lo + rows, hi, rows))
+        ends.append(hi)
+    cuts = [0]
+    for prev, end in zip([0, *ends[:-1]], ends):
+        if end - cuts[-1] > rows and prev > cuts[-1]:
+            cuts.append(prev)
+    cuts.append(n)
+    cuts_arr = np.array(cuts)
+    single = np.flatnonzero(np.diff(cuts_arr) == 1)
+    # a 1-point block drops its start cut (joins the block before it), or
+    # its end cut when it comes first
+    return order, np.delete(cuts_arr, np.where(single > 0, single, 1))
 
 
 def _winding_numbers(points: np.ndarray, mesh: TriangleMesh) -> np.ndarray:

@@ -120,13 +120,15 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
                 seed=s_sel,
             )
             strategy, cand_idx, expected_ig = sel.strategy, sel.candidate_index, float(sel.expected_ig)
+            z_plan = sel.z_plan
         else:
             cand_idx = int(rng_random_sel.integers(len(candidates)))
             strategy, expected_ig = candidates[cand_idx], None
+            z_plan = filter_estimate(ps)
 
         res = sim.probe(
             strategy,
-            z_plan=filter_estimate(ps),
+            z_plan=z_plan,
             z_actual=scene.z_true,
             noise=config.noise,
             seed=s_probe,

@@ -229,6 +229,7 @@ class StrategySelection:
     candidate_index: int
     expected_ig: float
     mean_entropies: np.ndarray  # per candidate; NaN marks excluded candidates
+    z_plan: Pose  # the filter estimate the rollouts planned with
 
 
 # a virtual probe rolls out H hypotheses in one batch while the robot plans
@@ -307,4 +308,5 @@ def select_contact_strategy(
         candidate_index=best,
         expected_ig=float(np.log(n_d) - mean_entropy[best]),
         mean_entropies=mean_entropy,
+        z_plan=z_plan,
     )

@@ -25,7 +25,13 @@ from keycontact.geometry import (
     union_aabb_volume,
 )
 from keycontact.geometry.pose import matrix_to_quat, quat_multiply, quat_rotate
-from keycontact.geometry.shape import SdfGrid
+from keycontact.geometry.shape import (
+    DEFAULT_CELL,
+    GRID_PADDING,
+    SdfGrid,
+    _cube_blocks,
+    _point_triangle_distances,
+)
 
 
 def random_pose(rng):
@@ -422,6 +428,195 @@ def test_unsigned_distance_matches_point_triangle_oracle():
         min(_point_triangle_distance_reference(p, *t) for t in tri) for p in pts
     ]
     assert np.allclose(got, want, atol=1e-9)
+
+
+def dense_point_triangle_distances(points, mesh):
+    """The all-triangle distance kernel in 4096-row chunks, as reference."""
+    a, b, c = mesh.triangles
+    ab = b - a
+    ac = c - a
+    n = np.cross(ab, ac)
+    n2 = (n * n).sum(axis=1)
+    n2 = np.where(n2 < 1e-30, 1.0, n2)
+    len_ab2 = np.maximum((ab * ab).sum(axis=1), 1e-30)
+    len_ac2 = np.maximum((ac * ac).sum(axis=1), 1e-30)
+    bc = c - b
+    len_bc2 = np.maximum((bc * bc).sum(axis=1), 1e-30)
+
+    a_ab = (a * ab).sum(axis=1)
+    a_ac = (a * ac).sum(axis=1)
+    b_ab = (b * ab).sum(axis=1)
+    b_ac = (b * ac).sum(axis=1)
+    c_ab = (c * ab).sum(axis=1)
+    c_ac = (c * ac).sum(axis=1)
+    a_n = (a * n).sum(axis=1)
+    a2 = (a * a).sum(axis=1)
+    b2 = (b * b).sum(axis=1)
+    c2 = (c * c).sum(axis=1)
+
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 4096):
+        p = points[lo : lo + 4096]
+        p2 = (p * p).sum(axis=1)[:, None]
+        p_ab = p @ ab.T
+        p_ac = p @ ac.T
+        d1 = p_ab - a_ab[None, :]
+        d2 = p_ac - a_ac[None, :]
+        d3 = p_ab - b_ab[None, :]
+        d4 = p_ac - b_ac[None, :]
+        d5 = p_ab - c_ab[None, :]
+        d6 = p_ac - c_ac[None, :]
+        ap2 = p2 - 2.0 * (p @ a.T) + a2[None, :]
+        bp2 = p2 - 2.0 * (p @ b.T) + b2[None, :]
+        cp2 = p2 - 2.0 * (p @ c.T) + c2[None, :]
+
+        va = d3 * d6 - d5 * d4
+        vb = d5 * d2 - d1 * d6
+        vc = d1 * d4 - d3 * d2
+
+        plane = (p @ n.T - a_n[None, :]) ** 2 / n2[None, :]  # interior fallback
+
+        d_sq = plane
+        on_bc = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
+        d_sq = np.where(on_bc, bp2 - (d4 - d3) ** 2 / len_bc2[None, :], d_sq)
+        on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+        d_sq = np.where(on_ac, ap2 - d2**2 / len_ac2[None, :], d_sq)
+        on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+        d_sq = np.where(on_ab, ap2 - d1**2 / len_ab2[None, :], d_sq)
+        d_sq = np.where((d6 >= 0) & (d5 <= d6), cp2, d_sq)
+        d_sq = np.where((d3 >= 0) & (d4 <= d3), bp2, d_sq)
+        d_sq = np.where((d1 <= 0) & (d2 <= 0), ap2, d_sq)
+
+        out[lo : lo + 4096] = np.sqrt(np.maximum(d_sq.min(axis=1), 0.0))
+    return out
+
+
+def _grid_nodes(mesh, cell):
+    """The node positions ShapeModel samples its grid at."""
+    lo, hi = mesh.aabb()
+    origin = lo - GRID_PADDING * cell
+    shape = np.ceil((hi + GRID_PADDING * cell - origin) / cell).astype(int) + 1
+    axes = [origin[k] + cell * np.arange(shape[k]) for k in range(3)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _open_sheet():
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1.2, 1.1, 0.4]], dtype=float)
+    return TriangleMesh(verts, np.array([[0, 1, 2], [1, 3, 2]]))
+
+
+@pytest.fixture(scope="module")
+def scene_meshes():
+    from keycontact.sim import make_peg_hole_scene
+
+    out = {}
+    for profile in ("round", "hexagon"):
+        scene = make_peg_hole_scene(profile, 0.002, 0.006, seed=0)
+        out[f"{profile}_master"] = scene.master_shape.mesh
+        out[f"{profile}_slave"] = scene.slave_shape.mesh
+    return out
+
+
+@pytest.mark.parametrize("name", ["round_master", "round_slave", "hexagon_master", "hexagon_slave"])
+def test_culled_distances_equal_the_dense_kernel_on_scene_grid_nodes(scene_meshes, name):
+    mesh = scene_meshes[name]
+    pts = _grid_nodes(mesh, DEFAULT_CELL)
+    got = _point_triangle_distances(pts, mesh)
+    assert got.tobytes() == dense_point_triangle_distances(pts, mesh).tobytes()
+
+
+@pytest.mark.parametrize("mesh, cell", [(box_mesh((1, 1, 1)), 0.05), (icosphere_mesh(0.015, 2), DEFAULT_CELL)])
+def test_culled_distances_equal_the_dense_kernel_on_closed_meshes(mesh, cell):
+    pts = _grid_nodes(mesh, cell)
+    assert _point_triangle_distances(pts, mesh).tobytes() == dense_point_triangle_distances(pts, mesh).tobytes()
+
+
+@pytest.mark.parametrize("zero_area", [False, True])
+def test_culled_distances_equal_the_dense_kernel_on_an_open_sheet(zero_area):
+    mesh = _open_sheet()
+    if zero_area:  # a face with a repeated vertex is never culled
+        mesh = TriangleMesh(mesh.vertices, np.vstack([mesh.faces, [[3, 3, 0]]]))
+    pts = np.random.default_rng(11).uniform(-1, 2, size=(5000, 3))
+    pts = pts[np.random.default_rng(12).permutation(len(pts))]
+    assert _point_triangle_distances(pts, mesh).tobytes() == dense_point_triangle_distances(pts, mesh).tobytes()
+
+
+def test_culled_distances_equal_the_dense_kernel_on_awkward_point_sets(scene_meshes):
+    mesh = scene_meshes["round_master"]
+    rng = np.random.default_rng(13)
+    near = rng.uniform(-0.03, 0.03, size=(700, 3))
+    far = rng.uniform(-1.0, 1.0, size=(300, 3)) + np.array([5.0, -3.0, 2.0])
+    # 193 copies of one point form one cube, split into blocks of 64 with a
+    # 1-point tail, which must join its neighbour
+    dup = np.repeat(near[:1], 193, axis=0)
+    _, cuts = _cube_blocks(dup, 64)
+    assert np.diff(cuts).tolist() == [64, 64, 65]
+    for pts in (near, np.vstack([near, far]), dup, np.vstack([near, dup]), near[:1], near[:2], far[:65]):
+        want = dense_point_triangle_distances(pts, mesh)
+        assert _point_triangle_distances(pts, mesh).tobytes() == want.tobytes()
+    assert _point_triangle_distances(np.zeros((0, 3)), mesh).shape == (0,)
+
+
+def test_culled_blocks_never_hold_one_row():
+    rng = np.random.default_rng(14)
+    for n in (65, 129, 200, 1000, 4097):
+        pts = rng.uniform(-1, 1, size=(n, 3))
+        pts[-1] = 40.0  # an isolated point alone in its cube
+        order, cuts = _cube_blocks(pts, 64)
+        assert np.diff(cuts).min() >= 2
+        assert np.array_equal(np.sort(order), np.arange(n))
+
+
+@pytest.mark.parametrize("profile", ["round", "hexagon"])
+def test_shape_model_grids_equal_a_dense_build(profile, monkeypatch):
+    from keycontact.geometry import shape as shape_module
+    from keycontact.sim import make_peg_hole_scene
+
+    scene = make_peg_hole_scene(profile, 0.002, 0.006, seed=0)
+    monkeypatch.setattr(shape_module, "_point_triangle_distances", dense_point_triangle_distances)
+    for built in (scene.master_shape, scene.slave_shape):
+        dense = ShapeModel(built.mesh, built.cell)
+        assert dense.grid.values.tobytes() == built.grid.values.tobytes()
+        assert dense.grid.origin.tobytes() == built.grid.origin.tobytes()
+
+
+def test_mesh_caches_read_only_triangles_normals_and_areas():
+    mesh = icosphere_mesh(0.02, 1)
+    a, b, c = mesh.triangles
+    assert mesh.triangles is mesh.triangles
+    assert mesh.face_normals() is mesh.face_normals() and mesh.face_areas() is mesh.face_areas()
+    for arr in (a, b, c, mesh.face_normals(), mesh.face_areas()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    v, f = mesh.vertices, mesh.faces
+    n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    norms = np.linalg.norm(n, axis=1, keepdims=True)
+    norms[norms < 1e-30] = 1.0
+    assert mesh.face_normals().tobytes() == (n / norms).tobytes()
+
+
+def _sample_surface_reference(mesh, n, seed):
+    """Area-weighted surface samples with the areas recomputed per call."""
+    rng = np.random.default_rng(seed)
+    v, f = mesh.vertices, mesh.faces
+    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    face_idx = rng.choice(len(areas), size=n, p=areas / areas.sum())
+    r1 = np.sqrt(rng.random(n))
+    r2 = rng.random(n)
+    a, b, c = a[face_idx], b[face_idx], c[face_idx]
+    pts = (1 - r1)[:, None] * a + (r1 * (1 - r2))[:, None] * b + (r1 * r2)[:, None] * c
+    return pts, face_idx
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_sample_surface_matches_the_per_call_area_formula(scene_meshes, seed):
+    mesh = scene_meshes["round_master"]
+    for _ in range(2):  # the cached areas serve every call alike
+        pts, faces = mesh.sample_surface(500, seed)
+        want_pts, want_faces = _sample_surface_reference(mesh, 500, seed)
+        assert pts.tobytes() == want_pts.tobytes() and np.array_equal(faces, want_faces)
 
 
 def test_sdf_agrees_with_exact_on_random_points(unit_cube):

@@ -448,6 +448,32 @@ def test_batched_selection_matches_the_per_candidate_loop(profile, seed):
     assert np.abs(sel.mean_entropies[ok] - want[ok]).max() <= 1e-12
 
 
+def test_ig_probe_plans_with_the_selection_z_plan(monkeypatch):
+    from keycontact.refiner import loop
+    from keycontact.refiner.loop import RefinementConfig, run_refinement
+
+    scene = make_peg_hole_scene("round", 0.002, 0.006, seed=1)
+    plans, probed = [], []
+    select, probe = loop.select_contact_strategy, ProbeSimulator.probe
+
+    def recording_select(ps, *args, **kwargs):
+        sel = select(ps, *args, **kwargs)
+        plans.append((sel.z_plan, filter_estimate(ps)))
+        return sel
+
+    def recording_probe(self, strategy, z_plan, *args, **kwargs):
+        probed.append(z_plan)
+        return probe(self, strategy, z_plan, *args, **kwargs)
+
+    monkeypatch.setattr(loop, "select_contact_strategy", recording_select)
+    monkeypatch.setattr(ProbeSimulator, "probe", recording_probe)
+    run_refinement(scene, 3, RefinementConfig(particles=60, noise=NoiseConfig(d_th=0.002), seed=4))
+    assert len(plans) == len(probed) == 3
+    for (z_sel, z_fresh), z_probe in zip(plans, probed):
+        assert z_probe is z_sel
+        assert z_probe.q.tobytes() == z_fresh.q.tobytes() and z_probe.t.tobytes() == z_fresh.t.tobytes()
+
+
 # --- filter -----------------------------------------------------------------
 
 def test_weights_normalized_after_update_and_resample(scene, candidates):
