@@ -18,11 +18,11 @@ import os
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
-from .constraints import GraspRegion, SemanticConstraint, TrajectorySpec
+from .constraints import GraspRegion
 from .errors import BankError, RecordNotFoundError, SchemaError
 from .keypoints import KeypointFrame, WaypointPath
 from .serialize import SCHEMA_VERSION, canonical_json, check_schema
@@ -30,7 +30,6 @@ from .serialize import SCHEMA_VERSION, canonical_json, check_schema
 __all__ = [
     "SkillRecord",
     "PlanRecord",
-    "MeshRef",
     "Bank",
     "tokenize",
     "overlap_score",
@@ -39,6 +38,9 @@ __all__ = [
 
 ENV_BANK = "KEYCONTACT_BANK"
 LOCK_TIMEOUT_S = 10.0  # how long put waits for a live writer's lock
+# skill-record keys that older writers emitted as null or []; a record that
+# fills one in is refused rather than loaded without it
+_RETIRED_SKILL_KEYS = ("trajectory_spec", "semantic_constraints", "master_mesh", "slave_mesh")
 
 
 def default_bank_path() -> Path:
@@ -53,21 +55,6 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 @dataclass(frozen=True)
-class MeshRef:
-    """Reference to an object mesh on disk: path plus content hash."""
-
-    path: str
-    sha256: str
-
-    def to_json(self) -> dict:
-        return {"path": self.path, "sha256": self.sha256}
-
-    @staticmethod
-    def from_json(d: dict) -> "MeshRef":
-        return MeshRef(d["path"], d["sha256"])
-
-
-@dataclass(frozen=True)
 class SkillRecord:
     """One learned subtask: keypoints, waypoints, constraints, provenance."""
 
@@ -77,10 +64,6 @@ class SkillRecord:
     slave_kf: Optional[KeypointFrame] = None
     waypoints: Optional[WaypointPath] = None
     grasp_regions: tuple[GraspRegion, ...] = ()
-    trajectory_spec: Optional[TrajectorySpec] = None
-    semantic_constraints: tuple[SemanticConstraint, ...] = ()
-    master_mesh: Optional[MeshRef] = None
-    slave_mesh: Optional[MeshRef] = None
     demo_id: str = ""
     t_begin: float = 0.0
     t_end: float = 0.0
@@ -95,10 +78,6 @@ class SkillRecord:
             "slave_kf": self.slave_kf.to_json() if self.slave_kf else None,
             "waypoints": self.waypoints.to_json() if self.waypoints else None,
             "grasp_regions": [g.to_json() for g in self.grasp_regions],
-            "trajectory_spec": self.trajectory_spec.to_json() if self.trajectory_spec else None,
-            "semantic_constraints": [c.to_json() for c in self.semantic_constraints],
-            "master_mesh": self.master_mesh.to_json() if self.master_mesh else None,
-            "slave_mesh": self.slave_mesh.to_json() if self.slave_mesh else None,
             "provenance": {
                 "demo_id": self.demo_id,
                 "t_begin": self.t_begin,
@@ -111,6 +90,9 @@ class SkillRecord:
         check_schema(d, kind="SkillRecord")
         if d.get("kind") != "skill":
             raise SchemaError(f"not a skill record: kind={d.get('kind')!r}")
+        for key in _RETIRED_SKILL_KEYS:
+            if d.get(key):
+                raise SchemaError(f"skill record field {key!r} is no longer supported")
         prov = d.get("provenance", {})
         return SkillRecord(
             description=d["description"],
@@ -119,14 +101,6 @@ class SkillRecord:
             slave_kf=KeypointFrame.from_json(d["slave_kf"]) if d.get("slave_kf") else None,
             waypoints=WaypointPath.from_json(d["waypoints"]) if d.get("waypoints") else None,
             grasp_regions=tuple(GraspRegion.from_json(g) for g in d.get("grasp_regions", [])),
-            trajectory_spec=(
-                TrajectorySpec.from_json(d["trajectory_spec"]) if d.get("trajectory_spec") else None
-            ),
-            semantic_constraints=tuple(
-                SemanticConstraint.from_json(c) for c in d.get("semantic_constraints", [])
-            ),
-            master_mesh=MeshRef.from_json(d["master_mesh"]) if d.get("master_mesh") else None,
-            slave_mesh=MeshRef.from_json(d["slave_mesh"]) if d.get("slave_mesh") else None,
             demo_id=prov.get("demo_id", ""),
             t_begin=prov.get("t_begin", 0.0),
             t_end=prov.get("t_end", 0.0),
@@ -256,14 +230,10 @@ class Bank:
     def ids(self) -> list[str]:
         return self._read_index()
 
-    def query_text(
-        self, query: str, n_top: int = 5, label_filter: Optional[str] = None
-    ) -> list[tuple[str, float]]:
+    def query_text(self, query: str, n_top: int = 5) -> list[tuple[str, float]]:
         """Rank records by normalized token overlap with their description.
 
-        Ties keep insertion order. label_filter keeps only skill records
-        carrying a semantic constraint with that label (the user-supplied
-        stand-in for semantic filtering).
+        Ties keep insertion order.
         """
         order = self.ids()
         if not order:
@@ -273,10 +243,6 @@ class Bank:
         for pos, rid in enumerate(order):
             d = self.get_raw(rid)
             text = d.get("description") if d.get("kind") == "skill" else d.get("task", "")
-            if label_filter is not None:
-                labels = {c.get("label") for c in d.get("semantic_constraints", [])}
-                if label_filter not in labels:
-                    continue
             scored.append((-overlap_score(q, tokenize(text or "")), pos, rid))
         scored.sort()
         return [(rid, -neg) for neg, _, rid in scored[:n_top]]

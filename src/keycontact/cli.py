@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     bq = bsub.add_parser("query")
     bq.add_argument("text")
     bq.add_argument("--top", type=int, default=5)
-    bq.add_argument("--label", default=None, help="semantic-constraint label filter")
 
     return p
 
@@ -223,7 +222,7 @@ def _cmd_bank(args) -> int:
             sys.stdout.write(payload)
         return 0
     if args.bank_command == "query":
-        for rid, score in bank.query_text(args.text, args.top, args.label):
+        for rid, score in bank.query_text(args.text, args.top):
             print(f"{rid} {score:.6f}")
         return 0
     raise ConfigError({"bank_command": f"unknown {args.bank_command!r}"})

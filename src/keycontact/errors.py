@@ -4,7 +4,6 @@ __all__ = [
     "KeycontactError",
     "DegenerateInputError",
     "MisalignedTimebaseError",
-    "UnresolvedParameterError",
     "TransferStageError",
     "RefinementDivergence",
     "NoCollisionFreePoseError",
@@ -25,14 +24,6 @@ class DegenerateInputError(KeycontactError, ValueError):
 
 class MisalignedTimebaseError(KeycontactError, ValueError):
     """Two trajectories do not share a common time base."""
-
-
-class UnresolvedParameterError(KeycontactError, ValueError):
-    """A trajectory-spec parameter could not be resolved."""
-
-    def __init__(self, parameter: str, message: str = ""):
-        self.parameter = parameter
-        super().__init__(message or f"unresolved parameter {parameter!r}")
 
 
 class TransferStageError(KeycontactError, RuntimeError):

@@ -1,16 +1,7 @@
 """Core spatial types and queries shared by every other module."""
 
 from .cloud import PointCloud, cloud_min_distance
-from .meshio import (
-    load_featured_cloud,
-    load_obj,
-    load_ply,
-    load_shape_cached,
-    mesh_hash,
-    save_featured_cloud,
-    save_obj,
-    save_ply,
-)
+from .meshio import load_featured_cloud
 from .pose import (
     Pose,
     average_quaternions,
@@ -55,12 +46,5 @@ __all__ = [
     "box_mesh",
     "prism_mesh",
     "icosphere_mesh",
-    "load_obj",
-    "save_obj",
-    "load_ply",
-    "save_ply",
     "load_featured_cloud",
-    "save_featured_cloud",
-    "mesh_hash",
-    "load_shape_cached",
 ]

@@ -1,74 +1,33 @@
-"""Mesh and cloud file formats (OBJ / PLY) plus the SDF grid cache.
+"""PLY point-cloud reader for featured clouds.
 
-PLY support covers ascii and binary_little_endian, vertex properties
-x, y, z plus optional float feature channels f_0..f_{D-1}, and triangular
-faces. The SDF cache is a versioned .npz keyed by mesh hash and cell size.
+Covers ascii and binary_little_endian, vertex properties x, y, z plus
+optional float feature channels f_0..f_{D-1}. Other elements, such as a
+face list, are read past. A file that is not PLY, or whose header or
+element layout this reader does not support, raises SchemaError.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
-from pathlib import Path
 
 import numpy as np
 
+from ..errors import SchemaError
 from .cloud import PointCloud
-from .shape import SdfGrid, ShapeModel, TriangleMesh
 
-__all__ = [
-    "load_obj",
-    "save_obj",
-    "load_ply",
-    "save_ply",
-    "load_featured_cloud",
-    "save_featured_cloud",
-    "mesh_hash",
-    "load_shape_cached",
-]
-
-SDF_CACHE_VERSION = 1
-
-
-def load_obj(path) -> TriangleMesh:
-    verts = []
-    faces = []
-    with open(path, "r") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(tok.split("/")[0]) for tok in parts[1:]]
-                idx = [i - 1 if i > 0 else len(verts) + i for i in idx]
-                if len(idx) != 3:
-                    raise ValueError("only triangular faces are supported")
-                faces.append(idx)
-    if not verts or not faces:
-        raise ValueError(f"no mesh data in {path}")
-    return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))
-
-
-def save_obj(path, mesh: TriangleMesh) -> None:
-    with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+__all__ = ["load_featured_cloud"]
 
 
 def _parse_ply_header(fh):
     magic = fh.readline().strip()
     if magic != b"ply":
-        raise ValueError("not a PLY file")
+        raise SchemaError(f"not a PLY file: {fh.name}")
     fmt = None
     elements = []  # list of (name, count, [(type, prop_name), ...])
     while True:
         line = fh.readline()
         if not line:
-            raise ValueError("unterminated PLY header")
+            raise SchemaError(f"unterminated PLY header: {fh.name}")
         tokens = line.decode("ascii").split()
         if not tokens:
             continue
@@ -86,7 +45,7 @@ def _parse_ply_header(fh):
         elif tokens[0] == "end_header":
             break
     if fmt not in ("ascii", "binary_little_endian"):
-        raise ValueError(f"unsupported PLY format {fmt}")
+        raise SchemaError(f"unsupported PLY format {fmt}: {fh.name}")
     return fmt, elements
 
 
@@ -108,7 +67,7 @@ def _read_ply(path):
             if any(p[0] == "list" for p in props):
                 # face-style element with one list property
                 if len(props) != 1:
-                    raise ValueError("mixed list/scalar elements unsupported")
+                    raise SchemaError(f"mixed list/scalar PLY element {name!r}: {path}")
                 _, count_t, idx_t, _ = props[0]
                 rows = []
                 if fmt == "ascii":
@@ -141,44 +100,6 @@ def _read_ply(path):
     return data
 
 
-def load_ply(path) -> TriangleMesh:
-    data = _read_ply(path)
-    if "vertex" not in data or "face" not in data:
-        raise ValueError(f"{path} lacks vertex/face elements")
-    names, vals = data["vertex"]
-    cols = [names.index(c) for c in ("x", "y", "z")]
-    verts = vals[:, cols]
-    faces = np.array(data["face"], dtype=np.int64)
-    if faces.ndim != 2 or faces.shape[1] != 3:
-        raise ValueError("only triangular PLY faces are supported")
-    return TriangleMesh(verts, faces)
-
-
-def save_ply(path, mesh: TriangleMesh, binary: bool = True) -> None:
-    header = [
-        "ply",
-        "format binary_little_endian 1.0" if binary else "format ascii 1.0",
-        f"element vertex {len(mesh.vertices)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {len(mesh.faces)}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(mesh.vertices.astype("<f4").tobytes())
-            for f in mesh.faces:
-                fh.write(struct.pack("<B3i", 3, *f))
-        else:
-            for v in mesh.vertices:
-                fh.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n".encode("ascii"))
-            for f in mesh.faces:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n".encode("ascii"))
-
-
 def load_featured_cloud(path) -> PointCloud:
     """Load a PLY point cloud; extra float properties f_0..f_{D-1} become features."""
     data = _read_ply(path)
@@ -191,61 +112,3 @@ def load_featured_cloud(path) -> PointCloud:
     )
     feats = vals[:, [names.index(n) for n in fcols]] if fcols else None
     return PointCloud(pts, feats)
-
-
-def save_featured_cloud(path, cloud: PointCloud, binary: bool = True) -> None:
-    d = 0 if cloud.features is None else cloud.features.shape[1]
-    header = [
-        "ply",
-        "format binary_little_endian 1.0" if binary else "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-    ]
-    header += [f"property float f_{i}" for i in range(d)]
-    header.append("end_header")
-    rows = cloud.points if d == 0 else np.hstack([cloud.points, cloud.features])
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(rows.astype("<f4").tobytes())
-        else:
-            for r in rows:
-                fh.write((" ".join(f"{v:.9g}" for v in r) + "\n").encode("ascii"))
-
-
-def mesh_hash(mesh: TriangleMesh) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(mesh.vertices).tobytes())
-    h.update(np.ascontiguousarray(mesh.faces).tobytes())
-    return h.hexdigest()
-
-
-def load_shape_cached(mesh: TriangleMesh, cell: float, cache_dir) -> ShapeModel:
-    """Build a ShapeModel, reusing a cached SDF grid when one matches.
-
-    Cache entries are keyed by mesh hash + cell size and carry a format
-    version; mismatched versions are rebuilt.
-    """
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = f"{mesh_hash(mesh)}_{cell:.6g}"
-    path = cache_dir / f"sdf_{key}.npz"
-    if path.exists():
-        try:
-            blob = np.load(path)
-            if int(blob["version"]) == SDF_CACHE_VERSION:
-                grid = SdfGrid(blob["origin"], float(blob["cell"]), blob["values"])
-                return ShapeModel(mesh, cell=cell, grid=grid)
-        except Exception:
-            pass  # corrupt cache entry: rebuild below
-    shape = ShapeModel(mesh, cell=cell)
-    np.savez_compressed(
-        path,
-        version=SDF_CACHE_VERSION,
-        origin=shape.grid.origin,
-        cell=shape.grid.cell,
-        values=shape.grid.values,
-    )
-    return shape

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pose import Pose, quat_to_matrix
+from .pose import Pose
 
 __all__ = [
     "TriangleMesh",
@@ -428,7 +428,7 @@ class ShapeModel:
     (count, seed).
     """
 
-    def __init__(self, mesh: TriangleMesh, cell: float = DEFAULT_CELL, grid: SdfGrid | None = None):
+    def __init__(self, mesh: TriangleMesh, cell: float = DEFAULT_CELL):
         if cell <= 0:
             raise ValueError("cell size must be positive")
         self.mesh = mesh
@@ -436,10 +436,7 @@ class ShapeModel:
         lo, hi = mesh.aabb()
         self.aabb_min = lo
         self.aabb_max = hi
-        if grid is not None:
-            self.grid = grid
-        else:
-            self.grid = self._build_grid(mesh, self.cell)
+        self.grid = self._build_grid(mesh, self.cell)
         self._sample_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @staticmethod
@@ -500,14 +497,6 @@ class Obb:
     def extents(self) -> np.ndarray:
         """Full extents (2x half extents)."""
         return 2.0 * self.half_extents
-
-    def corners(self) -> np.ndarray:
-        signs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=float,
-        )
-        r = quat_to_matrix(self.orientation)
-        return self.center + (signs * self.half_extents) @ r.T
 
 
 def sdf_query(shape: ShapeModel, pose: Pose, points: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Interaction grounding: contact markers, segment filtering, hand-to-gripper poses.
+"""Interaction grounding: contact markers, segment filtering, phase labels.
 
 Works over time-series of posed point clouds. Upstream perception (video
 decoding, tracking, mask generation) is out of scope; trajectories arrive as
@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, MisalignedTimebaseError
+from .errors import MisalignedTimebaseError
 from .geometry import PointCloud, Pose, cloud_min_distance
 from .geometry.meshio import load_featured_cloud
 from . import serialize
@@ -22,10 +22,8 @@ from . import serialize
 __all__ = [
     "TrackedEntity",
     "Segment",
-    "HandLandmarks",
     "contact_markers",
     "filter_segments",
-    "gripper_from_hand",
     "load_trajectories",
     "label_phase",
 ]
@@ -74,34 +72,6 @@ class Segment:
             raise ValueError("segment must satisfy t_b < t_e")
         if self.phase not in ("grasping", "manipulation"):
             raise ValueError(f"unknown phase {self.phase!r}")
-
-
-@dataclass(frozen=True)
-class HandLandmarks:
-    """Ordered base-to-tip 3D landmarks for the thumb and index finger."""
-
-    thumb_points: np.ndarray
-    index_points: np.ndarray
-
-    def __post_init__(self):
-        tp = np.asarray(self.thumb_points, dtype=float).reshape(-1, 3)
-        ip = np.asarray(self.index_points, dtype=float).reshape(-1, 3)
-        if len(tp) < 2 or len(ip) < 2:
-            raise ValueError("need at least two points per finger")
-        if np.linalg.norm(tp[-1] - ip[-1]) <= 1e-6:
-            raise ValueError("finger tips must be distinct")
-        tp.setflags(write=False)
-        ip.setflags(write=False)
-        object.__setattr__(self, "thumb_points", tp)
-        object.__setattr__(self, "index_points", ip)
-
-    @property
-    def thumb_tip(self) -> np.ndarray:
-        return self.thumb_points[-1]
-
-    @property
-    def index_tip(self) -> np.ndarray:
-        return self.index_points[-1]
 
 
 def _check_aligned(a: TrackedEntity, b: TrackedEntity) -> None:
@@ -159,36 +129,6 @@ def filter_segments(
 def label_phase(master_id: str, slave_id: str, hand_id: str = HAND_ID) -> str:
     """Deterministic phase rule: a segment is grasping iff the slave is the hand."""
     return "grasping" if slave_id == hand_id else "manipulation"
-
-
-def gripper_from_hand(h: HandLandmarks) -> Pose:
-    """Parallel-gripper pose from thumb + index landmarks.
-
-    Translation is the midpoint of the two finger tips. X is the unit normal
-    of the least-squares plane through all landmarks, sign-fixed so that
-    X . ((thumb_tip - thumb_base) x (index_tip - grasp_point)) >= 0. Y points
-    from the grasp point toward the index tip, projected orthogonal to X.
-    Z = X x Y.
-    """
-    pts = np.vstack([h.thumb_points, h.index_points])
-    grasp = 0.5 * (h.thumb_tip + h.index_tip)
-    centered = pts - pts.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=True)
-    if len(svals) < 3 or svals[1] < 1e-9:
-        raise DegenerateInputError("landmarks are collinear; plane normal undefined")
-    x_axis = vt[2]
-    ref = np.cross(h.thumb_tip - h.thumb_points[0], h.index_tip - grasp)
-    if float(np.dot(x_axis, ref)) < 0.0:
-        x_axis = -x_axis
-    y_raw = h.index_tip - grasp
-    y_axis = y_raw - np.dot(y_raw, x_axis) * x_axis
-    ny = np.linalg.norm(y_axis)
-    if ny < 1e-9:
-        raise DegenerateInputError("index direction parallel to plane normal")
-    y_axis = y_axis / ny
-    z_axis = np.cross(x_axis, y_axis)
-    rot = np.column_stack([x_axis, y_axis, z_axis])
-    return Pose.from_rotation(rot, grasp)
 
 
 def load_trajectories(jsonl_path, cloud_root=None) -> dict[str, TrackedEntity]:

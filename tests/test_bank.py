@@ -10,7 +10,7 @@ import pytest
 import keycontact
 from keycontact import bank as bank_module
 from keycontact.bank import Bank, PlanRecord, SkillRecord
-from keycontact.errors import BankError
+from keycontact.errors import BankError, SchemaError
 from keycontact.geometry import Pose
 from keycontact.keypoints import KeypointFrame, WaypointPath
 from keycontact.serialize import canonical_json
@@ -43,6 +43,33 @@ def test_put_get_query_round_trip(tmp_path):
     # a second handle on the same directory reads what the first wrote
     assert Bank(tmp_path / "bank").ids() == ids
     assert sorted(p.name for p in (tmp_path / "bank").rglob("*.tmp")) == []
+
+
+RETIRED_KEYS = ("trajectory_spec", "semantic_constraints", "master_mesh", "slave_mesh")
+
+
+def test_record_with_the_retired_keys_empty_still_loads():
+    record = _skill("insert the peg into the hole")
+    # older writers emitted these four keys, always null or empty
+    older = {**record.to_json(), "trajectory_spec": None, "semantic_constraints": [],
+             "master_mesh": None, "slave_mesh": None}
+    back = SkillRecord.from_json(older)
+    assert _same_content(back, record)
+    assert not set(RETIRED_KEYS) & set(back.to_json())
+
+
+FILLED_RETIRED_KEYS = {
+    "trajectory_spec": {"schema": 1, "generator_id": "line", "parameters": {}, "resolution": 16, "children": []},
+    "semantic_constraints": [{"schema": 1, "label": "keep upright", "rationale": "", "source": "external_reasoner"}],
+    "master_mesh": {"path": "block.obj", "sha256": "0" * 64},
+    "slave_mesh": {"path": "peg.obj", "sha256": "1" * 64},
+}
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_record_with_a_retired_key_filled_in_is_refused_naming_it(key):
+    with pytest.raises(SchemaError, match=key):
+        SkillRecord.from_json({**_skill("insert the peg").to_json(), key: FILLED_RETIRED_KEYS[key]})
 
 
 def test_put_is_idempotent_per_content(tmp_path):

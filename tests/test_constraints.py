@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from keycontact.constraints import (
-    GraspRegion,
-    SemanticConstraint,
-    TrajectorySpec,
-    build_grasp_region,
-    evaluate_expression,
-    generate_waypoints,
-    group_grasps_fallback,
-    register_generator,
-    sample_grasp_candidates,
-)
-from keycontact.errors import UnresolvedParameterError
+from keycontact.constraints import GraspRegion, build_grasp_region, group_grasps_fallback
+from keycontact.errors import ConfigError, DegenerateInputError
 from keycontact.geometry import Obb, Pose
 from keycontact.keypoints import KeypointFrame
 
@@ -136,178 +126,30 @@ def test_grouping_matches_oracle_random():
         assert got == connected_components_oracle(frames, pos_eps, ang_eps)
 
 
-# --- candidate sampling -----------------------------------------------------------
+# --- typed failures -----------------------------------------------------------
 
-def test_sampling_zero_width_region_repeats_frame():
-    f = frame_at(origin=(0.01, 0.02, 0.03), rotvec=(0.2, -0.1, 0.3))
-    region = build_grasp_region([f], ANCHOR)
-    samples = sample_grasp_candidates(region, 5, seed=0)
-    for s in samples:
-        assert np.allclose(s.origin, f.origin, atol=1e-12)
-        assert s.as_pose().rotation_angle_to(f.as_pose()) < 1e-9
+def test_region_with_inverted_position_bounds_names_the_field():
+    with pytest.raises(ConfigError) as ei:
+        GraspRegion(np.array([0.02, 0, 0]), np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), ANCHOR, "g")
+    assert set(ei.value.failures) == {"position_min"}
 
 
-def test_sampling_containment_mass():
-    rng = np.random.default_rng(4)
-    frames = [
-        frame_at(origin=rng.uniform(-0.03, 0.03, 3), rotvec=rng.uniform(-0.3, 0.3, 3))
-        for _ in range(8)
-    ]
-    region = build_grasp_region(frames, ANCHOR)
-    samples = sample_grasp_candidates(region, 10_000, seed=1)
-    for s in samples:
-        assert region.contains(s, pos_tol=1e-9, ang_tol=1e-6)
+@pytest.mark.parametrize("limit", [-0.1, np.pi + 0.1], ids=["negative", "above_pi"])
+def test_region_with_angular_limit_outside_0_pi_names_the_field(limit):
+    with pytest.raises(ConfigError) as ei:
+        GraspRegion(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), np.array([0.0, limit, 0.0]), ANCHOR, "g")
+    assert set(ei.value.failures) == {"angular_limits"}
 
 
-def test_sampling_deterministic_per_seed():
-    f1, f2 = frame_at(origin=(0, 0, 0)), frame_at(origin=(0.02, 0.01, 0.0), rotvec=(0.1, 0, 0))
-    region = build_grasp_region([f1, f2], ANCHOR)
-    a = sample_grasp_candidates(region, 20, seed=7)
-    b = sample_grasp_candidates(region, 20, seed=7)
-    c = sample_grasp_candidates(region, 20, seed=8)
-    assert all(x.as_pose().is_close(y.as_pose(), 0, 0) for x, y in zip(a, b))
-    assert any(not x.as_pose().is_close(y.as_pose(), 1e-12, 1e-12) for x, y in zip(a, c))
+def test_region_from_empty_group_is_degenerate():
+    with pytest.raises(DegenerateInputError):
+        build_grasp_region([], ANCHOR)
 
 
-# --- expression language -----------------------------------------------------------
-
-def test_expression_literals_and_fields():
-    assert evaluate_expression("0.5", ANCHOR) == 0.5
-    assert evaluate_expression("x_extent", ANCHOR) == pytest.approx(0.2)
-    assert evaluate_expression("obb.y_extent", ANCHOR) == pytest.approx(0.3)
-    assert evaluate_expression("min(x_extent, y_extent) * 0.5", ANCHOR) == pytest.approx(0.1)
-    assert evaluate_expression("max(x_extent, y_extent) - 0.1", ANCHOR) == pytest.approx(0.2)
-    assert evaluate_expression("-(z_extent / 2) + 1", ANCHOR) == pytest.approx(0.975)
-
-
-def test_expression_unknown_identifier():
-    with pytest.raises(UnresolvedParameterError) as ei:
-        evaluate_expression("width * 2", ANCHOR)
-    assert "width" in str(ei.value)
-
-
-# --- generators -------------------------------------------------------------------
-
-def test_line_two_points():
-    spec = TrajectorySpec(
-        "line",
-        {"start_x": 0, "start_y": 0, "start_z": 0, "end_x": 0, "end_y": 0, "end_z": 0.1},
-        resolution=2,
-    )
-    path = generate_waypoints(spec, ANCHOR)
-    assert len(path) == 2
-    assert np.allclose(path.positions(), [[0, 0, 0], [0, 0, 0.1]])
-
-
-def test_arc_full_circle_closes():
-    spec = TrajectorySpec(
-        "arc",
-        {
-            "center_x": 0, "center_y": 0, "center_z": 0.02,
-            "radius": 0.05, "angle_start": 0, "angle_end": 2 * np.pi,
-        },
-        resolution=33,
-    )
-    path = generate_waypoints(spec, ANCHOR)
-    assert np.allclose(path.positions()[0], path.positions()[-1], atol=1e-9)
-
-
-def test_spiral_bound_to_obb():
-    # r_end = 0.5 * min extent of a 0.2 x 0.3 x 0.05 box -> 0.1 max radius
-    spec = TrajectorySpec(
-        "spiral",
-        {
-            "center_x": 0, "center_y": 0, "center_z": 0,
-            "r_start": 0.0, "r_end": "0.5 * min(x_extent, y_extent)",
-            "turns": 3, "pitch": 0,
-        },
-        resolution=200,
-    )
-    path = generate_waypoints(spec, ANCHOR)
-    radii = np.linalg.norm(path.positions()[:, :2], axis=1)
-    assert radii.max() == pytest.approx(0.1, abs=1e-9)
-    # closed-form check at every sample
-    th = np.linspace(0, 2 * np.pi * 3, 200)
-    r = np.linspace(0, 0.1, 200)
-    want = np.column_stack([r * np.cos(th), r * np.sin(th), np.zeros_like(th)])
-    assert np.allclose(path.positions(), want, atol=1e-9)
-
-
-def test_spiral_scale_covariance():
-    spec = TrajectorySpec(
-        "spiral",
-        {
-            "center_x": 0, "center_y": 0, "center_z": 0,
-            "r_start": "0.1 * x_extent", "r_end": "0.5 * min(x_extent, y_extent)",
-            "turns": 2, "pitch": 0,
-        },
-        resolution=50,
-    )
-    small = generate_waypoints(spec, ANCHOR)
-    double = Obb(ANCHOR.center, 2 * ANCHOR.half_extents, ANCHOR.orientation)
-    big = generate_waypoints(spec, double)
-    assert np.allclose(big.positions(), 2 * small.positions(), atol=1e-12)
-
-
-def test_composite_concatenates():
-    line = TrajectorySpec(
-        "line",
-        {"start_x": 0, "start_y": 0, "start_z": 0.05, "end_x": 0, "end_y": 0, "end_z": 0},
-        resolution=3,
-    )
-    arc = TrajectorySpec(
-        "arc",
-        {
-            "center_x": 0, "center_y": 0, "center_z": 0,
-            "radius": 0.02, "angle_start": 0, "angle_end": np.pi,
-        },
-        resolution=4,
-    )
-    comp = TrajectorySpec("composite", children=(line, arc))
-    path = generate_waypoints(comp, ANCHOR)
-    assert len(path) == 7
-
-
-def test_missing_parameter_names_it():
-    spec = TrajectorySpec("line", {"start_x": 0}, resolution=2)
-    with pytest.raises(UnresolvedParameterError) as ei:
-        generate_waypoints(spec, ANCHOR)
-    assert ei.value.parameter == "start_y"
-
-
-def test_generator_registry():
-    def zigzag(spec, obb):
-        n = spec.resolution
-        return np.column_stack([np.arange(n) * 0.01, (np.arange(n) % 2) * 0.01, np.zeros(n)])
-
-    register_generator("zigzag", zigzag)
-    try:
-        path = generate_waypoints(TrajectorySpec("zigzag", resolution=4), ANCHOR)
-        assert len(path) == 4
-        with pytest.raises(ValueError):
-            register_generator("zigzag", zigzag)
-    finally:
-        from keycontact.constraints import _GENERATORS
-
-        _GENERATORS.pop("zigzag", None)
-
-
-def test_trajectory_spec_json_roundtrip():
-    spec = TrajectorySpec(
-        "spiral",
-        {
-            "center_x": 0, "center_y": 0, "center_z": 0,
-            "r_start": 0.0, "r_end": "0.5 * min(x_extent, y_extent)",
-            "turns": 3, "pitch": 0.001,
-        },
-        resolution=64,
-    )
-    back = TrajectorySpec.from_json(spec.to_json())
-    assert back == spec
-
-
-def test_semantic_constraint_roundtrip_and_validation():
-    c = SemanticConstraint("keep brush above pan", "avoid handle", "external_reasoner")
-    assert SemanticConstraint.from_json(c.to_json()) == c
-    with pytest.raises(ValueError):
-        SemanticConstraint("", source="fallback_grouping")
+@pytest.mark.parametrize("pos_eps, ang_eps, bad", [(0.0, 0.1, {"pos_eps"}), (0.02, -1.0, {"ang_eps"}),
+                                                   (-0.02, 0.0, {"pos_eps", "ang_eps"})],
+                         ids=["pos_eps", "ang_eps", "both"])
+def test_grouping_with_non_positive_eps_names_every_field(pos_eps, ang_eps, bad):
+    with pytest.raises(ConfigError) as ei:
+        group_grasps_fallback([frame_at()], pos_eps, ang_eps)
+    assert set(ei.value.failures) == bad

@@ -11,16 +11,11 @@ from keycontact.geometry import (
     compose,
     icosphere_mesh,
     invert,
-    load_obj,
-    load_ply,
-    load_shape_cached,
     penetration_depth,
     quat_from_rotvec,
     quat_to_matrix,
     quat_to_rotvec,
     rotation_angle_between,
-    save_obj,
-    save_ply,
     sdf_query,
     union_aabb_volume,
 )
@@ -724,39 +719,6 @@ def test_union_volume_matches_vertex_scan(unit_cube):
         allv = np.vstack([va, vb])
         want = float(np.prod(allv.max(axis=0) - allv.min(axis=0)))
         assert union_aabb_volume(unit_cube, pa, unit_cube, pb) == pytest.approx(want, rel=1e-12)
-
-
-# --- mesh IO and cache -------------------------------------------------------
-
-def test_obj_roundtrip(tmp_path):
-    mesh = icosphere_mesh(0.1, subdivisions=1)
-    path = tmp_path / "m.obj"
-    save_obj(path, mesh)
-    back = load_obj(path)
-    assert np.allclose(back.vertices, mesh.vertices, atol=1e-7)
-    assert np.array_equal(back.faces, mesh.faces)
-
-
-@pytest.mark.parametrize("binary", [True, False])
-def test_ply_roundtrip(tmp_path, binary):
-    mesh = box_mesh((0.2, 0.1, 0.3))
-    path = tmp_path / "m.ply"
-    save_ply(path, mesh, binary=binary)
-    back = load_ply(path)
-    assert np.allclose(back.vertices, mesh.vertices, atol=1e-6)
-    assert np.array_equal(back.faces, mesh.faces)
-
-
-def test_sdf_cache_roundtrip(tmp_path):
-    mesh = box_mesh((0.2, 0.2, 0.2))
-    s1 = load_shape_cached(mesh, 0.02, tmp_path)
-    cache_files = list(tmp_path.glob("sdf_*.npz"))
-    assert len(cache_files) == 1
-    s2 = load_shape_cached(mesh, 0.02, tmp_path)
-    assert np.array_equal(s1.grid.values, s2.grid.values)
-    # different cell size gets its own entry
-    load_shape_cached(mesh, 0.01, tmp_path)
-    assert len(list(tmp_path.glob("sdf_*.npz"))) == 2
 
 
 def test_obb_validation():

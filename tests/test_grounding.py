@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from keycontact.errors import DegenerateInputError, MisalignedTimebaseError
+from keycontact.errors import MisalignedTimebaseError
 from keycontact.geometry import PointCloud, Pose
 from keycontact.grounding import (
-    HandLandmarks,
     Segment,
     TrackedEntity,
     contact_markers,
     filter_segments,
-    gripper_from_hand,
     hand_path_length,
     label_phase,
 )
@@ -139,64 +137,3 @@ def test_hand_path_length_matches_step_sum():
 def test_phase_rule():
     assert label_phase("brush", "hand") == "grasping"
     assert label_phase("pan", "brush") == "manipulation"
-
-
-# --- gripper pose from hand landmarks ----------------------------------------
-
-def planar_hand():
-    # all landmarks in the z = 0 plane, tips symmetric about the origin
-    thumb = np.array([[-0.04, -0.03, 0.0], [-0.02, -0.04, 0.0], [0.0, -0.05, 0.0]])
-    index = np.array([[-0.04, 0.03, 0.0], [-0.02, 0.04, 0.0], [0.0, 0.05, 0.0]])
-    return HandLandmarks(thumb, index)
-
-
-def test_gripper_planar_symmetric_case():
-    pose = gripper_from_hand(planar_hand())
-    assert np.allclose(pose.t, [0, 0, 0], atol=1e-12)
-    r = pose.rotation_matrix()
-    assert np.allclose(np.abs(r[:, 0]), [0, 0, 1], atol=1e-9)  # X is the plane normal
-    assert np.allclose(r[:, 1], [0, 1, 0], atol=1e-9)  # Y toward the index tip
-    assert np.allclose(r[:, 2], np.cross(r[:, 0], r[:, 1]), atol=1e-12)
-    assert np.allclose(r.T @ r, np.eye(3), atol=1e-9)
-    assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_gripper_translation_equivariance():
-    h = planar_hand()
-    shift = np.array([0.3, -0.2, 0.7])
-    moved = HandLandmarks(h.thumb_points + shift, h.index_points + shift)
-    p0, p1 = gripper_from_hand(h), gripper_from_hand(moved)
-    assert np.allclose(p1.t, p0.t + shift, atol=1e-12)
-    assert p0.rotation_angle_to(p1) < 1e-9
-
-
-def nonplanar_hand(rng):
-    thumb = rng.normal(scale=0.03, size=(4, 3))
-    index = rng.normal(scale=0.03, size=(4, 3)) + np.array([0.0, 0.06, 0.01])
-    return HandLandmarks(thumb, index)
-
-
-def test_gripper_rotation_equivariance():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        h = nonplanar_hand(rng)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        rot = Pose.from_rotvec(rng.uniform(0, np.pi) * axis, rng.uniform(-1, 1, 3))
-        moved = HandLandmarks(rot.apply(h.thumb_points), rot.apply(h.index_points))
-        got = gripper_from_hand(moved)
-        want = rot.compose(gripper_from_hand(h))
-        assert got.translation_distance_to(want) < 1e-9
-        assert got.rotation_angle_to(want) < 1e-6
-
-
-def test_gripper_collinear_rejected():
-    line = np.array([[0.0, 0.0, 0.0], [0.0, 0.01, 0.0]])
-    with pytest.raises(DegenerateInputError):
-        gripper_from_hand(HandLandmarks(line, line + np.array([0, 0.05, 0])))
-
-
-def test_hand_landmarks_tip_distinct():
-    pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.01, 0.0]])
-    with pytest.raises(ValueError):
-        HandLandmarks(pts, pts)

@@ -1,0 +1,147 @@
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from keycontact.bank import SkillRecord
+from keycontact.cli import main
+from keycontact.errors import SchemaError
+from keycontact.geometry import Pose, load_featured_cloud
+from keycontact.keypoints import KeypointFrame
+from keycontact.serialize import canonical_json
+
+
+def write_ply(path, names, rows, fmt="ascii", scalar="float", faces=()):
+    """A vertex element with one scalar property per name, then an optional triangle face element."""
+    rows = np.asarray(rows, dtype=float)
+    header = ["ply", f"format {fmt} 1.0", "comment written by the test", f"element vertex {len(rows)}"]
+    header += [f"property {scalar} {n}" for n in names]
+    if len(faces):
+        header += [f"element face {len(faces)}", "property list uchar int vertex_indices"]
+    header.append("end_header")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        if fmt == "ascii":
+            for r in rows:
+                fh.write((" ".join(repr(float(v)) for v in r) + "\n").encode("ascii"))
+            for f in faces:
+                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n".encode("ascii"))
+        else:
+            fh.write(rows.astype("<f4" if scalar == "float" else "<f8").tobytes())
+            for f in faces:
+                fh.write(struct.pack("<B3i", 3, *f))
+
+
+def _points(n=6):
+    return np.random.default_rng(0).uniform(-0.05, 0.05, (n, 3))
+
+
+@pytest.mark.parametrize("fmt, scalar", [("ascii", "float"), ("binary_little_endian", "float"),
+                                         ("binary_little_endian", "double")])
+def test_feature_columns_load_in_numeric_order(tmp_path, fmt, scalar):
+    pts = _points()
+    feats = pts[:, :1] + np.arange(12)  # column i holds i + x
+    # exporters that sort property names put f_10 and f_11 before f_2
+    names = sorted(f"f_{i}" for i in range(12))
+    cols = [feats[:, int(n[2:])] for n in names]
+    path = tmp_path / "cloud.ply"
+    write_ply(path, ["x", "y", "z", *names], np.column_stack([pts, *cols]), fmt, scalar)
+    cloud = load_featured_cloud(path)
+    tol = 1e-6 if scalar == "float" else 0.0
+    assert np.allclose(cloud.points, pts, rtol=0, atol=tol)
+    assert cloud.feature_dim == 12
+    assert np.allclose(cloud.features, feats, rtol=0, atol=tol * 20)
+
+
+def test_cloud_without_feature_columns_has_no_features(tmp_path):
+    path = tmp_path / "plain.ply"
+    write_ply(path, ["x", "y", "z", "nx"], np.column_stack([_points(), np.ones(6)]))
+    cloud = load_featured_cloud(path)
+    assert cloud.features is None
+    assert np.allclose(cloud.points, _points(), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_face_element_after_the_vertices_is_read_past(tmp_path, fmt):
+    pts = _points()
+    path = tmp_path / "mesh.ply"
+    write_ply(path, ["x", "y", "z", "f_0"], np.column_stack([pts, pts[:, 2]]), fmt,
+              faces=[(0, 1, 2), (3, 4, 5)])
+    cloud = load_featured_cloud(path)
+    assert np.allclose(cloud.points, pts, rtol=0, atol=1e-6)
+    assert np.allclose(cloud.features[:, 0], pts[:, 2], rtol=0, atol=1e-6)
+
+
+# --- malformed files -------------------------------------------------------------
+
+def _header_only(path, *lines):
+    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    return path
+
+
+def test_not_a_ply_file_is_a_schema_error(tmp_path):
+    path = _header_only(tmp_path / "cloud.ply", "v 0 0 0", "v 1 0 0")
+    with pytest.raises(SchemaError, match="not a PLY file"):
+        load_featured_cloud(path)
+
+
+def test_unterminated_header_is_a_schema_error(tmp_path):
+    path = _header_only(tmp_path / "cloud.ply", "ply", "format ascii 1.0", "element vertex 1",
+                        "property float x")
+    with pytest.raises(SchemaError, match="unterminated PLY header"):
+        load_featured_cloud(path)
+
+
+def test_unsupported_format_is_a_schema_error(tmp_path):
+    path = tmp_path / "cloud.ply"
+    write_ply(path, ["x", "y", "z"], _points(), "binary_big_endian")
+    with pytest.raises(SchemaError, match="unsupported PLY format binary_big_endian"):
+        load_featured_cloud(path)
+
+
+def test_mixed_list_and_scalar_element_is_a_schema_error(tmp_path):
+    path = _header_only(tmp_path / "cloud.ply", "ply", "format ascii 1.0", "element vertex 1",
+                        "property float x", "property float y", "property float z",
+                        "element face 1", "property uchar flags", "property list uchar int vertex_indices",
+                        "end_header", "0 0 0", "1 3 0 0 0")
+    with pytest.raises(SchemaError, match="mixed list/scalar PLY element 'face'"):
+        load_featured_cloud(path)
+
+
+# --- through the transfer command ------------------------------------------------
+
+def _transfer(tmp_path, reference, target):
+    kf = KeypointFrame.from_axes(np.array([0.03, 0.01, -0.02]), (1, 0, 0), (0, 0, -1), "ref", "master")
+    record = tmp_path / "record.json"
+    record.write_text(canonical_json(SkillRecord("insert the peg", "manipulation", master_kf=kf).to_json()))
+    out = tmp_path / "kf.json"
+    code = main(["transfer", "--record", str(record), "--reference", str(reference), "--target", str(target),
+                 "--seed", "1", "--out", str(out)])
+    return code, kf, out
+
+
+def test_transfer_command_moves_the_keypoint_with_the_object(tmp_path):
+    rng = np.random.default_rng(15)
+    pts = rng.uniform(-0.05, 0.05, (800, 3))
+    p = pts / 0.05
+    feats = np.column_stack([np.sin(p), np.cos(p), np.sin(2 * p[:, 0] + p[:, 1]), np.cos(2 * p[:, 1] - p[:, 2])])
+    names = ["x", "y", "z", *(f"f_{i}" for i in range(8))]
+    moved = Pose.from_rotvec(np.array([0.3, -0.2, 0.5]), np.array([0.04, -0.02, 0.01]))
+    write_ply(tmp_path / "ref.ply", names, np.column_stack([pts, feats]), "binary_little_endian", "double")
+    write_ply(tmp_path / "tgt.ply", names, np.column_stack([moved.apply(pts), feats]), "ascii")
+    code, kf, out = _transfer(tmp_path, tmp_path / "ref.ply", tmp_path / "tgt.ply")
+    assert code == 0
+    got = KeypointFrame.from_json(json.loads(out.read_text())).as_pose()
+    want = moved.compose(kf.as_pose())
+    assert got.translation_distance_to(want) < 1e-6
+    assert got.rotation_angle_to(want) < 1e-6
+
+
+def test_transfer_command_reports_a_malformed_ply_as_json(tmp_path, capsys):
+    bad = _header_only(tmp_path / "bad.ply", "ply", "format binary_big_endian 1.0", "end_header")
+    code, _, out = _transfer(tmp_path, bad, bad)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "SchemaError" and "binary_big_endian" in err["message"]
+    assert not out.exists()
