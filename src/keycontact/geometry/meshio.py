@@ -2,8 +2,9 @@
 
 Covers ascii and binary_little_endian, vertex properties x, y, z plus
 optional float feature channels f_0..f_{D-1}. Other elements, such as a
-face list, are read past. A file that is not PLY, or whose header or
-element layout this reader does not support, raises SchemaError.
+face list, are read past. A file that is not PLY, whose header or element
+layout this reader does not support, that has no vertex element or whose
+binary body ends early raises SchemaError.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from ..errors import SchemaError
 from .cloud import PointCloud
@@ -59,6 +61,13 @@ _PLY_SCALARS = {
 }
 
 
+def _read_exact(fh, size, element, path):
+    raw = fh.read(size)
+    if len(raw) < size:
+        raise SchemaError(f"truncated PLY element {element!r}: {path}")
+    return raw
+
+
 def _read_ply(path):
     with open(path, "rb") as fh:
         fmt, elements = _parse_ply_header(fh)
@@ -79,8 +88,8 @@ def _read_ply(path):
                     cfmt, csz = _PLY_SCALARS[count_t]
                     ifmt, isz = _PLY_SCALARS[idx_t]
                     for _ in range(count):
-                        (k,) = struct.unpack("<" + cfmt, fh.read(csz))
-                        rows.append(list(struct.unpack(f"<{k}{ifmt}", fh.read(k * isz))))
+                        (k,) = struct.unpack("<" + cfmt, _read_exact(fh, csz, name, path))
+                        rows.append(list(struct.unpack(f"<{k}{ifmt}", _read_exact(fh, k * isz, name, path))))
                 data[name] = rows
             else:
                 names = [p[1] for p in props]
@@ -89,13 +98,9 @@ def _read_ply(path):
                         [fh.readline() for _ in range(count)], ndmin=2, dtype=float
                     )
                 else:
-                    fmt_str = "<" + "".join(_PLY_SCALARS[p[0]][0] for p in props)
-                    size = struct.calcsize(fmt_str)
-                    raw = fh.read(size * count)
-                    vals = np.array(
-                        [struct.unpack_from(fmt_str, raw, i * size) for i in range(count)],
-                        dtype=float,
-                    )
+                    row = np.dtype([("", "<" + _PLY_SCALARS[p[0]][0]) for p in props])
+                    raw = _read_exact(fh, row.itemsize * count, name, path)
+                    vals = structured_to_unstructured(np.frombuffer(raw, dtype=row), dtype=float)
                 data[name] = (names, vals)
     return data
 
@@ -103,6 +108,8 @@ def _read_ply(path):
 def load_featured_cloud(path) -> PointCloud:
     """Load a PLY point cloud; extra float properties f_0..f_{D-1} become features."""
     data = _read_ply(path)
+    if "vertex" not in data:
+        raise SchemaError(f"PLY file has no vertex element: {path}")
     names, vals = data["vertex"]
     cols = [names.index(c) for c in ("x", "y", "z")]
     pts = vals[:, cols]

@@ -1,6 +1,6 @@
 """Triangle meshes, signed-distance grids and bounding-volume queries.
 
-A ShapeModel couples a watertight triangle mesh with a precomputed uniform
+A ShapeModel couples a closed triangle mesh with a precomputed uniform
 signed-distance grid (negative strictly inside, positive outside). Grids are
 read-only after construction, so shapes can be shared freely across threads.
 """
@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError, DegenerateInputError
 from .pose import Pose
 
 __all__ = [
@@ -30,6 +31,7 @@ _CHUNK = 4096
 _BLOCK_PAIRS = 12_000  # point-triangle pairs a distance block aims at
 _MIN_BLOCK = 64  # fewest points in a distance block
 _CULL_SLACK = 1e-6  # m of culling slack per m of the largest coordinate
+_SIGN_SLACK = 1e-6  # m a grid edge must clear the surface by to pass on a sign
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,11 @@ class TriangleMesh:
         v = np.asarray(self.vertices, dtype=float)
         f = np.asarray(self.faces, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError(f"vertices must be (V, 3), got {v.shape}")
+            raise DegenerateInputError(f"vertices must be (V, 3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
-            raise ValueError(f"faces must be (F, 3) triangles, got {f.shape}")
+            raise DegenerateInputError(f"faces must be (F, 3) triangles, got {f.shape}")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
-            raise ValueError("face index out of range")
+            raise DegenerateInputError("face index out of range")
         a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
         n = np.cross(b - a, c - a)
         norms = np.linalg.norm(n, axis=1, keepdims=True)
@@ -93,7 +95,7 @@ class TriangleMesh:
         areas = self.face_areas()
         total = areas.sum()
         if total <= 0:
-            raise ValueError("mesh has zero surface area")
+            raise DegenerateInputError("mesh has zero surface area")
         face_idx = rng.choice(len(areas), size=n, p=areas / total)
         r1 = np.sqrt(rng.random(n))
         r2 = rng.random(n)
@@ -423,6 +425,10 @@ def _lerp(a: np.ndarray, b: np.ndarray, ga: np.ndarray, fb: np.ndarray) -> np.nd
 class ShapeModel:
     """Mesh + signed-distance grid + axis-aligned bounding box (object frame).
 
+    The mesh must be closed: every edge shared by exactly two faces, else
+    DegenerateInputError. Only then is the winding number constant off the
+    surface, which the grid's sign rule relies on (see _build_grid).
+
     Construction is the only mutating phase; afterwards instances are
     read-only and safe to share. Surface-sample sets are memoized per
     (count, seed).
@@ -430,7 +436,14 @@ class ShapeModel:
 
     def __init__(self, mesh: TriangleMesh, cell: float = DEFAULT_CELL):
         if cell <= 0:
-            raise ValueError("cell size must be positive")
+            raise ConfigError({"cell": f"must be positive, got {cell}"})
+        f = mesh.faces
+        edges = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+        _, shared = np.unique(edges[:, 0] * len(mesh.vertices) + edges[:, 1], return_counts=True)
+        open_edges = int((shared != 2).sum())
+        if open_edges or not len(shared):
+            raise DegenerateInputError(
+                f"mesh is not closed: {open_edges} of {len(shared)} edges not shared by exactly two faces")
         self.mesh = mesh
         self.cell = float(cell)
         lo, hi = mesh.aabb()
@@ -441,6 +454,24 @@ class ShapeModel:
 
     @staticmethod
     def _build_grid(mesh: TriangleMesh, cell: float) -> SdfGrid:
+        """Signed distances at the grid nodes: the exact unsigned distance,
+        negated where the generalized winding number has |w| > 0.5.
+
+        The sign is found by flood fill. The unsigned distance is 1-Lipschitz
+        and an axis edge (a, b) is one cell long, so no edge with
+        dist[a] + dist[b] > cell + _SIGN_SLACK meets the surface; on a closed
+        mesh the winding number is the same at both ends. The components of
+        the graph of such edges share one sign, which _winding_numbers
+        evaluates at each component's farthest node only. A node within the
+        slack of the surface has no such edge and gets its own winding
+        number. The slack (1e-6 m) lies far above the rounding of the
+        distances and the node positions; the tests pin the grids bit-identical
+        to evaluating the winding number at every node.
+        """
+        # imported here, so code that builds no grid does not load csgraph
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
         lo, hi = mesh.aabb()
         origin = lo - GRID_PADDING * cell
         top = hi + GRID_PADDING * cell
@@ -451,8 +482,23 @@ class ShapeModel:
         gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
         dist = _point_triangle_distances(pts, mesh)
-        wn = _winding_numbers(pts, mesh)
-        sign = np.where(np.abs(wn) > 0.5, -1.0, 1.0)
+        d = dist.reshape(shape)
+        node = np.arange(len(pts)).reshape(shape)
+        heads, tails = [], []
+        for k in range(3):
+            lead = (slice(None),) * k + (slice(None, -1),)
+            trail = (slice(None),) * k + (slice(1, None),)
+            far = d[lead] + d[trail] > cell + _SIGN_SLACK
+            heads.append(node[lead][far])
+            tails.append(node[trail][far])
+        heads, tails = np.concatenate(heads), np.concatenate(tails)
+        graph = coo_matrix((np.ones(len(heads), dtype=np.int8), (heads, tails)), shape=(len(pts), len(pts)))
+        _, labels = connected_components(graph, directed=False)
+        # the farthest node of each component stands for it
+        order = np.argsort(-dist, kind="stable")
+        _, first = np.unique(labels[order], return_index=True)
+        wn = _winding_numbers(pts[order[first]], mesh)
+        sign = np.where(np.abs(wn) > 0.5, -1.0, 1.0)[labels]
         return SdfGrid(origin, cell, (sign * dist).reshape(shape))
 
     def surface_samples(self, n: int = 2000, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -484,10 +530,10 @@ class Obb:
         h = np.asarray(self.half_extents, dtype=float).reshape(3)
         q = np.asarray(self.orientation, dtype=float).reshape(4)
         if (h <= 0).any():
-            raise ValueError("half extents must be strictly positive")
+            raise ConfigError({"half_extents": "must be strictly positive"})
         n = np.linalg.norm(q)
         if abs(n - 1.0) > 1e-6:
-            raise ValueError("orientation quaternion must be unit norm")
+            raise ConfigError({"orientation": "quaternion must be unit norm"})
         q = q / n
         for name, val in (("center", c), ("half_extents", h), ("orientation", q)):
             val.setflags(write=False)

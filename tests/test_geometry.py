@@ -19,13 +19,16 @@ from keycontact.geometry import (
     sdf_query,
     union_aabb_volume,
 )
+from keycontact.errors import ConfigError, DegenerateInputError
 from keycontact.geometry.pose import matrix_to_quat, quat_multiply, quat_rotate
 from keycontact.geometry.shape import (
     DEFAULT_CELL,
     GRID_PADDING,
+    Obb,
     SdfGrid,
     _cube_blocks,
     _point_triangle_distances,
+    _winding_numbers,
 )
 
 
@@ -573,6 +576,78 @@ def test_shape_model_grids_equal_a_dense_build(profile, monkeypatch):
         dense = ShapeModel(built.mesh, built.cell)
         assert dense.grid.values.tobytes() == built.grid.values.tobytes()
         assert dense.grid.origin.tobytes() == built.grid.origin.tobytes()
+
+
+def all_node_sign_values(mesh, cell):
+    """Grid values with the winding number evaluated at every node, as reference."""
+    pts = _grid_nodes(mesh, cell)
+    wn = _winding_numbers(pts, mesh)
+    return np.where(np.abs(wn) > 0.5, -1.0, 1.0) * _point_triangle_distances(pts, mesh)
+
+
+@pytest.mark.parametrize("profile", ["round", "hexagon"])
+def test_flood_filled_signs_equal_the_all_node_pass_on_scene_meshes(profile):
+    from keycontact.sim import make_peg_hole_scene
+
+    scene = make_peg_hole_scene(profile, 0.002, 0.006, seed=0)
+    for built in (scene.master_shape, scene.slave_shape):
+        assert built.grid.values.tobytes() == all_node_sign_values(built.mesh, built.cell).tobytes()
+
+
+@pytest.mark.parametrize("mesh, cell", [(box_mesh((1, 1, 1)), 0.05), (icosphere_mesh(0.015, 2), DEFAULT_CELL)],
+                         ids=["box", "icosphere"])
+def test_flood_filled_signs_equal_the_all_node_pass_on_closed_meshes(mesh, cell):
+    assert ShapeModel(mesh, cell).grid.values.tobytes() == all_node_sign_values(mesh, cell).tobytes()
+
+
+def test_flood_filled_signs_keep_nodes_on_the_surface_apart_at_1mm(scene_meshes):
+    # the round peg at 1 mm has nodes within 1e-12 m of its surface; a
+    # smaller slack lets them inherit a neighbour's sign
+    mesh = scene_meshes["round_slave"]
+    assert ShapeModel(mesh, 0.001).grid.values.tobytes() == all_node_sign_values(mesh, 0.001).tobytes()
+
+
+def _box_without_a_face():
+    box = box_mesh((1, 1, 1))
+    return TriangleMesh(box.vertices, box.faces[1:])
+
+
+@pytest.mark.parametrize("mesh", [_open_sheet(), _box_without_a_face()], ids=["sheet", "box_without_a_face"])
+def test_shape_model_rejects_an_open_mesh(mesh):
+    with pytest.raises(DegenerateInputError, match="mesh is not closed"):
+        ShapeModel(mesh, 0.05)
+
+
+_TRIANGLE = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TriangleMesh(_TRIANGLE[:, :2], np.array([[0, 1, 2]])), "vertices must be"),
+    (lambda: TriangleMesh(_TRIANGLE, np.array([[0, 1, 2, 0]])), "faces must be"),
+    (lambda: TriangleMesh(_TRIANGLE, np.array([[0, 1, 3]])), "face index out of range"),
+    (lambda: TriangleMesh(_TRIANGLE * [1, 0, 0], np.array([[0, 1, 2]])).sample_surface(10, 0), "zero surface area"),
+], ids=["vertices", "faces", "face_index", "zero_area"])
+def test_malformed_meshes_raise_degenerate_input_errors(make, message):
+    with pytest.raises(DegenerateInputError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("cell", [0.0, -0.002])
+def test_shape_model_rejects_a_non_positive_cell(cell):
+    with pytest.raises(ConfigError) as ei:
+        ShapeModel(box_mesh((1, 1, 1)), cell)
+    assert set(ei.value.failures) == {"cell"}
+    assert isinstance(ei.value, ValueError)
+
+
+@pytest.mark.parametrize("half, quat, field", [
+    ([0.1, 0.0, 0.1], [1.0, 0, 0, 0], "half_extents"),
+    ([0.1, 0.1, 0.1], [1.0, 0, 0, 0.1], "orientation"),
+])
+def test_obb_names_its_failing_field(half, quat, field):
+    with pytest.raises(ConfigError) as ei:
+        Obb(np.zeros(3), np.array(half), np.array(quat))
+    assert set(ei.value.failures) == {field}
 
 
 def test_mesh_caches_read_only_triangles_normals_and_areas():

@@ -8,6 +8,7 @@ from keycontact.bank import SkillRecord
 from keycontact.cli import main
 from keycontact.errors import SchemaError
 from keycontact.geometry import Pose, load_featured_cloud
+from keycontact.geometry.meshio import _read_ply
 from keycontact.keypoints import KeypointFrame
 from keycontact.serialize import canonical_json
 
@@ -109,6 +110,43 @@ def test_mixed_list_and_scalar_element_is_a_schema_error(tmp_path):
         load_featured_cloud(path)
 
 
+def test_file_without_a_vertex_element_is_a_schema_error(tmp_path):
+    path = _header_only(tmp_path / "cloud.ply", "ply", "format ascii 1.0", "element face 0",
+                        "property list uchar int vertex_indices", "end_header")
+    with pytest.raises(SchemaError, match="no vertex element"):
+        load_featured_cloud(path)
+
+
+def _truncated(path, faces=()):
+    write_ply(path, ["x", "y", "z"], _points(), "binary_little_endian", faces=faces)
+    path.write_bytes(path.read_bytes()[:-5])
+    return path
+
+
+@pytest.mark.parametrize("element, faces", [("vertex", ()), ("face", [(0, 1, 2), (3, 4, 5)])], ids=["vertex", "face"])
+def test_truncated_binary_body_is_a_schema_error(tmp_path, element, faces):
+    with pytest.raises(SchemaError, match=f"truncated PLY element '{element}'"):
+        load_featured_cloud(_truncated(tmp_path / "cloud.ply", faces))
+
+
+def test_binary_vertices_decode_as_the_per_row_struct_reference(tmp_path):
+    types = ["float", "double", "int", "uint", "short", "ushort", "char", "uchar", "float32", "uint8"]
+    codes = "fdiIhHbBfB"
+    rng = np.random.default_rng(16)
+    rows = [(float(np.float32(rng.normal())), rng.normal(), -(2**31) + i, 2**32 - 1 - i, -7 - i, 60000 + i,
+             -128 + i, 255 - i, float(np.float32(rng.uniform(-1e-3, 1e-3))), i) for i in range(50)]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(rows)}"]
+    header += [f"property {t} p{i}" for i, t in enumerate(types)]
+    body = b"".join(struct.pack("<" + codes, *r) for r in rows)
+    path = tmp_path / "mixed.ply"
+    path.write_bytes(("\n".join([*header, "end_header"]) + "\n").encode("ascii") + body)
+    size = struct.calcsize("<" + codes)
+    want = np.array([struct.unpack_from("<" + codes, body, i * size) for i in range(len(rows))], dtype=float)
+    names, got = _read_ply(path)["vertex"]
+    assert names == [f"p{i}" for i in range(len(types))]
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 # --- through the transfer command ------------------------------------------------
 
 def _transfer(tmp_path, reference, target):
@@ -144,4 +182,17 @@ def test_transfer_command_reports_a_malformed_ply_as_json(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "SchemaError" and "binary_big_endian" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("malformed", ["no_vertex", "truncated"])
+def test_transfer_command_reports_a_malformed_vertex_element_as_json(tmp_path, capsys, malformed):
+    if malformed == "truncated":
+        bad = _truncated(tmp_path / "bad.ply")
+    else:
+        bad = _header_only(tmp_path / "bad.ply", "ply", "format ascii 1.0", "end_header")
+    code, _, out = _transfer(tmp_path, bad, bad)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "SchemaError" and str(bad) in err["message"]
     assert not out.exists()
