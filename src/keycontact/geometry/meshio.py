@@ -3,8 +3,8 @@
 Covers ascii and binary_little_endian, vertex properties x, y, z plus
 optional float feature channels f_0..f_{D-1}. Other elements, such as a
 face list, are read past. A file that is not PLY, whose header or element
-layout this reader does not support, that has no vertex element or whose
-binary body ends early raises SchemaError.
+layout this reader does not support, that has no vertex element, whose
+vertex element lacks x, y or z, or whose body ends early raises SchemaError.
 """
 
 from __future__ import annotations
@@ -82,8 +82,9 @@ def _read_ply(path):
                 if fmt == "ascii":
                     for _ in range(count):
                         vals = fh.readline().split()
-                        k = int(vals[0])
-                        rows.append([int(v) for v in vals[1 : 1 + k]])
+                        if not vals or len(vals) < 1 + int(vals[0]):
+                            raise SchemaError(f"truncated PLY element {name!r}: {path}")
+                        rows.append([int(v) for v in vals[1 : 1 + int(vals[0])]])
                 else:
                     cfmt, csz = _PLY_SCALARS[count_t]
                     ifmt, isz = _PLY_SCALARS[idx_t]
@@ -94,9 +95,9 @@ def _read_ply(path):
             else:
                 names = [p[1] for p in props]
                 if fmt == "ascii":
-                    vals = np.loadtxt(
-                        [fh.readline() for _ in range(count)], ndmin=2, dtype=float
-                    )
+                    vals = np.loadtxt([fh.readline() for _ in range(count)], ndmin=2, dtype=float)
+                    if len(vals) < count:
+                        raise SchemaError(f"truncated PLY element {name!r}: {path}")
                 else:
                     row = np.dtype([("", "<" + _PLY_SCALARS[p[0]][0]) for p in props])
                     raw = _read_exact(fh, row.itemsize * count, name, path)
@@ -111,6 +112,9 @@ def load_featured_cloud(path) -> PointCloud:
     if "vertex" not in data:
         raise SchemaError(f"PLY file has no vertex element: {path}")
     names, vals = data["vertex"]
+    missing = [c for c in ("x", "y", "z") if c not in names]
+    if missing:
+        raise SchemaError(f"PLY vertex element has no {', '.join(missing)} property: {path}")
     cols = [names.index(c) for c in ("x", "y", "z")]
     pts = vals[:, cols]
     fcols = sorted(

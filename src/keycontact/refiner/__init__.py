@@ -26,9 +26,8 @@ from .filter import (
 )
 from .loop import RefinementConfig, RefinementResult, StepDiagnostics, run_refinement
 from .strategy import (
-    ContactStrategy,
     StrategySelection,
-    information_gain,
+    StrategySet,
     sample_contact_candidates,
     select_contact_strategy,
 )
@@ -49,9 +48,8 @@ __all__ = [
     "state_entropy",
     "end_effector_target",
     "DEFAULT_PARTICLES",
-    "ContactStrategy",
+    "StrategySet",
     "StrategySelection",
-    "information_gain",
     "sample_contact_candidates",
     "select_contact_strategy",
     "NeighborhoodSearch",

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from ..errors import RefinementDivergence
+from ..errors import ConfigError, RefinementDivergence
 from .filter import (
     DEFAULT_PARTICLES,
     NoiseConfig,
@@ -36,8 +36,6 @@ class RefinementConfig:
     seed: int = 0
 
     def __post_init__(self):
-        from ..errors import ConfigError
-
         fails = {}
         if self.particles < 2:
             fails["particles"] = "must be >= 2"
@@ -86,7 +84,7 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
     from ..sim.probe import ProbeSimulator
 
     if n_contacts < 0:
-        raise ValueError("n_contacts must be >= 0")
+        raise ConfigError({"n_contacts": "must be >= 0"})
     if n_contacts == 0:
         ps0 = filter_init(scene.z_perceived, config.noise, config.particles, config.seed)
         return RefinementResult(RelativePoseError(scene.z_perceived), (), ps0)
@@ -108,31 +106,14 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
         candidates = sample_contact_candidates(scene.master_shape, seed=s_sel)
 
         if config.selection == "ig":
-            sel = select_contact_strategy(
-                ps,
-                candidates,
-                scene.master_shape,
-                scene.master_perceived,
-                vprobe,
-                config.noise,
-                scene.slave_shape,
-                scene.slave_kf,
-                seed=s_sel,
-            )
-            strategy, cand_idx, expected_ig = sel.strategy, sel.candidate_index, float(sel.expected_ig)
-            z_plan = sel.z_plan
+            sel = select_contact_strategy(ps, candidates, scene.master_shape, scene.master_perceived, vprobe,
+                                          config.noise, scene.slave_shape, scene.slave_kf, seed=s_sel)
+            cand_idx, expected_ig, z_plan = sel.candidate_index, float(sel.expected_ig), sel.z_plan
         else:
             cand_idx = int(rng_random_sel.integers(len(candidates)))
-            strategy, expected_ig = candidates[cand_idx], None
-            z_plan = filter_estimate(ps)
+            expected_ig, z_plan = None, filter_estimate(ps)
 
-        res = sim.probe(
-            strategy,
-            z_plan=z_plan,
-            z_actual=scene.z_true,
-            noise=config.noise,
-            seed=s_probe,
-        )
+        res = sim.probe(candidates[cand_idx], z_plan, scene.z_true, config.noise, seed=s_probe)
         diverged = resampled = False
         entropy = weight_entropy(ps)
         ess = effective_sample_size(ps)

@@ -3,25 +3,29 @@
 A contact strategy is a point on the master surface with a local frame whose
 Z axis is the surface normal, plus an approach orientation for the slave
 keypoint (azimuth/elevation of its z axis around the inward direction, and a
-roll of its x axis). Selection scores each candidate by the expected entropy
-of the posterior weight distribution over hypothetical contact scenarios and
-keeps the minimizer; the information gain follows as log(N_d) minus that
-entropy under a uniform prior over the downsampled subset.
+roll of its x axis). A StrategySet holds K of them as arrays, one row per
+strategy; a single strategy is a set of length 1. Selection scores each
+candidate by the expected entropy of the posterior weight distribution over
+hypothetical contact scenarios and keeps the minimizer; the information gain
+follows as log(N_d) minus that entropy under a uniform prior over the
+downsampled subset.
 
 A selection step is batched end to end: strategy_frames gives the world
-frames of all candidates at once, one virtual-probe call rolls out every
-candidate-scenario pair in a single lock-step march, and one
-contact_distances call (one SDF query) scores all resulting contacts
-against the downsampled particles.
+frames of a whole set at once, one virtual-probe call rolls out every
+candidate-scenario pair (the candidate set indexed with each row repeated
+SCENARIOS times) in a single lock-step march, and one contact_distances call
+(one SDF query) scores all resulting contacts against the downsampled
+particles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
+from ..errors import ConfigError, DegenerateInputError
 from ..geometry import Pose, ShapeModel
 from ..geometry.pose import _dot, _norm
 from .filter import (
@@ -34,11 +38,10 @@ from .filter import (
 )
 
 __all__ = [
-    "ContactStrategy",
+    "StrategySet",
     "StrategySelection",
     "sample_contact_candidates",
     "select_contact_strategy",
-    "information_gain",
     "strategy_frames",
     "DEFAULT_POSITIONS",
     "DEFAULT_ORIENTATIONS",
@@ -69,32 +72,47 @@ def _tangent_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, np.cross(normals, x)
 
 
-@dataclass(frozen=True)
-class ContactStrategy:
-    """Where and how to touch the master object (master-frame quantities)."""
+_FIELDS = {"points": (-1, 3), "normals": (-1, 3), "tangents": (-1, 3), "azimuth": -1, "elevation": -1, "roll": -1}
 
-    contact_point: np.ndarray  # on the master surface
-    z_local: np.ndarray  # surface normal at the contact point
-    x_local: np.ndarray  # tangent reference
-    azimuth: float
-    elevation: float
-    roll: float
+
+@dataclass(frozen=True, eq=False)
+class StrategySet:
+    """K contact strategies: where and how to touch the master (master-frame arrays).
+
+    Row k touches the master surface at points[k], whose unit normals[k] is
+    the local Z and tangents[k] the local X reference, and approaches at
+    (azimuth[k], elevation[k]) with roll[k]. Every array is a read-only
+    copy. Indexing with an int, a slice or an integer index array returns
+    the selected rows as a new set.
+    """
+
+    points: np.ndarray  # (K, 3) on the master surface
+    normals: np.ndarray  # (K, 3) surface normals at the points
+    tangents: np.ndarray  # (K, 3) tangent references
+    azimuth: np.ndarray  # (K,)
+    elevation: np.ndarray  # (K,)
+    roll: np.ndarray  # (K,)
 
     def __post_init__(self):
-        p = np.asarray(self.contact_point, dtype=float).reshape(3)
-        z = np.asarray(self.z_local, dtype=float).reshape(3)
-        x = np.asarray(self.x_local, dtype=float).reshape(3)
-        if abs(np.linalg.norm(z) - 1.0) > 1e-6:
-            raise ValueError("z_local must be unit norm")
-        for name, v in (("contact_point", p), ("z_local", z), ("x_local", x)):
+        for name, shape in _FIELDS.items():
+            v = np.array(getattr(self, name), dtype=float).reshape(shape)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        if len({len(getattr(self, name)) for name in _FIELDS}) > 1:
+            raise ConfigError({"rows": "every field needs one row per strategy"})
+        if (np.abs(_norm(self.normals) - 1.0) > 1e-6).any():
+            raise ConfigError({"normals": "must be unit norm"})
+
+    def __len__(self) -> int:
+        return len(self.roll)
+
+    def __getitem__(self, index) -> "StrategySet":
+        rows = [index] if isinstance(index, (int, np.integer)) else index
+        return StrategySet(*(getattr(self, name)[rows] for name in _FIELDS))
 
 
-def strategy_frames(
-    strategies: Sequence[ContactStrategy], master_pose: Pose
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """World frames of S strategies against a master pose, batched.
+def strategy_frames(strategies: StrategySet, master_pose: Pose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """World frames of a set of S strategies against a master pose, batched.
 
     Returns the slave keypoint rotations (S, 3, 3), whose z column is the
     approach and whose x column is the master tangent reference projected
@@ -104,11 +122,8 @@ def strategy_frames(
     (|u| < 1e-9) the row falls back to the other tangent axis. Each row is
     bit-identical to computing its strategy alone.
     """
-    z_loc = np.array([s.z_local for s in strategies]).reshape(-1, 3)
-    x_loc = np.array([s.x_local for s in strategies]).reshape(-1, 3)
-    az = np.array([s.azimuth for s in strategies])[:, None]
-    el = np.array([s.elevation for s in strategies])[:, None]
-    roll = np.array([s.roll for s in strategies])[:, None]
+    z_loc, x_loc = strategies.normals, strategies.tangents
+    az, el, roll = strategies.azimuth[:, None], strategies.elevation[:, None], strategies.roll[:, None]
     y_loc = np.cross(z_loc, x_loc)
     d_local = -(np.cos(el) * z_loc + np.sin(el) * (np.cos(az) * x_loc + np.sin(az) * y_loc))
     z = master_pose.apply_direction(d_local / _norm(d_local)[:, None])
@@ -122,8 +137,7 @@ def strategy_frames(
     u = u / _norm(u)[:, None]
     x = np.cos(roll) * u + np.sin(roll) * np.cross(z, u)
     y = np.cross(z, x)
-    targets = master_pose.apply(np.array([s.contact_point for s in strategies]).reshape(-1, 3))
-    return np.stack([x, y, z], axis=2), z, targets
+    return np.stack([x, y, z], axis=2), z, master_pose.apply(strategies.points)
 
 
 def _flat_patch_mask(master: ShapeModel, points: np.ndarray, normals: np.ndarray,
@@ -150,8 +164,8 @@ def sample_contact_candidates(
     n_orientations: int = DEFAULT_ORIENTATIONS,
     seed: int = 0,
     flat_margin: float = FLAT_MARGIN,
-) -> list[ContactStrategy]:
-    """n_positions x n_orientations strategies, deterministic per seed.
+) -> StrategySet:
+    """n_positions x n_orientations strategies, position-major, deterministic per seed.
 
     Positions are area-weighted uniform on the master surface with the face
     normal as the local Z. Positions whose tangent neighborhood of radius
@@ -159,12 +173,15 @@ def sample_contact_candidates(
     flush contact stays geometrically possible. Orientations stratify the
     approach over rings of elevation up to ELEVATION_MAX: the first is the
     straight (anti-normal) approach, the rest spread over azimuth rings;
-    each orientation carries a sampled roll.
+    each orientation carries a sampled roll. Per position, the draws are
+    one phase per ring, then one roll per orientation.
     """
-    if n_positions < 1 or n_orientations < 1:
-        raise ValueError("need at least one position and one orientation")
-    if flat_margin <= 0:
-        raise ValueError("flat_margin must be positive")
+    sizes = {"n_positions": n_positions, "n_orientations": n_orientations}
+    fails = {name: "must be >= 1" for name, n in sizes.items() if n < 1}
+    if not flat_margin > 0:
+        fails["flat_margin"] = "must be positive"
+    if fails:
+        raise ConfigError(fails)
     rng = np.random.default_rng(seed)
     points, faces = master.mesh.sample_surface(n_positions, seed=seed)
     normals = master.mesh.face_normals()[faces]
@@ -181,51 +198,34 @@ def sample_contact_candidates(
         )
         points, normals = pts, master.mesh.face_normals()[fcs]
     if len(collected_p) < need:
-        raise ValueError(
-            "could not find enough flat contact positions; lower flat_margin"
-        )
+        raise DegenerateInputError(f"could not find {need} flat contact positions; lower flat_margin")
     points = np.array(collected_p[:need])
     normals = np.array(collected_n[:need])
 
-    out: list[ContactStrategy] = []
-    x_locs, _ = _tangent_basis(normals)
-    for p, n, x_loc in zip(points, normals, x_locs):
-        angles: list[tuple[float, float]] = [(0.0, 0.0)]
-        remaining = n_orientations - 1
-        if remaining > 0:
-            n_rings = int(np.ceil(remaining / 6))
-            base = remaining // n_rings
-            extra = remaining - base * n_rings
-            counts = [base + (1 if r < extra else 0) for r in range(n_rings)]
-            for r, cnt in enumerate(counts, start=1):
-                elev = ELEVATION_MAX * r / n_rings
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                for a in range(cnt):
-                    angles.append((phase + 2.0 * np.pi * a / cnt, elev))
-        for az, elev in angles[:n_orientations]:
-            out.append(
-                ContactStrategy(
-                    contact_point=p,
-                    z_local=n,
-                    x_local=x_loc,
-                    azimuth=float(az % (2.0 * np.pi)),
-                    elevation=float(elev),
-                    roll=float(rng.uniform(0.0, 2.0 * np.pi)),
-                )
-            )
-    return out
-
-
-def information_gain(weights: np.ndarray, n_d: int) -> float:
-    """IG of a posterior weight vector against the uniform prior over n_d."""
-    w = np.asarray(weights, dtype=float)
-    w = w[w > 0]
-    return float(np.log(n_d) + (w * np.log(w)).sum())
+    # orientation o is azimuth slot[o] of size[o] on ring[o]; ring 0 is the
+    # straight approach, and rings 1..n_rings split the rest evenly
+    n_rings = -(-(n_orientations - 1) // 6)
+    base, extra = divmod(n_orientations - 1, max(n_rings, 1))
+    counts = np.array([1] + [base + (r < extra) for r in range(n_rings)])
+    ring, size = np.repeat(np.arange(n_rings + 1), counts), np.repeat(counts, counts)
+    slot = np.arange(n_orientations) - np.repeat(np.cumsum(counts) - counts, counts)
+    draws = rng.uniform(0.0, 2.0 * np.pi, size=(need, n_rings + n_orientations))
+    phase = np.column_stack([np.zeros(need), draws[:, :n_rings]])  # ring 0 has no phase
+    azimuth = (phase[:, ring] + 2.0 * np.pi * slot / size) % (2.0 * np.pi)
+    elevation = np.broadcast_to(ELEVATION_MAX * ring / max(n_rings, 1), azimuth.shape)
+    tangents, _ = _tangent_basis(normals)
+    return StrategySet(
+        points=np.repeat(points, n_orientations, axis=0),
+        normals=np.repeat(normals, n_orientations, axis=0),
+        tangents=np.repeat(tangents, n_orientations, axis=0),
+        azimuth=azimuth,
+        elevation=elevation,
+        roll=draws[:, n_rings:],
+    )
 
 
 @dataclass(frozen=True)
 class StrategySelection:
-    strategy: ContactStrategy
     candidate_index: int
     expected_ig: float
     mean_entropies: np.ndarray  # per candidate; NaN marks excluded candidates
@@ -233,16 +233,16 @@ class StrategySelection:
 
 
 # a virtual probe rolls out H hypotheses in one batch while the robot plans
-# with z_plan: hypothesis h follows strategy h with the true in-hand state
-# given by row h of the quaternion (H, 4) and translation (H, 3) arrays.
+# with z_plan: hypothesis h follows row h of the set with the true in-hand
+# state given by row h of the quaternion (H, 4) and translation (H, 3) arrays.
 # It returns the gripper pose at contact per hypothesis, None where the
 # approach never contacts (the signature of ProbeSimulator.probe_batch).
-VirtualProbe = Callable[[Sequence[ContactStrategy], Pose, np.ndarray, np.ndarray], list[Optional[Pose]]]
+VirtualProbe = Callable[[StrategySet, Pose, np.ndarray, np.ndarray], list[Optional[Pose]]]
 
 
 def select_contact_strategy(
     ps: ParticleSet,
-    candidates: Sequence[ContactStrategy],
+    candidates: StrategySet,
     master: ShapeModel,
     master_pose: Pose,
     virtual_probe: VirtualProbe,
@@ -264,8 +264,9 @@ def select_contact_strategy(
     are rolled out in one virtual-probe call and scored in one
     contact_distances call.
     """
-    if not candidates:
-        raise ValueError("candidate set is empty")
+    k = len(candidates)
+    if k == 0:
+        raise DegenerateInputError("candidate set is empty")
     m = len(ps)
     n_d = min(DOWNSAMPLE, m)
     # uniform stride downsampling of the particle set
@@ -274,13 +275,13 @@ def select_contact_strategy(
     pts = slave_contact_points_in_keypoint_frame(slave, slave_kf)
 
     rng = np.random.default_rng(seed)
-    scen_idx = rng.choice(m, size=(len(candidates), SCENARIOS), p=ps.weights)
+    scen_idx = rng.choice(m, size=(k, SCENARIOS), p=ps.weights)
     z_plan = filter_estimate(ps)
 
     # one rollout of every (candidate, scenario) pair, candidate-major
     scen = scen_idx.ravel()
     grippers = virtual_probe(
-        [cand for cand in candidates for _ in range(SCENARIOS)], z_plan, ps.quats[scen], ps.translations[scen]
+        candidates[np.repeat(np.arange(k), SCENARIOS)], z_plan, ps.quats[scen], ps.translations[scen]
     )
     hit = np.array([g is not None for g in grippers])
     # a miss, or a contact no subset particle explains, leaves the posterior
@@ -296,15 +297,14 @@ def select_contact_strategy(
         w = np.divide(lik, total, out=np.zeros_like(lik), where=total > 0.0)
         h = -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=1)  # 0 log 0 = 0
         entropy[hit] = np.where(total[:, 0] > 0.0, h, np.log(n_d))
-    entropy = entropy.reshape(len(candidates), SCENARIOS)
-    any_contact = hit.reshape(len(candidates), SCENARIOS).any(axis=1)
+    entropy = entropy.reshape(k, SCENARIOS)
+    any_contact = hit.reshape(k, SCENARIOS).any(axis=1)
     mean_entropy = np.where(any_contact, entropy.mean(axis=1), np.nan)
 
     if np.isnan(mean_entropy).all():
-        raise ValueError("no candidate produced a valid contact scenario")
+        raise DegenerateInputError(f"none of {k} candidates produced a valid contact scenario")
     best = int(np.nanargmin(mean_entropy))
     return StrategySelection(
-        strategy=candidates[best],
         candidate_index=best,
         expected_ig=float(np.log(n_d) - mean_entropy[best]),
         mean_entropies=mean_entropy,

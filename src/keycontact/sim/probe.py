@@ -6,9 +6,11 @@ surface samples; the contact travel is refined by bisection to the contact
 tolerance. One lock-step march serves both kinds of probe: a real probe
 marches one hypothesis, the true in-hand state, against the true master
 pose and reports a noisy gripper pose; a virtual rollout marches a batch of
-hypotheses, each with its own strategy and in-hand state, against the
-perceived master pose, noise-free. Strategy selection rolls out every
-candidate-scenario pair of a refinement step in one such march.
+hypotheses against the perceived master pose, noise-free. Strategies come
+as a StrategySet with one row per hypothesis: a real probe takes a set of
+length 1, and a batch that shares one strategy indexes its row once per
+hypothesis. Strategy selection rolls out every candidate-scenario pair of a
+refinement step in one such march.
 
 A march folds the inverse of its master pose into the hypotheses once, so
 the slave samples are written as master-frame coordinate rows and never
@@ -21,14 +23,15 @@ mapping world points through the inverse pose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
+from ..errors import DegenerateInputError
 from ..geometry import Pose
 from ..geometry.pose import _norm, matrix_to_quat, quat_multiply, quat_rotate, quat_to_matrix
 from ..refiner.filter import ContactMeasurement, NoiseConfig
-from ..refiner.strategy import ContactStrategy, strategy_frames
+from ..refiner.strategy import StrategySet, strategy_frames
 from .scenes import Scene
 
 __all__ = ["ProbeResult", "ProbeSimulator"]
@@ -160,13 +163,13 @@ class ProbeSimulator:
 
     def _rollout(
         self,
-        strategies: Sequence[ContactStrategy],
+        strategies: StrategySet,
         z_plan: Pose,
         q_actual: np.ndarray,
         t_actual: np.ndarray,
         contact_master: Pose,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """March hypothesis h along strategies[h] with the slave at (q_actual[h], t_actual[h]).
+        """March hypothesis h along row h of strategies with the slave at (q_actual[h], t_actual[h]).
 
         The robot plans against the perceived master pose; contact is
         checked against contact_master. Returns the travels, the contact
@@ -177,8 +180,8 @@ class ProbeSimulator:
         composing the Poses.
         """
         if not len(strategies) == len(q_actual) == len(t_actual):
-            raise ValueError(f"{len(strategies)} strategies for {len(q_actual)} in-hand quaternions "
-                             f"and {len(t_actual)} translations")
+            raise DegenerateInputError(f"{len(strategies)} strategies for {len(q_actual)} in-hand "
+                                       f"quaternions and {len(t_actual)} translations")
         kp_rot, approach, target = strategy_frames(strategies, self.scene.master_perceived)
         start = target - STANDOFF * approach
         sdf_at = self._sdf_along(kp_rot, approach, start, q_actual, t_actual, z_plan, contact_master)
@@ -193,13 +196,13 @@ class ProbeSimulator:
 
     def probe(
         self,
-        strategy: ContactStrategy,
+        strategy: StrategySet,
         z_plan: Pose,
         z_actual: Pose,
         noise: NoiseConfig,
         seed: int = 0,
     ) -> ProbeResult:
-        """Advance along the strategy approach until contact or budget end.
+        """Advance along the approach of a set of one strategy until contact or budget end.
 
         Contact is checked against the true master pose with the true
         in-hand state z_actual: a march of one hypothesis. At contact the
@@ -207,7 +210,7 @@ class ProbeSimulator:
         (contact_sigma = 0: none).
         """
         (travel,), (hit,), (g_q,), (g_t,) = self._rollout(
-            [strategy], z_plan, z_actual.q[None], z_actual.t[None], self.scene.master_true
+            strategy, z_plan, z_actual.q[None], z_actual.t[None], self.scene.master_true
         )
         gripper = Pose(g_q, g_t)
         if hit and noise.contact_sigma > 0:
@@ -225,21 +228,20 @@ class ProbeSimulator:
 
     def probe_batch(
         self,
-        strategies: ContactStrategy | Sequence[ContactStrategy],
+        strategies: StrategySet,
         z_plan: Pose,
         q_actuals: np.ndarray,
         t_actuals: np.ndarray,
     ) -> list[Optional[Pose]]:
         """Noise-free rollouts of H hypotheses in one lock-step march.
 
-        Hypothesis h follows strategies[h] with the slave at the in-hand
-        state (q_actuals[h], t_actuals[h]), as a ParticleSet holds them:
-        (H, 4) and (H, 3) arrays. Each quaternion is normalized as Pose
+        Hypothesis h follows row h of strategies with the slave at the
+        in-hand state (q_actuals[h], t_actuals[h]), as a ParticleSet holds
+        them: (H, 4) and (H, 3) arrays. Each quaternion is normalized as Pose
         normalizes it, so hypothesis h rolls out as Pose(q_actuals[h],
-        t_actuals[h]) would. A single strategy is shared by every
-        hypothesis. Contact is checked against the perceived master pose,
-        the frame the filter scores particles in. Returns the gripper pose
-        at contact per hypothesis, or None where the approach never
+        t_actuals[h]) would. Contact is checked against the perceived master
+        pose, the frame the filter scores particles in. Returns the gripper
+        pose at contact per hypothesis, or None where the approach never
         contacts; each entry is bit-identical to rolling its hypothesis out
         alone.
         """
@@ -247,8 +249,6 @@ class ProbeSimulator:
         t_actual = np.asarray(t_actuals, dtype=float).reshape(-1, 3)
         q_actual = q_actual / _norm(q_actual)[:, None]
         q_actual[q_actual[:, 0] < 0.0] *= -1.0
-        if isinstance(strategies, ContactStrategy):
-            strategies = [strategies] * len(q_actual)
         _, hit, g_q, g_t = self._rollout(strategies, z_plan, q_actual, t_actual, self.scene.master_perceived)
         return [Pose(q, t) if contact else None for q, t, contact in zip(g_q, g_t, hit)]
 

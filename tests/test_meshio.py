@@ -117,6 +117,29 @@ def test_file_without_a_vertex_element_is_a_schema_error(tmp_path):
         load_featured_cloud(path)
 
 
+@pytest.mark.parametrize("coordinate", ["x", "y", "z"])
+def test_vertex_element_without_a_coordinate_is_a_schema_error(tmp_path, coordinate):
+    path = tmp_path / "cloud.ply"
+    write_ply(path, [c for c in ("x", "y", "z", "f_0") if c != coordinate], _points()[:, :3])
+    with pytest.raises(SchemaError, match=f"vertex element has no {coordinate} property"):
+        load_featured_cloud(path)
+
+
+def _truncated_ascii(path, element):
+    """An ascii file whose header declares one more vertex or face than its body holds."""
+    write_ply(path, ["x", "y", "z"], _points(3), faces=[(0, 1, 2), (2, 1, 0)] if element == "face" else ())
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]))  # the last vertex, or the last face
+    return path
+
+
+@pytest.mark.parametrize("element", ["vertex", "face"])
+def test_truncated_ascii_body_is_a_schema_error(tmp_path, element):
+    path = _truncated_ascii(tmp_path / "cloud.ply", element)
+    with pytest.raises(SchemaError, match=f"truncated PLY element '{element}'"):
+        load_featured_cloud(path)
+
+
 def _truncated(path, faces=()):
     write_ply(path, ["x", "y", "z"], _points(), "binary_little_endian", faces=faces)
     path.write_bytes(path.read_bytes()[:-5])
@@ -185,10 +208,13 @@ def test_transfer_command_reports_a_malformed_ply_as_json(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("malformed", ["no_vertex", "truncated"])
+@pytest.mark.parametrize("malformed", ["no_vertex", "truncated", "no_z"])
 def test_transfer_command_reports_a_malformed_vertex_element_as_json(tmp_path, capsys, malformed):
     if malformed == "truncated":
         bad = _truncated(tmp_path / "bad.ply")
+    elif malformed == "no_z":
+        bad = tmp_path / "bad.ply"
+        write_ply(bad, ["x", "y"], _points()[:, :2])
     else:
         bad = _header_only(tmp_path / "bad.ply", "ply", "format ascii 1.0", "end_header")
     code, _, out = _transfer(tmp_path, bad, bad)

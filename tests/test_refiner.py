@@ -1,10 +1,12 @@
 import contextlib
+import functools
 import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from keycontact.errors import ConfigError, DegenerateInputError
 from keycontact.geometry import Pose, quat_from_rotvec, sdf_query
 from keycontact.geometry.pose import _norm, quat_multiply, quat_rotate, quat_to_matrix
 from keycontact.geometry.shape import SdfGrid
@@ -24,8 +26,10 @@ from keycontact.refiner.filter import contact_distances, contact_likelihood, sla
 from keycontact.refiner import strategy as strategy_module
 from keycontact.refiner.strategy import (
     DOWNSAMPLE,
+    ELEVATION_MAX,
     FLAT_TOL,
     SCENARIOS,
+    StrategySet,
     _flat_patch_mask,
     _tangent_basis,
     strategy_frames,
@@ -111,22 +115,29 @@ def _same_pose(a, b):
     return a.q.tobytes() == b.q.tobytes() and a.t.tobytes() == b.t.tobytes()
 
 
+STRATEGY_FIELDS = ("points", "normals", "tangents", "azimuth", "elevation", "roll")
+
+
+def _same_set(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in STRATEGY_FIELDS)
+
+
 def test_probe_batch_of_mixed_strategies_matches_one_call_per_hypothesis(scene, candidates):
     sim = ProbeSimulator(scene)
     ps = filter_init(scene.z_perceived, NoiseConfig(), 30, seed=6)
     far = Pose(scene.z_true.q, scene.z_true.t + np.array([1.0, 0.0, 0.0]))  # never touches
-    strategies = [candidates[k % len(candidates)] for k in range(len(candidates) * 3)]
+    strategies = candidates[np.arange(len(candidates) * 3) % len(candidates)]
     scen = 3 * np.arange(len(strategies)) % 30
     q_actuals, t_actuals = ps.quats[scen], ps.translations[scen].copy()
     t_actuals[4] = far.t
     batch = sim.probe_batch(strategies, scene.z_perceived, q_actuals, t_actuals)
     assert len(batch) == len(strategies) and batch[4] is None
     for h, (strategy, got) in enumerate(zip(strategies, batch)):
-        (alone,) = sim.probe_batch([strategy], scene.z_perceived, q_actuals[h:h + 1], t_actuals[h:h + 1])
+        (alone,) = sim.probe_batch(strategy, scene.z_perceived, q_actuals[h:h + 1], t_actuals[h:h + 1])
         assert (got is None) == (alone is None)
         if got is not None:
             assert _same_pose(got, alone)
-    assert sim.probe_batch([], scene.z_perceived, np.empty((0, 4)), np.empty((0, 3))) == []
+    assert sim.probe_batch(candidates[np.arange(0)], scene.z_perceived, np.empty((0, 4)), np.empty((0, 3))) == []
     with pytest.raises(ValueError):
         sim.probe_batch(strategies[:2], scene.z_perceived, q_actuals[:3], t_actuals[:3])
 
@@ -134,7 +145,7 @@ def test_probe_batch_of_mixed_strategies_matches_one_call_per_hypothesis(scene, 
 def test_probe_batch_normalizes_quaternions_as_pose_does(scene, candidates):
     sim = ProbeSimulator(replace(scene, master_perceived=scene.master_true))
     ps = filter_init(scene.z_perceived, NoiseConfig(), 12, seed=3)
-    strategies = [candidates[k % len(candidates)] for k in range(12)]
+    strategies = candidates[np.arange(12) % len(candidates)]
     # -q is the same rotation, and a scaled q is renormalized as Pose renormalizes it
     for q in (-ps.quats, ps.quats * (1.0 + 1e-7)):
         got = sim.probe_batch(strategies, scene.z_perceived, q, ps.translations)
@@ -147,39 +158,45 @@ def test_probe_batch_normalizes_quaternions_as_pose_does(scene, candidates):
 
 
 def _scalar_approach(s, master_pose):
-    # the frame formulas of one strategy at a time, as ContactStrategy's
+    # the frame formulas of one strategy at a time, as the per-strategy
     # approach_direction and keypoint_rotation computed them
-    y_local = np.cross(s.z_local, s.x_local)
-    d_local = -(np.cos(s.elevation) * s.z_local
-                + np.sin(s.elevation) * (np.cos(s.azimuth) * s.x_local + np.sin(s.azimuth) * y_local))
+    (z_local,), (x_local,), (elevation,), (azimuth,) = s.normals, s.tangents, s.elevation, s.azimuth
+    y_local = np.cross(z_local, x_local)
+    d_local = -(np.cos(elevation) * z_local
+                + np.sin(elevation) * (np.cos(azimuth) * x_local + np.sin(azimuth) * y_local))
     return master_pose.apply_direction(d_local / np.linalg.norm(d_local))
 
 
 def _scalar_keypoint_rotation(s, master_pose):
+    (z_local,), (x_local,), (roll,) = s.normals, s.tangents, s.roll
     z = _scalar_approach(s, master_pose)
-    ref = master_pose.apply_direction(s.x_local)
+    ref = master_pose.apply_direction(x_local)
     u = ref - np.dot(ref, z) * z
     if np.linalg.norm(u) < 1e-9:
-        ref = master_pose.apply_direction(np.cross(s.z_local, s.x_local))
+        ref = master_pose.apply_direction(np.cross(z_local, x_local))
         u = ref - np.dot(ref, z) * z
     u = u / np.linalg.norm(u)
-    x = np.cos(s.roll) * u + np.sin(s.roll) * np.cross(z, u)
+    x = np.cos(roll) * u + np.sin(roll) * np.cross(z, u)
     return np.column_stack([x, np.cross(z, x), z])
+
+
+def _concatenate(*sets):
+    return StrategySet(*(np.concatenate([getattr(s, name) for s in sets]) for name in STRATEGY_FIELDS))
 
 
 def test_strategy_frames_match_per_strategy_frames_bitwise(scene, candidates):
     # elevation 90 deg at azimuth 0 points the approach along x_local: the
     # projected reference vanishes and the frame falls back to y_local
-    edge_on = [replace(c, elevation=float(np.pi / 2), azimuth=0.0) for c in candidates[:3]]
-    strategies = list(candidates) + edge_on
+    edge_on = replace(candidates[:3], elevation=np.full(3, np.pi / 2), azimuth=np.zeros(3))
+    strategies = _concatenate(candidates, edge_on)
     master = scene.master_perceived
     rot, approach, target = strategy_frames(strategies, master)
     assert rot.shape == (len(strategies), 3, 3)
     for k, s in enumerate(strategies):
-        (alone_rot,), (alone_approach,), (alone_target,) = strategy_frames([s], master)
+        (alone_rot,), (alone_approach,), (alone_target,) = strategy_frames(s, master)
         for got, want in ((rot[k], _scalar_keypoint_rotation(s, master)), (rot[k], alone_rot),
                           (approach[k], _scalar_approach(s, master)), (approach[k], alone_approach),
-                          (target[k], master.apply(s.contact_point)), (target[k], alone_target)):
+                          (target[k], master.apply(s.points[0])), (target[k], alone_target)):
             assert got.tobytes() == want.tobytes()
     for k in range(len(candidates), len(strategies)):  # the fallback frames stay proper rotations
         assert np.allclose(rot[k].T @ rot[k], np.eye(3), atol=1e-12) and np.linalg.det(rot[k]) > 0
@@ -306,7 +323,7 @@ def test_march_sdf_matches_world_coordinates(scene, candidates, moved):
     sim = ProbeSimulator(scene)
     contact_master = MOVED_MASTER if moved else scene.master_perceived
     ps = filter_init(scene.z_perceived, NoiseConfig(), 40, seed=9)
-    strategies = [candidates[k % len(candidates)] for k in range(40)]
+    strategies = candidates[np.arange(40) % len(candidates)]
     kp_rot, approach, target = strategy_frames(strategies, scene.master_perceived)
     args = (kp_rot, approach, target - STANDOFF * approach, ps.quats, ps.translations, scene.z_perceived,
             contact_master)
@@ -324,7 +341,7 @@ def test_march_sdf_matches_world_coordinates(scene, candidates, moved):
 def test_probe_batch_is_bit_identical_to_marching_in_world_coordinates(scene, candidates, monkeypatch):
     sim = ProbeSimulator(scene)
     ps = filter_init(scene.z_perceived, NoiseConfig(), 30, seed=6)
-    strategies = [candidates[k % len(candidates)] for k in range(30)]
+    strategies = candidates[np.arange(30) % len(candidates)]
     got = sim.probe_batch(strategies, scene.z_perceived, ps.quats, ps.translations)
     monkeypatch.setattr(ProbeSimulator, "_sdf_along", _world_sdf_along)
     want = sim.probe_batch(strategies, scene.z_perceived, ps.quats, ps.translations)
@@ -396,6 +413,94 @@ def test_flat_patch_mask_matches_the_per_position_loop(profile, margin):
         assert u[k].tobytes() == u_want.tobytes() and v[k].tobytes() == v_want.tobytes()
 
 
+def _per_strategy_candidates(master, n_positions, n_orientations, seed):
+    """Candidates built one strategy at a time, with one scalar draw per phase and roll.
+
+    The sampling loop as it was before strategies became one set of arrays;
+    returns the six fields, stacked.
+    """
+    rng = np.random.default_rng(seed)
+    points, faces = master.mesh.sample_surface(n_positions, seed=seed)
+    normals = master.mesh.face_normals()[faces]
+    collected_p, collected_n = [], []
+    for _ in range(40):
+        mask = _flat_patch_mask(master, points, normals, strategy_module.FLAT_MARGIN)
+        collected_p.extend(points[mask])
+        collected_n.extend(normals[mask])
+        if len(collected_p) >= n_positions:
+            break
+        points, faces = master.mesh.sample_surface(max(n_positions * 2, 8), seed=int(rng.integers(2**62)))
+        normals = master.mesh.face_normals()[faces]
+    points, normals = np.array(collected_p[:n_positions]), np.array(collected_n[:n_positions])
+    rows = []
+    x_locs, _ = _tangent_basis(normals)
+    for p, n, x_loc in zip(points, normals, x_locs):
+        angles = [(0.0, 0.0)]
+        remaining = n_orientations - 1
+        if remaining > 0:
+            n_rings = int(np.ceil(remaining / 6))
+            base = remaining // n_rings
+            extra = remaining - base * n_rings
+            counts = [base + (1 if r < extra else 0) for r in range(n_rings)]
+            for r, cnt in enumerate(counts, start=1):
+                elev = ELEVATION_MAX * r / n_rings
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                for a in range(cnt):
+                    angles.append((phase + 2.0 * np.pi * a / cnt, elev))
+        for az, elev in angles[:n_orientations]:
+            rows.append((p, n, x_loc, float(az % (2.0 * np.pi)), float(elev), float(rng.uniform(0.0, 2.0 * np.pi))))
+    return {name: np.array(column) for name, column in zip(STRATEGY_FIELDS, zip(*rows))}
+
+
+@functools.lru_cache(maxsize=None)
+def _master(profile):
+    return make_peg_hole_scene(profile, 0.002, 0.006, seed=0).master_shape
+
+
+@pytest.mark.parametrize("profile", ["round", "hexagon"])
+@pytest.mark.parametrize("n_orientations", [1, 2, 7, 12, 13])
+def test_candidate_set_equals_the_per_strategy_loop(profile, n_orientations):
+    for seed in (0, 7):
+        got = sample_contact_candidates(_master(profile), 4, n_orientations, seed=seed)
+        want = _per_strategy_candidates(_master(profile), 4, n_orientations, seed)
+        assert len(got) == 4 * n_orientations
+        for name in STRATEGY_FIELDS:
+            assert getattr(got, name).tobytes() == want[name].tobytes(), name
+
+
+def test_strategy_set_indexing_returns_the_parent_rows(candidates):
+    n = len(candidates)
+    cases = [(3, [3]), (np.int64(-1), [n - 1]), (slice(2, 9, 3), [2, 5, 8]), (slice(None), list(range(n))),
+             (np.array([4, 0, 4, -2]), [4, 0, 4, n - 2]), ([1] * SCENARIOS, [1] * SCENARIOS), (np.arange(0), [])]
+    for index, rows in cases:
+        got = candidates[index]
+        assert isinstance(got, StrategySet) and len(got) == len(rows)
+        for name in STRATEGY_FIELDS:
+            want = getattr(candidates, name)[np.array(rows, dtype=int)]
+            assert getattr(got, name).shape == want.shape and getattr(got, name).tobytes() == want.tobytes()
+    with pytest.raises(IndexError):
+        candidates[n]
+    assert sum(1 for _ in candidates) == n
+
+
+def test_strategy_set_is_read_only_and_validated(candidates):
+    for name in STRATEGY_FIELDS:
+        arr = getattr(candidates, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    source = candidates.points.copy()
+    copied = replace(candidates, points=source)
+    source[0] = 1.0  # the set keeps its own copy
+    assert copied.points.tobytes() == candidates.points.tobytes()
+    with pytest.raises(ConfigError) as err:
+        replace(candidates, normals=candidates.normals * 1.01)
+    assert "normals" in err.value.failures
+    with pytest.raises(ConfigError) as err:
+        replace(candidates, roll=candidates.roll[:-1])
+    assert "rows" in err.value.failures
+
+
 def _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed):
     """The candidate-at-a-time scoring loop, for comparison with the batched one."""
     m = len(ps)
@@ -405,8 +510,8 @@ def _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed):
     scen_idx = np.random.default_rng(seed).choice(m, size=(len(candidates), SCENARIOS), p=ps.weights)
     z_plan = filter_estimate(ps)
     mean_entropy = np.full(len(candidates), np.nan)
-    for k, cand in enumerate(candidates):
-        grippers = vprobe(cand, z_plan, ps.quats[scen_idx[k]], ps.translations[scen_idx[k]])
+    for k in range(len(candidates)):
+        grippers = vprobe(candidates[[k] * SCENARIOS], z_plan, ps.quats[scen_idx[k]], ps.translations[scen_idx[k]])
         entropies = []
         for gripper in grippers:
             if gripper is None:
@@ -442,7 +547,7 @@ def test_batched_selection_matches_the_per_candidate_loop(profile, seed):
     sel = select_contact_strategy(ps, candidates, scene.master_shape, scene.master_perceived, vprobe, noise,
                                   scene.slave_shape, scene.slave_kf, seed=seed)
     best, want = _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed)
-    assert sel.candidate_index == best and sel.strategy is candidates[best]
+    assert sel.candidate_index == best
     assert np.array_equal(np.isnan(sel.mean_entropies), np.isnan(want))
     ok = ~np.isnan(want)
     assert np.abs(sel.mean_entropies[ok] - want[ok]).max() <= 1e-12
@@ -453,16 +558,18 @@ def test_ig_probe_plans_with_the_selection_z_plan(monkeypatch):
     from keycontact.refiner.loop import RefinementConfig, run_refinement
 
     scene = make_peg_hole_scene("round", 0.002, 0.006, seed=1)
-    plans, probed = [], []
+    plans, probed, chosen, probed_sets = [], [], [], []
     select, probe = loop.select_contact_strategy, ProbeSimulator.probe
 
-    def recording_select(ps, *args, **kwargs):
-        sel = select(ps, *args, **kwargs)
+    def recording_select(ps, candidates, *args, **kwargs):
+        sel = select(ps, candidates, *args, **kwargs)
         plans.append((sel.z_plan, filter_estimate(ps)))
+        chosen.append(candidates[sel.candidate_index])
         return sel
 
     def recording_probe(self, strategy, z_plan, *args, **kwargs):
         probed.append(z_plan)
+        probed_sets.append(strategy)
         return probe(self, strategy, z_plan, *args, **kwargs)
 
     monkeypatch.setattr(loop, "select_contact_strategy", recording_select)
@@ -472,6 +579,56 @@ def test_ig_probe_plans_with_the_selection_z_plan(monkeypatch):
     for (z_sel, z_fresh), z_probe in zip(plans, probed):
         assert z_probe is z_sel
         assert z_probe.q.tobytes() == z_fresh.q.tobytes() and z_probe.t.tobytes() == z_fresh.t.tobytes()
+    for want, got in zip(chosen, probed_sets):  # the probe touches where the selection chose
+        assert len(got) == 1 and _same_set(got, want)
+
+
+@pytest.mark.parametrize("kwargs, field", [({"n_positions": 0}, "n_positions"),
+                                           ({"n_orientations": 0}, "n_orientations"),
+                                           ({"flat_margin": 0.0}, "flat_margin")])
+def test_candidate_sampling_config_errors_name_the_field(scene, kwargs, field):
+    with pytest.raises(ConfigError) as err:
+        sample_contact_candidates(scene.master_shape, **kwargs)
+    assert list(err.value.failures) == [field]
+
+
+def test_candidate_sampling_without_flat_positions_is_degenerate(scene):
+    # a 1 m ring leaves every surface of the block
+    with pytest.raises(DegenerateInputError, match="flat contact positions"):
+        sample_contact_candidates(scene.master_shape, flat_margin=1.0)
+
+
+def _select(scene, candidates, vprobe):
+    ps = filter_init(scene.z_perceived, NoiseConfig(), 20, seed=1)
+    return select_contact_strategy(ps, candidates, scene.master_shape, scene.master_perceived, vprobe,
+                                   NoiseConfig(), scene.slave_shape, scene.slave_kf, seed=1)
+
+
+def test_selection_over_an_empty_set_is_degenerate(scene, candidates):
+    with pytest.raises(DegenerateInputError, match="empty"):
+        _select(scene, candidates[np.arange(0)], ProbeSimulator(scene).virtual_probe())
+
+
+def test_selection_without_any_contact_is_degenerate(scene, candidates):
+    def never_touches(strategies, z_plan, q_actuals, t_actuals):
+        return [None] * len(strategies)
+
+    with pytest.raises(DegenerateInputError, match="valid contact scenario"):
+        _select(scene, candidates, never_touches)
+
+
+def test_probe_batch_with_mismatched_lengths_is_degenerate(scene, candidates):
+    ps = filter_init(scene.z_perceived, NoiseConfig(), 3, seed=1)
+    with pytest.raises(DegenerateInputError, match="2 strategies for 3 in-hand quaternions"):
+        ProbeSimulator(scene).probe_batch(candidates[:2], scene.z_perceived, ps.quats, ps.translations)
+
+
+def test_negative_contact_count_is_a_config_error(scene):
+    from keycontact.refiner.loop import RefinementConfig, run_refinement
+
+    with pytest.raises(ConfigError) as err:
+        run_refinement(scene, -1, RefinementConfig(particles=20))
+    assert list(err.value.failures) == ["n_contacts"]
 
 
 # --- filter -----------------------------------------------------------------
