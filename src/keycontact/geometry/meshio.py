@@ -4,7 +4,8 @@ Covers ascii and binary_little_endian, vertex properties x, y, z plus
 optional float feature channels f_0..f_{D-1}. Other elements, such as a
 face list, are read past. A file that is not PLY, whose header or element
 layout this reader does not support, that has no vertex element, whose
-vertex element lacks x, y or z, or whose body ends early raises SchemaError.
+vertex element lacks x, y or z, whose body ends early, or whose ascii rows
+do not hold one number per declared property raises SchemaError.
 """
 
 from __future__ import annotations
@@ -95,9 +96,18 @@ def _read_ply(path):
             else:
                 names = [p[1] for p in props]
                 if fmt == "ascii":
-                    vals = np.loadtxt([fh.readline() for _ in range(count)], ndmin=2, dtype=float)
+                    lines = [fh.readline() for _ in range(count)]
+                    try:
+                        vals = np.loadtxt(lines, ndmin=2, dtype=float) if count else np.empty((0, len(names)))
+                    except ValueError as e:  # rows of unequal length, or a non-number
+                        raise SchemaError(f"malformed PLY element {name!r}: {path}: {e}") from e
                     if len(vals) < count:
                         raise SchemaError(f"truncated PLY element {name!r}: {path}")
+                    if vals.shape[1] != len(names):
+                        raise SchemaError(
+                            f"PLY element {name!r} rows hold {vals.shape[1]} values, the header"
+                            f" declares {len(names)} properties: {path}"
+                        )
                 else:
                     row = np.dtype([("", "<" + _PLY_SCALARS[p[0]][0]) for p in props])
                     raw = _read_exact(fh, row.itemsize * count, name, path)

@@ -31,13 +31,15 @@ class FeatureGrid:
         c = np.asarray(self.centers, dtype=float)
         f = np.asarray(self.features, dtype=float)
         if c.ndim != 2 or c.shape[1] != 3:
-            raise ValueError("centers must be (N, 3)")
+            raise DegenerateInputError(f"centers must be (N, 3), got shape {c.shape}")
         if f.ndim != 2 or f.shape[0] != c.shape[0]:
-            raise ValueError("features must be (N, D) aligned with centers")
+            raise DegenerateInputError(
+                f"features must be (N, D) aligned with {len(c)} centers, got shape {f.shape}"
+            )
         # two positions in one cell would mean the grid was not reduced
         key = np.floor(c / self.cell).astype(np.int64)
         if len(np.unique(key, axis=0)) != len(key):
-            raise ValueError("duplicate voxel coordinates")
+            raise DegenerateInputError("duplicate voxel coordinates")
         c.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "centers", c)
@@ -69,9 +71,9 @@ def voxelize_cloud(cloud: PointCloud, cell: float = DEFAULT_VOXEL, owner: str = 
     order.
     """
     if cloud.features is None:
-        raise ValueError("voxelize_cloud needs per-point features")
+        raise DegenerateInputError("voxelize_cloud needs per-point features")
     if len(cloud) == 0:
-        raise ValueError("empty cloud")
+        raise DegenerateInputError("empty cloud")
     idx = np.floor(cloud.points / cell).astype(np.int64)
     uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
     sums = np.zeros((len(uniq), 3 + cloud.features.shape[1]))
@@ -105,7 +107,9 @@ def region_similarity(grid: FeatureGrid, reference_feature: np.ndarray) -> np.nd
     """
     ref = np.asarray(reference_feature, dtype=float).ravel()
     if ref.shape[0] != grid.feature_dim:
-        raise ValueError("reference feature dimensionality mismatch")
+        raise DegenerateInputError(
+            f"reference feature has {ref.shape[0]} dimensions, the grid {grid.feature_dim}"
+        )
     rn = np.linalg.norm(ref)
     norms = np.linalg.norm(grid.features, axis=1)
     denom = norms * rn

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ..errors import DegenerateInputError
+from ..errors import ConfigError, DegenerateInputError
 from ..geometry import Pose
 from .grids import FeatureGrid
 
@@ -21,6 +21,7 @@ __all__ = [
 
 RANSAC_ITERATIONS = 2000
 RANSAC_INLIER_EPS = 0.005
+_SCORE_BLOCK_FLOATS = 2**15  # 256 KB of float64 per scoring block
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,9 @@ class CorrespondenceSet:
         r = np.asarray(self.ref_points, dtype=float).reshape(-1, 3)
         t = np.asarray(self.tgt_points, dtype=float).reshape(-1, 3)
         if len(r) != len(t):
-            raise ValueError("pair arrays must align")
+            raise DegenerateInputError(f"pair arrays must align: {len(r)} reference, {len(t)} target points")
         if not (np.isfinite(r).all() and np.isfinite(t).all()):
-            raise ValueError("correspondence points must be finite")
+            raise DegenerateInputError("correspondence points must be finite")
         m = np.asarray(self.inliers, dtype=bool).reshape(len(r))
         for name, v in (("ref_points", r), ("tgt_points", t), ("inliers", m)):
             v.setflags(write=False)
@@ -67,20 +68,21 @@ def relaxed_best_buddies(ref: FeatureGrid, tgt: FeatureGrid, d_t: float) -> Corr
     reference feature i lies within d_t of the nearest reference neighbor of
     target feature j. d_t = 0 recovers strict mutual nearest neighbors.
     """
-    if len(ref) == 0 or len(tgt) == 0:
-        raise ValueError("both regions must be non-empty")
     if d_t < 0:
-        raise ValueError("d_t must be >= 0")
+        raise ConfigError({"d_t": f"must be >= 0, got {d_t}"})
+    if len(ref) == 0 or len(tgt) == 0:
+        raise DegenerateInputError("both regions must be non-empty")
     # exact differences: identical features must be at distance exactly 0,
     # or d_t = 0 drops true mutual pairs
     cross = cdist(ref.features, tgt.features)
     nn_tgt_of_ref = np.argmin(cross, axis=1)  # per ref voxel
     nn_ref_of_tgt = np.argmin(cross, axis=0)  # per tgt voxel
-    t2t = cdist(tgt.features, tgt.features)
-    r2r = cdist(ref.features, ref.features)
+    # compared before the gather, so only booleans are gathered
+    near_t = cdist(tgt.features, tgt.features) <= d_t
+    near_r = cdist(ref.features, ref.features) <= d_t
     # cond_a[i, j]: d(F_t[nn_t(i)], F_t[j]) <= d_t; cond_b: symmetric in ref
-    cond_a = t2t[nn_tgt_of_ref, :] <= d_t
-    cond_b = r2r[:, nn_ref_of_tgt] <= d_t
+    cond_a = near_t[nn_tgt_of_ref, :]
+    cond_b = near_r[:, nn_ref_of_tgt]
     ii, jj = np.nonzero(cond_a & cond_b)
     return CorrespondenceSet.from_pairs(ref.centers[ii], tgt.centers[jj])
 
@@ -134,6 +136,41 @@ def _batched_minimal_fits(ref3: np.ndarray, tgt3: np.ndarray) -> tuple[np.ndarra
     return r, t, ok
 
 
+def _score_hypotheses(
+    r_all: np.ndarray, t_all: np.ndarray, ok: np.ndarray, c: CorrespondenceSet, inlier_eps: float
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Inlier count of every hypothesis, the first best one and its residuals.
+
+    Walks the K hypotheses in blocks of max(1, 2**15 // (3 N)) through one
+    reused (B, 3, N) buffer of about 256 KB, whose coordinate rows are
+    contiguous; the squares add as np.linalg.norm adds them, (x + y) + z.
+    Degenerate samples count -1. The best count is carried across blocks
+    with a strict >, so ties go to the earliest hypothesis, and only the
+    winning residual row is kept. Returns (counts (K,), best index, its
+    (N,) residuals).
+    """
+    k, n = len(r_all), len(c)
+    block = max(1, _SCORE_BLOCK_FLOATS // (3 * n))
+    buf = np.empty((min(block, k), 3, n))
+    counts = np.empty(k, dtype=np.int64)
+    best, best_res = 0, None
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        diff = np.matmul(r_all[lo:hi], c.ref_points.T, out=buf[: hi - lo])
+        diff += t_all[lo:hi, :, None]
+        diff -= c.tgt_points.T
+        diff *= diff
+        res = diff[:, 0]
+        res += diff[:, 1]
+        res += diff[:, 2]
+        np.sqrt(res, out=res)
+        counts[lo:hi] = np.where(ok[lo:hi], (res <= inlier_eps).sum(axis=1), -1)
+        j = int(np.argmax(counts[lo:hi]))  # ties: earliest in the block
+        if best_res is None or counts[lo + j] > counts[best]:
+            best, best_res = lo + j, res[j].copy()
+    return counts, best, best_res
+
+
 def ransac_rigid_align(
     c: CorrespondenceSet,
     iterations: int = RANSAC_ITERATIONS,
@@ -142,32 +179,26 @@ def ransac_rigid_align(
 ) -> tuple[Pose, np.ndarray]:
     """RANSAC rigid fit over putative correspondences.
 
-    Minimal samples of 3 pairs; the largest consensus set is refit by
-    weighted Kabsch until the inlier set stabilizes, so every reported inlier
-    has residual <= inlier_eps under the reported transform. Deterministic
-    per seed. Returns (transform ref->tgt, inlier mask).
+    Draws `iterations` minimal samples of 3 pairs and fits them all at once.
+    Scoring them walks the hypotheses in cache-sized blocks, so its working
+    set is one reused buffer of about 256 KB whatever the number of pairs
+    (see _score_hypotheses). The largest consensus set, earliest on ties, is
+    refit by weighted Kabsch until the inlier set stabilizes, so every
+    reported inlier has residual <= inlier_eps under the reported transform.
+    Deterministic per seed. Returns (transform ref->tgt, inlier mask).
     """
+    if iterations < 1:
+        raise ConfigError({"iterations": f"must be >= 1, got {iterations}"})
     n = len(c)
     if n < 3:
         raise DegenerateInputError("RANSAC needs at least 3 correspondences")
     rng = np.random.default_rng(seed)
     idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
     r_all, t_all, ok = _batched_minimal_fits(c.ref_points[idx], c.tgt_points[idx])
-    # residuals of every pair under every candidate: (K, N), from one (K, 3, N)
-    # buffer whose coordinate rows are contiguous; the squares add as
-    # np.linalg.norm adds them, (x + y) + z
-    diff = r_all @ c.ref_points.T
-    diff += t_all[:, :, None]
-    diff -= c.tgt_points.T
-    diff *= diff
-    res = diff[:, 0] + diff[:, 1]
-    res += diff[:, 2]
-    np.sqrt(res, out=res)
-    counts = np.where(ok, (res <= inlier_eps).sum(axis=1), -1)
-    best = int(np.argmax(counts))  # ties: earliest iteration
+    counts, best, best_res = _score_hypotheses(r_all, t_all, ok, c, inlier_eps)
     if counts[best] < 3:
         raise DegenerateInputError("no consensus set of size >= 3 found")
-    inliers = res[best] <= inlier_eps
+    inliers = best_res <= inlier_eps
 
     for _ in range(8):
         pose = kabsch_fit(c.ref_points[inliers], c.tgt_points[inliers])

@@ -5,11 +5,13 @@ points, the M-step solves for a smooth displacement field regularized by a
 Gaussian-kernel motion-coherence prior. The result is a DeformationMap that
 can be evaluated anywhere via kernel interpolation of the control weights.
 
-Each E-step holds one (N_ref, N_tgt) buffer: cdist writes the squared
-distances, which are scaled, exponentiated and normalized in place into the
-responsibilities. The kernels are built the same way. The only
-(N_ref, N_tgt, 3) temporary left is the one-time sigma^2 start: summing the
-cdist matrix instead adds in another order and moves the fit in its last bits.
+Each call allocates its two large buffers once and reuses them in every EM
+iteration: the (N_ref, N_tgt) responsibilities, into which cdist writes the
+squared distances that are then scaled, exponentiated and normalized in
+place, and the (N_ref, N_ref) system matrix of the M-step. The kernels are
+built the same way. The only (N_ref, N_tgt, 3) temporary left is the
+one-time sigma^2 start, squared in place: summing the cdist matrix instead
+adds in another order and moves the fit in its last bits.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from ..errors import DegenerateInputError
 
 __all__ = ["CpdConfig", "DeformationMap", "nonrigid_register"]
 
@@ -61,7 +65,7 @@ class DeformationMap:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = pts + self.displacement(pts)
         if not np.isfinite(out).all():
-            raise ValueError("deformation produced non-finite values")
+            raise DegenerateInputError("deformation produced non-finite values")
         return out
 
 
@@ -70,6 +74,17 @@ def _gaussian_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarr
     k = cdist(a, b, "sqeuclidean")
     np.divide(k, -2.0 * bandwidth**2, out=k)
     return np.exp(k, out=k)
+
+
+def _initial_sigma2(y: np.ndarray, x: np.ndarray) -> float:
+    """Mean squared coordinate difference over all (y_i, x_j) pairs.
+
+    Squares the broadcast difference in place, which sums to the same bits
+    as ((x[None] - y[:, None]) ** 2).sum() with one temporary instead of two.
+    """
+    d = x[None, :, :] - y[:, None, :]
+    d *= d
+    return d.sum() / (3.0 * len(y) * len(x))
 
 
 def nonrigid_register(
@@ -87,7 +102,9 @@ def nonrigid_register(
     x = np.asarray(tgt_points, dtype=float).reshape(-1, 3)
     n_ref, n_tgt = len(y0), len(x)
     if n_ref < 10 or n_tgt < 10:
-        raise ValueError("non-rigid registration needs >= 10 points per cloud")
+        raise DegenerateInputError(
+            f"non-rigid registration needs >= 10 points per cloud, got {n_ref} and {n_tgt}"
+        )
 
     # common normalization keeps the kernel bandwidth scale-free
     mu = np.vstack([y0, x]).mean(axis=0)
@@ -100,17 +117,19 @@ def nonrigid_register(
     beta, lam, w = config.beta, config.lam, config.outlier_w
     g = _gaussian_kernel(y, y, beta)
 
-    sigma2 = ((xz[None, :, :] - y[:, None, :]) ** 2).sum() / (3.0 * n_ref * n_tgt)
+    sigma2 = _initial_sigma2(y, xz)
     warped = y.copy()
     weights = np.zeros_like(y)
     converged = False
     iterations = 0
     const_uniform = w / max(1e-12, (1.0 - w)) * n_ref / n_tgt
     xz_sq = (xz * xz).sum(axis=1)
+    p = np.empty((n_ref, n_tgt))  # responsibilities, rewritten every E-step
+    a = np.empty((n_ref, n_ref))  # M-step system matrix
 
     for _ in range(config.max_iterations):
         # E-step: responsibilities p (N_ref, N_tgt), in the distance buffer
-        p = cdist(warped, xz, "sqeuclidean")
+        cdist(warped, xz, "sqeuclidean", out=p)
         np.divide(p, -2.0 * sigma2, out=p)
         np.exp(p, out=p)
         denom = p.sum(axis=0) + const_uniform * (2.0 * np.pi * sigma2) ** 1.5
@@ -124,7 +143,7 @@ def nonrigid_register(
             break
         px = p @ xz
 
-        a = g * p1[:, None]
+        np.multiply(g, p1[:, None], out=a)
         a.flat[:: n_ref + 1] += lam * sigma2
         weights = np.linalg.solve(a, px - p1[:, None] * y)
         warped = y + g @ weights

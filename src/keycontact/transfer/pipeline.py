@@ -63,7 +63,9 @@ def solve_keypoint_frame(
     ref_points = np.asarray(ref_points, dtype=float).reshape(-1, 3)
     deformed_points = np.asarray(deformed_points, dtype=float).reshape(-1, 3)
     if len(ref_points) != len(deformed_points):
-        raise ValueError("point arrays must align")
+        raise DegenerateInputError(
+            f"point arrays must align: {len(ref_points)} reference, {len(deformed_points)} deformed points"
+        )
     if len(ref_points) < 3:
         raise DegenerateInputError("frame solve needs >= 3 points")
     local = ref_kf.as_pose().inverse().apply(ref_points)
@@ -97,9 +99,12 @@ def transfer_keypoint(
     copy of a 5k-point icosphere of radius 6 cm).
     """
     if ref_cloud.features is None or tgt_cloud.features is None:
-        raise ValueError("both clouds need features")
+        raise DegenerateInputError("both clouds need features")
     if ref_cloud.feature_dim != tgt_cloud.feature_dim:
-        raise ValueError("feature dimensionality mismatch")
+        raise DegenerateInputError(
+            f"feature dimensionality mismatch: reference {ref_cloud.feature_dim},"
+            f" target {tgt_cloud.feature_dim}"
+        )
 
     def stage(name, fn, *args, **kwargs):
         try:

@@ -64,6 +64,14 @@ def test_cloud_without_feature_columns_has_no_features(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_element_with_no_vertices_loads_as_an_empty_cloud(tmp_path, fmt):
+    path = tmp_path / "empty.ply"
+    write_ply(path, ["x", "y", "z", "f_0"], np.zeros((0, 4)), fmt)
+    cloud = load_featured_cloud(path)
+    assert cloud.points.shape == (0, 3) and cloud.features.shape == (0, 1)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
 def test_face_element_after_the_vertices_is_read_past(tmp_path, fmt):
     pts = _points()
     path = tmp_path / "mesh.ply"
@@ -140,6 +148,25 @@ def test_truncated_ascii_body_is_a_schema_error(tmp_path, element):
         load_featured_cloud(path)
 
 
+def _ascii_rows(path, rows):
+    """An ascii file whose header declares x, y and z over three hand-written vertex rows."""
+    return _header_only(path, "ply", "format ascii 1.0", "element vertex 3", "property float x",
+                        "property float y", "property float z", "end_header", *rows)
+
+
+@pytest.mark.parametrize("rows", [("0 0 0", "1 0", "2 2 2"), ("0 0", "1 0", "2 2")], ids=["one_row", "every_row"])
+def test_ascii_row_with_too_few_values_is_a_schema_error(tmp_path, rows):
+    with pytest.raises(SchemaError, match="PLY element 'vertex'"):
+        load_featured_cloud(_ascii_rows(tmp_path / "cloud.ply", rows))
+
+
+@pytest.mark.parametrize("rows", [("0 0 0", "1 0 0 7", "2 2 2"), ("0 0 0 1", "1 0 0 1", "2 2 2 1")],
+                         ids=["one_row", "every_row"])
+def test_ascii_row_with_too_many_values_is_a_schema_error(tmp_path, rows):
+    with pytest.raises(SchemaError, match="PLY element 'vertex'"):
+        load_featured_cloud(_ascii_rows(tmp_path / "cloud.ply", rows))
+
+
 def _truncated(path, faces=()):
     write_ply(path, ["x", "y", "z"], _points(), "binary_little_endian", faces=faces)
     path.write_bytes(path.read_bytes()[:-5])
@@ -208,13 +235,16 @@ def test_transfer_command_reports_a_malformed_ply_as_json(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("malformed", ["no_vertex", "truncated", "no_z"])
+@pytest.mark.parametrize("malformed", ["no_vertex", "truncated", "no_z", "short_row", "long_row"])
 def test_transfer_command_reports_a_malformed_vertex_element_as_json(tmp_path, capsys, malformed):
     if malformed == "truncated":
         bad = _truncated(tmp_path / "bad.ply")
     elif malformed == "no_z":
         bad = tmp_path / "bad.ply"
         write_ply(bad, ["x", "y"], _points()[:, :2])
+    elif malformed in ("short_row", "long_row"):
+        row = "1 0" if malformed == "short_row" else "1 0 0 7"
+        bad = _ascii_rows(tmp_path / "bad.ply", ("0 0 0", row, "2 2 2"))
     else:
         bad = _header_only(tmp_path / "bad.ply", "ply", "format ascii 1.0", "end_header")
     code, _, out = _transfer(tmp_path, bad, bad)

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from keycontact.errors import DegenerateInputError, TransferStageError
+from keycontact.errors import ConfigError, DegenerateInputError, KeycontactError, TransferStageError
 from keycontact.geometry import PointCloud, Pose
 from keycontact.keypoints import KeypointFrame
 from keycontact.serialize import canonical_json
@@ -22,7 +23,8 @@ from keycontact.transfer import (
     transfer_keypoint,
     voxelize_cloud,
 )
-from keycontact.transfer.matching import _batched_minimal_fits
+from keycontact.transfer.matching import _SCORE_BLOCK_FLOATS, _batched_minimal_fits, _score_hypotheses
+from keycontact.transfer.nonrigid import _initial_sigma2
 
 
 def random_pose(rng, scale=0.1):
@@ -314,6 +316,93 @@ def test_ransac_matches_einsum_reference():
         assert pose.rotation_angle_to(want_pose) < 1e-12
 
 
+def unblocked_scores(r_all, t_all, ok, c, inlier_eps=0.005):
+    """Hypothesis scoring as one (K, 3, N) buffer: (counts, best index, its residual row)."""
+    diff = r_all @ c.ref_points.T
+    diff += t_all[:, :, None]
+    diff -= c.tgt_points.T
+    diff *= diff
+    res = diff[:, 0] + diff[:, 1]
+    res += diff[:, 2]
+    np.sqrt(res, out=res)
+    counts = np.where(ok, (res <= inlier_eps).sum(axis=1), -1)
+    best = int(np.argmax(counts))
+    return counts, best, res[best]
+
+
+def noisy_correspondences(rng, n):
+    ref = rng.uniform(-0.1, 0.1, (n, 3))
+    tgt = random_pose(rng).apply(ref) + rng.normal(0, 0.002, ref.shape)
+    outliers = rng.choice(n, size=n // 3, replace=False)
+    tgt[outliers] += rng.uniform(-0.05, 0.05, (len(outliers), 3))
+    return CorrespondenceSet.from_pairs(ref, tgt)
+
+
+def assert_scores_equal(got, want):
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1] == want[1]
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("n, hypotheses, block",
+                         [(3, 2000, 3640), (10, 2000, 1092), (435, 2000, 25), (10923, 40, 1)])
+def test_blocked_scoring_matches_unblocked(n, hypotheses, block):
+    assert max(1, _SCORE_BLOCK_FLOATS // (3 * n)) == block
+    rng = np.random.default_rng(n)
+    c = noisy_correspondences(rng, n)
+    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(hypotheses)])
+    fits = _batched_minimal_fits(c.ref_points[idx], c.tgt_points[idx])
+    want = unblocked_scores(*fits, c)
+    assert_scores_equal(_score_hypotheses(*fits, c, 0.005), want)
+    if n > 3:
+        assert len(np.unique(want[0])) > 2
+
+
+def test_blocked_scoring_tie_goes_to_the_earlier_block():
+    rng = np.random.default_rng(25)
+    ref = rng.uniform(-0.1, 0.1, (10, 3))
+    c = CorrespondenceSet.from_pairs(ref, ref)
+    block = _SCORE_BLOCK_FLOATS // 30
+    early, late = 5, block + 7
+    r_all = np.tile(np.eye(3), (2000, 1, 1))
+    t_all = np.full((2000, 3), 1.0)  # no inliers
+    t_all[early] = [0.001, 0.0, 0.0]
+    t_all[late] = [0.002, 0.0, 0.0]  # as many inliers, other residuals
+    ok = np.ones(2000, dtype=bool)
+    counts, best, res = _score_hypotheses(r_all, t_all, ok, c, 0.005)
+    assert counts[early] == counts[late] == 10
+    assert best == early
+    assert_scores_equal((counts, best, res), unblocked_scores(r_all, t_all, ok, c))
+
+
+def test_blocked_scoring_of_all_degenerate_hypotheses():
+    line = np.column_stack([np.linspace(0, 1, 10), np.zeros(10), np.zeros(10)])
+    c = CorrespondenceSet.from_pairs(line, line)
+    rng = np.random.default_rng(26)
+    idx = np.array([rng.choice(10, size=3, replace=False) for _ in range(2000)])
+    fits = _batched_minimal_fits(c.ref_points[idx], c.tgt_points[idx])
+    assert not fits[2].any()
+    got = _score_hypotheses(*fits, c, 0.005)
+    assert (got[0] == -1).all()
+    assert_scores_equal(got, unblocked_scores(*fits, c))
+    with pytest.raises(DegenerateInputError, match="no consensus set"):
+        ransac_rigid_align(c, seed=0)
+
+
+def test_ransac_memory_stays_bounded():
+    c = noisy_correspondences(np.random.default_rng(27), 900)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ransac_rigid_align(c, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # one (K, 3, N) residual buffer would be 43 MB at 900 pairs
+    assert peak < 8e6
+
+
 def test_kabsch_weighted():
     rng = np.random.default_rng(10)
     ref = rng.uniform(-1, 1, (20, 3))
@@ -372,6 +461,14 @@ def test_cpd_heavy_regularization_stays_rigid():
 def test_cpd_requires_enough_points():
     with pytest.raises(ValueError):
         nonrigid_register(np.zeros((5, 3)), np.zeros((20, 3)))
+
+
+@pytest.mark.parametrize("n_ref, n_tgt", [(949, 942), (419, 420), (300, 240)])
+def test_cpd_sigma2_start_matches_broadcast_square(n_ref, n_tgt):
+    rng = np.random.default_rng(n_ref)
+    y, x = rng.normal(size=(n_ref, 3)), rng.normal(size=(n_tgt, 3))
+    want = ((x[None, :, :] - y[:, None, :]) ** 2).sum() / (3.0 * n_ref * n_tgt)
+    assert float(_initial_sigma2(y, x)).hex() == float(want).hex()
 
 
 def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
@@ -590,3 +687,45 @@ def test_pipeline_stage_error_is_typed(ref_object):
     with pytest.raises(TransferStageError) as ei:
         transfer_keypoint(cloud, kf, flat, TransferConfig(seed=5))
     assert ei.value.stage in ("otsu", "similarity", "best_buddies")
+
+
+# --- typed errors -----------------------------------------------------------------------
+
+def _grid(n=12, d=2):
+    return make_grid(np.column_stack([0.01 * np.arange(n), np.zeros(n), np.zeros(n)]), np.ones((n, d)))
+
+
+_kf = KeypointFrame.from_axes(np.zeros(3), (1, 0, 0), (0, 0, 1), "obj", "slave")
+_pts = np.random.default_rng(28).uniform(-0.05, 0.05, (20, 3))
+_cloud = PointCloud(_pts, np.ones((20, 2)))
+_bad = DegenerateInputError
+
+TYPED_FAILURES = {
+    "grid_centers_not_n_by_3": (_bad, lambda: FeatureGrid(np.zeros((4, 2)), np.zeros((4, 1)), 0.01)),
+    "grid_features_misaligned": (_bad, lambda: FeatureGrid(np.zeros((1, 3)), np.zeros((2, 1)), 0.01)),
+    "grid_duplicate_voxels": (_bad, lambda: FeatureGrid(np.zeros((2, 3)), np.zeros((2, 1)), 0.01)),
+    "voxelize_without_features": (_bad, lambda: voxelize_cloud(PointCloud(_pts))),
+    "voxelize_empty_cloud": (_bad, lambda: voxelize_cloud(PointCloud(_pts[:0], np.zeros((0, 2))))),
+    "similarity_dimension_mismatch": (_bad, lambda: region_similarity(_grid(), np.ones(3))),
+    "pairs_misaligned": (_bad, lambda: CorrespondenceSet(_pts[:3], _pts[:4], np.ones(3))),
+    "pairs_not_finite": (_bad, lambda: CorrespondenceSet.from_pairs(np.full((3, 3), np.nan), _pts[:3])),
+    "best_buddies_empty_region": (_bad,
+                                  lambda: relaxed_best_buddies(_grid(), _grid().select(_pts[:12, 0] > 1), 0.1)),
+    "best_buddies_negative_radius": (ConfigError, lambda: relaxed_best_buddies(_grid(), _grid(), -0.1)),
+    "ransac_no_iterations": (ConfigError, lambda: ransac_rigid_align(CorrespondenceSet.from_pairs(_pts, _pts), 0)),
+    "cpd_too_few_points": (_bad, lambda: nonrigid_register(_pts[:5], _pts)),
+    "deformation_not_finite": (_bad, lambda: nonrigid_register(_pts, _pts).apply([[np.inf, 0.0, 0.0]])),
+    "frame_solve_misaligned": (_bad, lambda: solve_keypoint_frame(_kf, _pts[:4], _pts[:3])),
+    "transfer_without_features": (_bad, lambda: transfer_keypoint(_cloud, _kf, PointCloud(_pts))),
+    "transfer_dimension_mismatch": (_bad, lambda: transfer_keypoint(_cloud, _kf, PointCloud(_pts, _pts))),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(TYPED_FAILURES))
+def test_transfer_failure_raises_its_typed_error(failure):
+    kind, call = TYPED_FAILURES[failure]
+    with pytest.raises(kind) as ei:
+        call()
+    # a KeycontactError reaches the CLI's JSON error line; a ValueError still
+    # reaches the callers that catch one
+    assert isinstance(ei.value, KeycontactError) and isinstance(ei.value, ValueError)
