@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+from ..errors import DegenerateInputError
 
 __all__ = ["PointCloud", "cloud_min_distance"]
 
@@ -21,15 +22,15 @@ class PointCloud:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must be (N, 3), got {pts.shape}")
+            raise DegenerateInputError(f"points must be (N, 3), got {pts.shape}")
         if not np.isfinite(pts).all():
-            raise ValueError("points contain non-finite values")
+            raise DegenerateInputError("points contain non-finite values")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.features is not None:
             f = np.asarray(self.features, dtype=float)
             if f.ndim != 2 or f.shape[0] != pts.shape[0]:
-                raise ValueError(
+                raise DegenerateInputError(
                     f"features must be (N, D) aligned with points, got {f.shape}"
                 )
             f.setflags(write=False)
@@ -44,7 +45,7 @@ class PointCloud:
 
     def centroid(self) -> np.ndarray:
         if len(self) == 0:
-            raise ValueError("empty cloud has no centroid")
+            raise DegenerateInputError("empty cloud has no centroid")
         return self.points.mean(axis=0)
 
 
@@ -54,7 +55,7 @@ def cloud_min_distance(a: PointCloud, b: PointCloud) -> float:
     Symmetric by construction. Raises on an empty operand.
     """
     if len(a) == 0 or len(b) == 0:
-        raise ValueError("cloud_min_distance requires non-empty clouds")
+        raise DegenerateInputError("cloud_min_distance requires non-empty clouds")
     # KD-tree on the larger cloud, query with the smaller one
     if len(a) < len(b):
         small, big = a.points, b.points
@@ -63,6 +64,7 @@ def cloud_min_distance(a: PointCloud, b: PointCloud) -> float:
     if len(big) <= 32:
         diff = small[:, None, :] - big[None, :, :]
         return float(np.sqrt((diff * diff).sum(axis=2).min()))
-    tree = cKDTree(big)
-    d, _ = tree.query(small, k=1)
+    from scipy.spatial import cKDTree
+
+    d, _ = cKDTree(big).query(small, k=1)
     return float(np.min(d))

@@ -342,6 +342,47 @@ def _winding_numbers(points: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
     return out
 
 
+def _far_edges(d: np.ndarray, cell: float) -> tuple[np.ndarray, np.ndarray]:
+    """Axis edges (a, b) of the node grid with d[a] + d[b] > cell + _SIGN_SLACK,
+    as flat node indices into d; such an edge cannot meet the surface."""
+    node = np.arange(d.size).reshape(d.shape)
+    heads, tails = [], []
+    for k in range(3):
+        lead = (slice(None),) * k + (slice(None, -1),)
+        trail = (slice(None),) * k + (slice(1, None),)
+        far = d[lead] + d[trail] > cell + _SIGN_SLACK
+        heads.append(node[lead][far])
+        tails.append(node[trail][far])
+    return np.concatenate(heads), np.concatenate(tails)
+
+
+def _component_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Connected-component labels 0..C-1 of the undirected graph on n nodes
+    with edges (heads[i], tails[i]).
+
+    Union-find in whole-array passes. Each pass hooks the larger root of
+    every edge that still joins two trees under the smaller one; where a
+    root is hooked by several edges, any one write may win and each is a
+    valid hook. Then it pointer-jumps until every node points at its root.
+    A parent is always smaller than its node, so no cycle can form, and a
+    component's root ends as its smallest node. Labels count the roots in
+    node order, as a sort-free np.unique(parent, return_inverse=True).
+    """
+    parent = np.arange(n)
+    while len(heads):
+        ra, rb = parent[heads], parent[tails]
+        open_ = ra != rb
+        heads, tails, ra, rb = heads[open_], tails[open_], ra[open_], rb[open_]
+        parent[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    roots = parent == np.arange(n)
+    return (np.cumsum(roots) - 1)[parent]
+
+
 @dataclass(frozen=True)
 class SdfGrid:
     """Uniform signed-distance grid; trilinear interpolation on query."""
@@ -461,17 +502,15 @@ class ShapeModel:
         and an axis edge (a, b) is one cell long, so no edge with
         dist[a] + dist[b] > cell + _SIGN_SLACK meets the surface; on a closed
         mesh the winding number is the same at both ends. The components of
-        the graph of such edges share one sign, which _winding_numbers
-        evaluates at each component's farthest node only. A node within the
-        slack of the surface has no such edge and gets its own winding
-        number. The slack (1e-6 m) lies far above the rounding of the
-        distances and the node positions; the tests pin the grids bit-identical
-        to evaluating the winding number at every node.
+        the graph of such edges (_far_edges, labelled by _component_labels)
+        share one sign, which _winding_numbers evaluates at each component's
+        farthest node only. Only the partition matters: whatever the labels,
+        the same node stands for each component. A node within the slack of
+        the surface has no such edge and gets its own winding number. The
+        slack (1e-6 m) lies far above the rounding of the distances and the
+        node positions; the tests pin the grids bit-identical to evaluating
+        the winding number at every node.
         """
-        # imported here, so code that builds no grid does not load csgraph
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-
         lo, hi = mesh.aabb()
         origin = lo - GRID_PADDING * cell
         top = hi + GRID_PADDING * cell
@@ -482,18 +521,8 @@ class ShapeModel:
         gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
         dist = _point_triangle_distances(pts, mesh)
-        d = dist.reshape(shape)
-        node = np.arange(len(pts)).reshape(shape)
-        heads, tails = [], []
-        for k in range(3):
-            lead = (slice(None),) * k + (slice(None, -1),)
-            trail = (slice(None),) * k + (slice(1, None),)
-            far = d[lead] + d[trail] > cell + _SIGN_SLACK
-            heads.append(node[lead][far])
-            tails.append(node[trail][far])
-        heads, tails = np.concatenate(heads), np.concatenate(tails)
-        graph = coo_matrix((np.ones(len(heads), dtype=np.int8), (heads, tails)), shape=(len(pts), len(pts)))
-        _, labels = connected_components(graph, directed=False)
+        heads, tails = _far_edges(dist.reshape(shape), cell)
+        labels = _component_labels(len(pts), heads, tails)
         # the farthest node of each component stands for it
         order = np.argsort(-dist, kind="stable")
         _, first = np.unique(labels[order], return_index=True)

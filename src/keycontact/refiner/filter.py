@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import ConfigError, DegenerateInputError
 from ..geometry import Pose, ShapeModel, average_quaternions, quat_from_rotvec, quat_to_rotvec
 from ..geometry.pose import quat_multiply, quat_rotate, quat_to_matrix
 
@@ -69,8 +70,6 @@ class NoiseConfig:
         if self.d_th <= 0:
             fails["d_th"] = "must be > 0"
         if fails:
-            from ..errors import ConfigError
-
             raise ConfigError(fails)
 
 
@@ -104,15 +103,16 @@ class ParticleSet:
         t = np.asarray(self.translations, dtype=float).reshape(-1, 3)
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if not (len(q) == len(t) == len(w)):
-            raise ValueError("particle arrays must align")
+            raise DegenerateInputError(
+                f"particle arrays must align: {len(q)} quats, {len(t)} translations, {len(w)} weights")
         if len(q) < 2:
-            raise ValueError("a particle set needs M >= 2")
+            raise DegenerateInputError(f"a particle set needs M >= 2, got {len(q)}")
         if (w < 0).any():
-            raise ValueError("weights must be non-negative")
+            raise DegenerateInputError("weights must be non-negative")
         s = w.sum()
         if abs(s - 1.0) > 1e-12:
             if s <= 0:
-                raise ValueError("weights must sum to a positive value")
+                raise DegenerateInputError("weights must sum to a positive value")
             w = w / s
         for name, v in (("quats", q), ("translations", t), ("weights", w)):
             v.setflags(write=False)
@@ -147,7 +147,7 @@ def _perturb(quats, trans, sigma_t, sigma_r, rng):
 def filter_init(initial_in_hand: Pose, noise: NoiseConfig, m: int = DEFAULT_PARTICLES, seed: int = 0) -> ParticleSet:
     """M particles around the vision estimate, uniform weights 1/M."""
     if m < 2:
-        raise ValueError("M must be >= 2")
+        raise ConfigError({"m": f"must be >= 2, got {m}"})
     rng = np.random.default_rng(seed)
     quats = np.tile(initial_in_hand.q, (m, 1))
     trans = np.tile(initial_in_hand.t, (m, 1))
@@ -267,7 +267,7 @@ def filter_update(
     raised instead of renormalizing zeros.
     """
     if not meas.confirmed:
-        raise ValueError("only confirmed contacts may enter the update")
+        raise DegenerateInputError("only confirmed contacts may enter the update")
     pts = slave_contact_points_in_keypoint_frame(slave, slave_kf)
     d = contact_distances(
         ps.quats, ps.translations, meas.end_effector_pose, master, meas.master_pose, pts

@@ -1,4 +1,8 @@
-"""Region-to-keypoint transfer: similarity, matching, registration, frame solve."""
+"""Region-to-keypoint transfer: similarity, matching, registration, frame solve.
+
+Each module imports scipy inside the functions that call it, so importing
+this package loads no scipy module; the first transfer pays for it.
+"""
 
 from .grids import DEFAULT_VOXEL, FeatureGrid, otsu_region, region_similarity, voxelize_cloud
 from .matching import (

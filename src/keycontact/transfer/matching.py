@@ -1,11 +1,13 @@
-"""Relaxed best-buddies feature matching and RANSAC rigid alignment."""
+"""Relaxed best-buddies feature matching and RANSAC rigid alignment.
+
+scipy's cdist is imported inside the functions that call it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..errors import ConfigError, DegenerateInputError
 from ..geometry import Pose
@@ -55,6 +57,8 @@ class CorrespondenceSet:
 
 def median_nn_feature_distance(grid: FeatureGrid) -> float:
     """Median nearest-neighbor distance in feature space (self-matches excluded)."""
+    from scipy.spatial.distance import cdist
+
     d = cdist(grid.features, grid.features)
     np.fill_diagonal(d, np.inf)
     return float(np.median(d.min(axis=1)))
@@ -72,6 +76,8 @@ def relaxed_best_buddies(ref: FeatureGrid, tgt: FeatureGrid, d_t: float) -> Corr
         raise ConfigError({"d_t": f"must be >= 0, got {d_t}"})
     if len(ref) == 0 or len(tgt) == 0:
         raise DegenerateInputError("both regions must be non-empty")
+    from scipy.spatial.distance import cdist
+
     # exact differences: identical features must be at distance exactly 0,
     # or d_t = 0 drops true mutual pairs
     cross = cdist(ref.features, tgt.features)

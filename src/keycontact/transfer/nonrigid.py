@@ -12,6 +12,8 @@ place, and the (N_ref, N_ref) system matrix of the M-step. The kernels are
 built the same way. The only (N_ref, N_tgt, 3) temporary left is the
 one-time sigma^2 start, squared in place: summing the cdist matrix instead
 adds in another order and moves the fit in its last bits.
+
+scipy's cdist is imported inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..errors import DegenerateInputError
 
@@ -71,6 +72,8 @@ class DeformationMap:
 
 def _gaussian_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
     """exp(-|a_i - b_j|^2 / (2 bandwidth^2)), built in one (len(a), len(b)) buffer."""
+    from scipy.spatial.distance import cdist
+
     k = cdist(a, b, "sqeuclidean")
     np.divide(k, -2.0 * bandwidth**2, out=k)
     return np.exp(k, out=k)
@@ -105,6 +108,7 @@ def nonrigid_register(
         raise DegenerateInputError(
             f"non-rigid registration needs >= 10 points per cloud, got {n_ref} and {n_tgt}"
         )
+    from scipy.spatial.distance import cdist
 
     # common normalization keeps the kernel bandwidth scale-free
     mu = np.vstack([y0, x]).mean(axis=0)

@@ -5,6 +5,8 @@ best-buddies correspondences -> RANSAC rigid alignment -> non-rigid
 registration phi -> keypoint frame (origin phi(o), axes from the
 least-squares frame solve) -> inverse alignment back into the target object
 frame.
+
+scipy's cKDTree is imported inside _nearest, its only caller.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ def test_every_name_in_a_module_all_resolves():
 
 # modules whose every error is a KeycontactError subclass; a bare ValueError
 # or RuntimeError here would escape the CLI's typed error reporting
-TYPED_MODULES = ["geometry/shape.py", "geometry/meshio.py", "constraints.py", "refiner/strategy.py",
-                 "refiner/loop.py", "sim/probe.py", "transfer/grids.py", "transfer/matching.py",
-                 "transfer/nonrigid.py", "transfer/pipeline.py"]
+TYPED_MODULES = ["geometry/shape.py", "geometry/meshio.py", "geometry/cloud.py", "constraints.py",
+                 "refiner/strategy.py", "refiner/filter.py", "refiner/loop.py", "sim/probe.py", "transfer/grids.py",
+                 "transfer/matching.py", "transfer/nonrigid.py", "transfer/pipeline.py"]
 
 
 @pytest.mark.parametrize("module", TYPED_MODULES)

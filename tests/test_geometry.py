@@ -26,7 +26,9 @@ from keycontact.geometry.shape import (
     GRID_PADDING,
     Obb,
     SdfGrid,
+    _component_labels,
     _cube_blocks,
+    _far_edges,
     _point_triangle_distances,
     _winding_numbers,
 )
@@ -259,6 +261,26 @@ def test_cloud_min_distance_matches_brute_force():
 def test_cloud_min_distance_empty_rejected():
     with pytest.raises(ValueError):
         cloud_min_distance(PointCloud(np.zeros((0, 3))), PointCloud(np.zeros((1, 3))))
+
+
+@pytest.mark.parametrize("points, features, match", [
+    (np.zeros((4, 2)), None, r"points must be \(N, 3\)"),
+    (np.array([[0.0, 0.0, np.nan]]), None, "non-finite"),
+    (np.zeros((4, 3)), np.zeros((3, 2)), "features must be"),
+    (np.zeros((4, 3)), np.zeros(4), "features must be"),
+], ids=["shape", "non-finite", "feature-rows", "feature-dims"])
+def test_point_cloud_rejects_malformed_arrays(points, features, match):
+    with pytest.raises(DegenerateInputError, match=match):
+        PointCloud(points, features)
+
+
+def test_empty_cloud_has_no_centroid_or_distance():
+    empty, one = PointCloud(np.zeros((0, 3))), PointCloud(np.zeros((1, 3)))
+    with pytest.raises(DegenerateInputError, match="no centroid"):
+        empty.centroid()
+    for a, b in ((empty, one), (one, empty)):
+        with pytest.raises(DegenerateInputError, match="non-empty clouds"):
+            cloud_min_distance(a, b)
 
 
 # --- SDF -------------------------------------------------------------------
@@ -598,6 +620,41 @@ def test_flood_filled_signs_equal_the_all_node_pass_on_scene_meshes(profile):
                          ids=["box", "icosphere"])
 def test_flood_filled_signs_equal_the_all_node_pass_on_closed_meshes(mesh, cell):
     assert ShapeModel(mesh, cell).grid.values.tobytes() == all_node_sign_values(mesh, cell).tobytes()
+
+
+@pytest.mark.parametrize("name, cell", [("round_master", DEFAULT_CELL), ("round_slave", DEFAULT_CELL),
+                                        ("hexagon_master", DEFAULT_CELL), ("hexagon_slave", DEFAULT_CELL),
+                                        ("round_master", 0.001)],
+                         ids=["round_master", "round_slave", "hexagon_master", "hexagon_slave", "round_master_1mm"])
+def test_component_labels_split_far_edge_graphs_as_csgraph_does(scene_meshes, name, cell):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy.sparse import coo_matrix
+
+    mesh = scene_meshes[name]
+    pts = _grid_nodes(mesh, cell)
+    lo, hi = mesh.aabb()
+    origin = lo - GRID_PADDING * cell
+    shape = np.ceil((hi + GRID_PADDING * cell - origin) / cell).astype(int) + 1
+    heads, tails = _far_edges(_point_triangle_distances(pts, mesh).reshape(shape), cell)
+    labels = _component_labels(len(pts), heads, tails)
+    graph = coo_matrix((np.ones(len(heads), dtype=np.int8), (heads, tails)), shape=(len(pts), len(pts)))
+    _, reference = csgraph.connected_components(graph, directed=False)
+    # the same partition: each label of one side meets exactly one of the other
+    pairs = np.unique(np.stack([labels, reference]), axis=1)
+    assert len(pairs[0]) == len(np.unique(labels)) == len(np.unique(reference))
+
+
+@pytest.mark.parametrize("n, edges, expected", [
+    (4, [], [0, 1, 2, 3]),
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0, 0, 0, 0, 0]),
+    (5, [(4, 3), (3, 2), (2, 1), (1, 0)], [0, 0, 0, 0, 0]),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 0, 0, 0]),
+    (4, [(2, 3), (3, 2), (2, 3), (1, 1), (2, 3)], [0, 1, 2, 2]),
+    (7, [(0, 2), (2, 0), (4, 6)], [0, 1, 0, 2, 3, 4, 3]),
+], ids=["no-edges", "chain", "reversed-chain", "cycle", "repeated-edges", "isolated-between"])
+def test_component_labels_on_small_graphs(n, edges, expected):
+    heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    assert _component_labels(n, heads, tails).tolist() == expected
 
 
 def test_flood_filled_signs_keep_nodes_on_the_surface_apart_at_1mm(scene_meshes):

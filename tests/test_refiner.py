@@ -11,6 +11,7 @@ from keycontact.geometry import Pose, quat_from_rotvec, sdf_query
 from keycontact.geometry.pose import _norm, quat_multiply, quat_rotate, quat_to_matrix
 from keycontact.geometry.shape import SdfGrid
 from keycontact.refiner import (
+    ContactMeasurement,
     NoiseConfig,
     ParticleSet,
     effective_sample_size,
@@ -632,6 +633,31 @@ def test_negative_contact_count_is_a_config_error(scene):
 
 
 # --- filter -----------------------------------------------------------------
+
+@pytest.mark.parametrize("m, weights, match", [
+    (3, np.full(2, 0.5), "must align"),
+    (1, np.ones(1), "M >= 2"),
+    (2, np.array([1.5, -0.5]), "non-negative"),
+    (2, np.zeros(2), "sum to a positive value"),
+], ids=["misaligned", "too-few", "negative", "zero-sum"])
+def test_particle_set_rejects_malformed_arrays(m, weights, match):
+    quats = np.tile([1.0, 0.0, 0.0, 0.0], (m, 1))
+    with pytest.raises(DegenerateInputError, match=match):
+        ParticleSet(quats, np.zeros((m, 3)), weights)
+
+
+def test_filter_init_rejects_fewer_than_two_particles(scene):
+    with pytest.raises(ConfigError) as ei:
+        filter_init(scene.z_perceived, NoiseConfig(), 1)
+    assert set(ei.value.failures) == {"m"}
+
+
+def test_filter_update_rejects_an_unconfirmed_contact(scene):
+    ps = filter_init(scene.z_perceived, NoiseConfig(), 4)
+    meas = ContactMeasurement(Pose.identity(), scene.master_perceived, confirmed=False)
+    with pytest.raises(DegenerateInputError, match="only confirmed contacts"):
+        filter_update(ps, meas, scene.master_shape, scene.slave_shape, NoiseConfig(), scene.slave_kf)
+
 
 def test_weights_normalized_after_update_and_resample(scene, candidates):
     noise = NoiseConfig(d_th=0.002)
