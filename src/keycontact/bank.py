@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .constraints import GraspRegion
-from .errors import BankError, RecordNotFoundError, SchemaError
+from .errors import BankError, DegenerateInputError, RecordNotFoundError, SchemaError
 from .keypoints import KeypointFrame, WaypointPath
 from .serialize import SCHEMA_VERSION, canonical_json, check_schema
 
@@ -116,7 +116,7 @@ class PlanRecord:
 
     def __post_init__(self):
         if not self.subtasks:
-            raise ValueError("a plan needs at least one subtask")
+            raise DegenerateInputError("a plan needs at least one subtask")
         object.__setattr__(self, "subtasks", tuple(self.subtasks))
 
     def to_json(self) -> dict:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError
 from .geometry import Obb, average_quaternions, quat_to_rotvec
 from .geometry.pose import quat_conjugate, quat_multiply, rotation_angle_between
+from .geometry.shape import _component_labels
 from .keypoints import KeypointFrame
 from .serialize import SCHEMA_VERSION, check_schema, vec_to_json
 
@@ -133,8 +134,8 @@ def group_grasps_fallback(
 
     Two frames are neighbors when max(|dc| / pos_eps, dangle / ang_eps) <= 1.
     Deterministic given input order; groups come out ordered by their lowest
-    member index. This is the non-semantic stand-in for reasoning-based
-    grouping.
+    member index, each with its members in input order. This is the
+    non-semantic stand-in for reasoning-based grouping.
     """
     fails = {
         name: "must be > 0"
@@ -152,22 +153,8 @@ def group_grasps_fallback(
     dang = rotation_angle_between(quats[:, None, :], quats[None, :, :])
     adj = np.maximum(dpos / pos_eps, dang / ang_eps) <= 1.0
 
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[KeypointFrame]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(frames[i])
-    return [groups[r] for r in sorted(groups)]
+    labels = _component_labels(n, *np.nonzero(np.triu(adj, 1)))
+    groups: list[list[KeypointFrame]] = [[] for _ in range(labels.max() + 1)]
+    for frame, label in zip(frames, labels):
+        groups[label].append(frame)
+    return groups

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import DegenerateInputError
 
-__all__ = ["PointCloud", "cloud_min_distance"]
+__all__ = ["PointCloud", "cloud_min_distance", "nearest_neighbors"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,17 @@ class PointCloud:
         return self.points.mean(axis=0)
 
 
+def nearest_neighbors(query: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance to and index of the nearest target point, per query point.
+
+    This is the package's one kd-tree query. scipy is imported inside it, so
+    code that never asks for a nearest neighbour runs without scipy.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(target).query(query, k=1)
+
+
 def cloud_min_distance(a: PointCloud, b: PointCloud) -> float:
     """Minimum Euclidean distance over all point pairs of the two clouds.
 
@@ -57,14 +68,6 @@ def cloud_min_distance(a: PointCloud, b: PointCloud) -> float:
     if len(a) == 0 or len(b) == 0:
         raise DegenerateInputError("cloud_min_distance requires non-empty clouds")
     # KD-tree on the larger cloud, query with the smaller one
-    if len(a) < len(b):
-        small, big = a.points, b.points
-    else:
-        small, big = b.points, a.points
-    if len(big) <= 32:
-        diff = small[:, None, :] - big[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=2).min()))
-    from scipy.spatial import cKDTree
-
-    d, _ = cKDTree(big).query(small, k=1)
+    small, big = (a, b) if len(a) < len(b) else (b, a)
+    d, _ = nearest_neighbors(small.points, big.points)
     return float(np.min(d))

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import DegenerateInputError
+
 __all__ = [
     "Pose",
     "compose",
@@ -213,9 +215,9 @@ class Pose:
         t = _as_vec3(self.t)
         n = np.linalg.norm(q)
         if not np.isfinite(n) or n < 1e-12:
-            raise ValueError("quaternion norm is degenerate")
+            raise DegenerateInputError("quaternion norm is degenerate")
         if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"quaternion norm {n} too far from 1")
+            raise DegenerateInputError(f"quaternion norm {n} too far from 1")
         q = q / n
         if q[0] < 0.0:
             q = -q
@@ -277,9 +279,6 @@ class Pose:
         q = quat_multiply(self.q, other.q)
         q = q / np.linalg.norm(q)
         return Pose(q, quat_rotate(self.q, other.t) + self.t)
-
-    def rotvec(self) -> np.ndarray:
-        return quat_to_rotvec(self.q)
 
     def rotation_angle_to(self, other: "Pose") -> float:
         return rotation_angle_between(self.q, other.q)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DegenerateInputError
 from .shape import TriangleMesh
 
 __all__ = ["box_mesh", "prism_mesh", "icosphere_mesh"]
@@ -42,7 +43,7 @@ def prism_mesh(polygon_xy: np.ndarray, z_min: float, z_max: float) -> TriangleMe
     poly = np.asarray(polygon_xy, dtype=float)
     n = len(poly)
     if n < 3:
-        raise ValueError("polygon needs at least 3 vertices")
+        raise DegenerateInputError("polygon needs at least 3 vertices")
     centroid = poly.mean(axis=0)
     bot = np.column_stack([poly[:, 0], poly[:, 1], np.full(n, z_min)])
     top = np.column_stack([poly[:, 0], poly[:, 1], np.full(n, z_max)])

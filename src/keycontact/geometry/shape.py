@@ -539,12 +539,6 @@ class ShapeModel:
     def sdf_local(self, points: np.ndarray) -> np.ndarray:
         return self.grid.query(points)
 
-    def obb(self) -> "Obb":
-        """Object-frame box (axis-aligned in the object frame, identity orientation)."""
-        center = 0.5 * (self.aabb_min + self.aabb_max)
-        half = 0.5 * (self.aabb_max - self.aabb_min)
-        return Obb(center, half, np.array([1.0, 0.0, 0.0, 0.0]))
-
 
 @dataclass(frozen=True)
 class Obb:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, SchemaError
 from .geometry import PointCloud, Pose
+from .geometry.cloud import nearest_neighbors
 from .serialize import SCHEMA_VERSION, check_schema, vec_to_json, pose_to_json, pose_from_json
 
 __all__ = [
@@ -149,18 +150,6 @@ class WaypointPath:
         )
 
 
-def _nearest_point_index(query_cloud: np.ndarray, target_cloud: np.ndarray) -> int:
-    """Index into query_cloud of the point nearest to any target point.
-
-    Exhaustive; ties break toward the lowest index.
-    """
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(target_cloud)
-    d, _ = tree.query(query_cloud, k=1)
-    return int(np.argmin(d))
-
-
 def extract_slave_keypoint(
     slave_cloud_at_contact: PointCloud,
     master_cloud_at_contact: PointCloud,
@@ -190,7 +179,9 @@ def extract_slave_keypoint(
     if len(sp) == 0 or len(mp) == 0:
         raise ValueError("contact clouds must be non-empty")
 
-    ci = _nearest_point_index(sp, mp)
+    # the slave point nearest any master point; argmin breaks ties low
+    d, _ = nearest_neighbors(sp, mp)
+    ci = int(np.argmin(d))
     c_world = sp[ci]
 
     pose_tb = slave_pose_history[contact_index]

@@ -35,7 +35,7 @@ class NeighborhoodSearch:
     pen_samples: int = 400  # surface samples per shape when scoring
 
 
-def _sample_neighborhood(pose: Pose, search: NeighborhoodSearch, rng, k: int):
+def _sample_neighborhood(pose: Pose, radius_t: float, radius_r: float, rng, k: int):
     """k pose candidates around pose; index 0 is the unperturbed pose.
 
     Translation radii are stratified across shells of the ball; rotations use
@@ -48,14 +48,14 @@ def _sample_neighborhood(pose: Pose, search: NeighborhoodSearch, rng, k: int):
     n = k - 1
     if n > 0:
         u = (np.arange(n) + rng.random(n)) / n
-        radii = search.radius_t * np.cbrt(u)
+        radii = radius_t * np.cbrt(u)
         dirs = rng.normal(size=(n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         trans[1:] = pose.t + radii[:, None] * dirs
 
         ang_u = (np.arange(n) + rng.random(n)) / n
         rng.shuffle(ang_u)
-        angles = search.radius_r * ang_u
+        angles = radius_r * ang_u
         axes = rng.normal(size=(n, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
         quats[1:] = quat_multiply(pose.q, quat_from_rotvec(angles[:, None] * axes))
@@ -124,7 +124,7 @@ def refine_grounded_trajectory(
     pen_before = np.empty(len(traj))
     pen_after = np.empty(len(traj))
     for i, pose in enumerate(traj):
-        quats, trans = _sample_neighborhood(pose, search, rng, search.samples)
+        quats, trans = _sample_neighborhood(pose, search.radius_t, search.radius_r, rng, search.samples)
         depth = _batch_penetration(quats, trans, master, master_pose, slave, search)
         pen_before[i] = depth[0]
         best_depth = depth.min()
@@ -182,16 +182,8 @@ def refine_transferred_keypoints(
 
     center = start
     radius_t, radius_r = search.radius_t, search.radius_r
-    for rnd in range(search.rounds):
-        local = NeighborhoodSearch(
-            radius_t=radius_t,
-            radius_r=radius_r,
-            samples=search.samples,
-            pen_tol=search.pen_tol,
-            rot_weight=search.rot_weight,
-            pen_samples=search.pen_samples,
-        )
-        quats, trans = _sample_neighborhood(center, local, rng, search.samples)
+    for _ in range(search.rounds):
+        quats, trans = _sample_neighborhood(center, radius_t, radius_r, rng, search.samples)
         depth = _batch_penetration(quats, trans, master, master_pose, slave, search)
         kf_quats = quat_multiply(quats, slave_kf.as_pose().q)
         rot = quat_to_matrix(quats)

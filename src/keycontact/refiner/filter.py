@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 DEFAULT_PARTICLES = 500
+# a slave contact sample set is the keypoint plus slave surface samples drawn
+# with CONTACT_SAMPLE_SEED: FILTER_SAMPLES of them where the filter and the
+# virtual probe score contacts, PROBE_SAMPLES where the real probe detects one
+CONTACT_SAMPLE_SEED = 7
+FILTER_SAMPLES = 64
+PROBE_SAMPLES = 96
 # slave points per array pass of contact_distances: larger passes spill the
 # cache and fault in fresh pages for every temporary, which took longer than
 # the arithmetic
@@ -238,11 +244,10 @@ def _min_sdf(g_q, g_t, quats, trans, master, master_inv, slave_contact_points) -
     return d.reshape(len(g_q), len(quats), -1).min(axis=2)
 
 
-def slave_contact_points_in_keypoint_frame(
-    slave: ShapeModel, slave_kf, n_samples: int = 64, seed: int = 7
-) -> np.ndarray:
-    """Slave surface samples re-expressed in the keypoint frame (origin first)."""
-    pts, _ = slave.surface_samples(n_samples, seed=seed)
+def slave_contact_points_in_keypoint_frame(slave: ShapeModel, slave_kf) -> np.ndarray:
+    """The filter's FILTER_SAMPLES slave surface samples re-expressed in the
+    keypoint frame, after the keypoint itself (the origin)."""
+    pts, _ = slave.surface_samples(FILTER_SAMPLES, seed=CONTACT_SAMPLE_SEED)
     inv = slave_kf.as_pose().inverse()
     return np.vstack([np.zeros(3), inv.apply(pts)])
 

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, RefinementDivergence
+from ..errors import ConfigError, DegenerateInputError, RefinementDivergence
 from ..refiner import NoiseConfig, RefinementConfig, run_refinement
 from ..serialize import canonical_json
-from .scenes import PROFILES, Scene, SceneNoise, make_peg_hole_scene
+from .scenes import INSERT_MARGIN, PROFILES, SceneNoise, make_peg_hole_scene
 
 __all__ = ["CampaignConfig", "TrialResult", "run_campaign", "wilson_interval", "write_campaign_outputs"]
 
@@ -34,7 +34,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     there its bound at 0 or 1 is exact.
     """
     if trials < 1 or not 0 <= successes <= trials:
-        raise ValueError(f"need 0 <= successes <= trials and trials >= 1, got {successes}/{trials}")
+        raise DegenerateInputError(f"need 0 <= successes <= trials and trials >= 1, got {successes}/{trials}")
     p = successes / trials
     z2n = Z95 * Z95 / trials
     center = (p + 0.5 * z2n) / (1.0 + z2n)
@@ -64,8 +64,8 @@ class CampaignConfig:
                 fails[f"profiles[{p}]"] = f"unknown profile (choose from {PROFILES})"
         if self.clearance < 0:
             fails["clearance"] = "must be >= 0"
-        if self.depth <= 0:
-            fails["depth"] = "must be > 0"
+        if self.depth <= INSERT_MARGIN:
+            fails["depth"] = f"must exceed the insertion margin {INSERT_MARGIN} m"
         if self.trials < 1:
             fails["trials"] = "must be >= 1"
         if self.n_contacts < 0:

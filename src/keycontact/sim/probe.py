@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import DegenerateInputError
 from ..geometry import Pose
 from ..geometry.pose import _norm, matrix_to_quat, quat_multiply, quat_rotate, quat_to_matrix
-from ..refiner.filter import ContactMeasurement, NoiseConfig
+from ..refiner.filter import CONTACT_SAMPLE_SEED, FILTER_SAMPLES, PROBE_SAMPLES, ContactMeasurement, NoiseConfig
 from ..refiner.strategy import StrategySet, strategy_frames
 from .scenes import Scene
 
@@ -40,11 +40,9 @@ STANDOFF = 0.02  # m before the target point along the approach
 STEP = 0.0005  # m, smallest sphere-march advance
 MAX_TRAVEL = 0.05  # m
 CONTACT_TOL = 1e-5  # 0.01 mm
-PROBE_SAMPLES = 96
 # strategy ranking is insensitive to sub-d_th imprecision, so virtual
-# rollouts use a reduced sample set and a coarser bisection
+# rollouts use the filter's reduced sample set and a coarser bisection
 VIRTUAL_CONTACT_TOL = 1e-4
-VIRTUAL_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class ProbeSimulator:
     def __init__(self, scene: Scene, contact_tol: float = CONTACT_TOL, n_samples: int = PROBE_SAMPLES):
         self.scene = scene
         self.contact_tol = float(contact_tol)
-        pts, _ = scene.slave_shape.surface_samples(n_samples, seed=7)
+        pts, _ = scene.slave_shape.surface_samples(n_samples, seed=CONTACT_SAMPLE_SEED)
         # the keypoint itself always belongs to the contact sample set
         self._slave_samples = np.vstack([scene.slave_kf.origin[None, :], pts])
         self._kf_inv = scene.slave_kf.as_pose().inverse()
@@ -254,6 +252,6 @@ class ProbeSimulator:
 
     def virtual_probe(self):
         """Batched rollout callable for strategy selection: the bound
-        probe_batch of a simulator with VIRTUAL_SAMPLES samples and
-        VIRTUAL_CONTACT_TOL tolerance."""
-        return ProbeSimulator(self.scene, VIRTUAL_CONTACT_TOL, VIRTUAL_SAMPLES).probe_batch
+        probe_batch of a simulator with the filter's FILTER_SAMPLES samples
+        and VIRTUAL_CONTACT_TOL tolerance."""
+        return ProbeSimulator(self.scene, VIRTUAL_CONTACT_TOL, FILTER_SAMPLES).probe_batch

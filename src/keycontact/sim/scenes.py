@@ -9,16 +9,18 @@ the ground-truth insertion waypoint is a pure z-offset in the master keypoint
 frame.
 
 All perception error is expressed in the in-hand estimate: the composite
-filter state absorbs master-side error anyway, so the scene default leaves
-the master pose exact and perturbs only the gripper-to-keypoint transform.
+filter state absorbs master-side error anyway, so a scene perceives the
+master pose exactly (master_perceived is master_true) and perturbs only the
+gripper-to-keypoint transform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError, DegenerateInputError
 from ..geometry import Pose, ShapeModel, TriangleMesh, penetration_depth
 from ..geometry.pose import quat_from_rotvec
 from ..keypoints import KeypointFrame
@@ -71,7 +73,7 @@ def profile_polygon(profile: str, size: float) -> np.ndarray:
         return _regular_polygon(3, size)
     if profile == "pentagon":
         return _regular_polygon(5, size)
-    raise ValueError(f"unsupported profile {profile!r} (choose from {PROFILES})")
+    raise ConfigError({"profile": f"unsupported {profile!r} (choose from {PROFILES})"})
 
 
 def offset_polygon(poly: np.ndarray, c: float) -> np.ndarray:
@@ -86,7 +88,7 @@ def offset_polygon(poly: np.ndarray, c: float) -> np.ndarray:
         n2 = np.array([e2[1], -e2[0]]) / np.linalg.norm(e2)
         denom = 1.0 + float(n1 @ n2)
         if abs(denom) < 1e-9:
-            raise ValueError("degenerate polygon corner during offsetting")
+            raise DegenerateInputError("degenerate polygon corner during offsetting")
         out[i] = p + c * (n1 + n2) / denom
     return out
 
@@ -171,25 +173,17 @@ def _block_with_cavity(
 
 @dataclass(frozen=True)
 class SceneNoise:
-    """Perception-noise scales applied when a scene is generated."""
+    """In-hand perception-noise scales applied when a scene is generated."""
 
     in_hand_sigma_t: float = 0.005  # m
     in_hand_sigma_r: float = np.deg2rad(5.0)  # rad
-    master_sigma_t: float = 0.0
-    master_sigma_r: float = 0.0
 
 
 @dataclass(frozen=True)
 class Scene:
     """Ground truth + perceived state of one insertion setup."""
 
-    profile: str
     clearance: float
-    depth: float
-    insert_margin: float
-    peg_radius: float
-    hole_radius: float
-    peg_length: float
     master_shape: ShapeModel
     slave_shape: ShapeModel
     master_true: Pose  # master object pose, world
@@ -199,9 +193,6 @@ class Scene:
     master_kf: KeypointFrame
     slave_kf: KeypointFrame
     insertion_waypoint: Pose  # slave kf in the master kf frame at full depth
-    noise: SceneNoise
-    seed: int
-    noise_draw: dict = field(default_factory=dict)  # recorded perturbations
 
     @property
     def master_kf_world_true(self) -> Pose:
@@ -261,19 +252,22 @@ def make_peg_hole_scene(
     seed: int,
     noise: SceneNoise = SceneNoise(),
 ) -> Scene:
-    """Build a peg + cavity-block scene with recorded perception noise.
+    """Build a peg + cavity-block scene with in-hand perception noise.
 
     The master block sits at the world origin. The hole cross-section is the
     peg profile offset outward by the clearance (round profiles scale the
     vertex radius exactly, so hole radius equals peg radius + clearance by
     construction).
     """
+    fails = {}
+    if profile not in PROFILES:
+        fails["profile"] = f"unsupported {profile!r} (choose from {PROFILES})"
     if clearance < 0:
-        raise ValueError("clearance must be >= 0")
-    if depth <= 0:
-        raise ValueError("depth must be positive")
-    if INSERT_MARGIN >= depth:
-        raise ValueError(f"depth must exceed the insertion margin {INSERT_MARGIN} m")
+        fails["clearance"] = "must be >= 0"
+    if depth <= INSERT_MARGIN:
+        fails["depth"] = f"must exceed the insertion margin {INSERT_MARGIN} m"
+    if fails:
+        raise ConfigError(fails)
     peg_length = depth + GRIP_EXTRA
     master_shape, slave_shape = _shapes_cached(profile, clearance, depth)
 
@@ -287,33 +281,19 @@ def make_peg_hole_scene(
     z_true = Pose.from_rotation(_KF_ROT, (0.0, 0.0, -peg_length))
 
     master_true = Pose.identity()
-    rng = np.random.default_rng(seed)
-    m_noise = _noise_pose(rng, noise.master_sigma_t, noise.master_sigma_r)
-    z_noise = _noise_pose(rng, noise.in_hand_sigma_t, noise.in_hand_sigma_r)
+    z_noise = _noise_pose(np.random.default_rng(seed), noise.in_hand_sigma_t, noise.in_hand_sigma_r)
 
     return Scene(
-        profile=profile,
         clearance=float(clearance),
-        depth=float(depth),
-        insert_margin=INSERT_MARGIN,
-        peg_radius=PEG_SIZE,
-        hole_radius=float(PEG_SIZE + clearance),
-        peg_length=float(peg_length),
         master_shape=master_shape,
         slave_shape=slave_shape,
         master_true=master_true,
         z_true=z_true,
-        master_perceived=master_true.compose(m_noise),
+        master_perceived=master_true,
         z_perceived=z_true.compose(z_noise),
         master_kf=master_kf,
         slave_kf=slave_kf,
         insertion_waypoint=Pose(t=(0.0, 0.0, depth - INSERT_MARGIN)),
-        noise=noise,
-        seed=int(seed),
-        noise_draw={
-            "master": {"q": m_noise.q.tolist(), "t": m_noise.t.tolist()},
-            "in_hand": {"q": z_noise.q.tolist(), "t": z_noise.t.tolist()},
-        },
     )
 
 

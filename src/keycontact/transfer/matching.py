@@ -1,6 +1,8 @@
 """Relaxed best-buddies feature matching and RANSAC rigid alignment.
 
-scipy's cdist is imported inside the functions that call it.
+scipy's cdist is imported inside the functions that call it. Neighbours in
+feature space come from its dense distance matrices; nearest points in 3-D
+space come from geometry.cloud.nearest_neighbors, the one kd-tree query.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ registration phi -> keypoint frame (origin phi(o), axes from the
 least-squares frame solve) -> inverse alignment back into the target object
 frame.
 
-scipy's cKDTree is imported inside _nearest, its only caller.
+The registration residual's nearest-point query is geometry.cloud's
+nearest_neighbors, which imports scipy where it is called.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from ..errors import DegenerateInputError, TransferStageError
 from ..geometry import PointCloud, Pose
+from ..geometry.cloud import nearest_neighbors
 from ..keypoints import KeypointFrame
 from .grids import DEFAULT_VOXEL, FeatureGrid, otsu_region, region_similarity, voxelize_cloud
 from .matching import kabsch_fit, median_nn_feature_distance, ransac_rigid_align, relaxed_best_buddies
@@ -80,13 +82,13 @@ def transfer_keypoint(
     ref_kf: KeypointFrame,
     tgt_cloud: PointCloud,
     config: TransferConfig = TransferConfig(),
-    tgt_owner: str = "target",
 ) -> tuple[KeypointFrame, TransferDiagnostics]:
     """Map a reference keypoint frame onto a target object.
 
     Both clouds are object-frame points with aligned D-dim features. Returns
-    the keypoint frame in the target object frame plus diagnostics. A
-    degenerate stage raises TransferStageError naming the stage.
+    the keypoint frame in the target object frame, owned by "target", plus
+    diagnostics. A degenerate stage raises TransferStageError naming the
+    stage.
 
     The origin is phi(o), the reference origin o carried by the non-rigid
     map, so a scaled or warped target puts the keypoint on its corresponding
@@ -115,7 +117,7 @@ def transfer_keypoint(
             raise TransferStageError(name, str(e)) from e
 
     ref_grid = stage("voxelize", voxelize_cloud, ref_cloud, config.voxel_cell, "reference")
-    tgt_grid = stage("voxelize", voxelize_cloud, tgt_cloud, config.voxel_cell, tgt_owner)
+    tgt_grid = stage("voxelize", voxelize_cloud, tgt_cloud, config.voxel_cell, "target")
 
     query_feature = ref_grid.feature_at(ref_kf.origin)
     ref_sim = stage("similarity", region_similarity, ref_grid, query_feature)
@@ -145,18 +147,14 @@ def transfer_keypoint(
     aligned_tgt = align.apply(tgt_region.centers)
     deform = stage("nonrigid", nonrigid_register, ref_region.centers, aligned_tgt)
     deformed_ref = deform.apply(ref_region.centers)
-    residual = float(
-        np.sqrt(((deformed_ref - _nearest(deformed_ref, aligned_tgt)) ** 2).sum(axis=1)).mean()
-    )
+    residual = float(nearest_neighbors(deformed_ref, aligned_tgt)[0].mean())
 
-    fitted = stage(
-        "frame_solve", solve_keypoint_frame, ref_kf, ref_region.centers, deformed_ref, tgt_owner
-    )
+    fitted = stage("frame_solve", solve_keypoint_frame, ref_kf, ref_region.centers, deformed_ref)
     # axes from the rigid fit, origin where phi carries the keypoint
     frame_aligned = Pose(fitted.as_pose().q, deform.apply(ref_kf.origin)[0])
     # back into the target object frame
     tgt_pose = align.inverse().compose(frame_aligned)
-    out = KeypointFrame.from_pose(tgt_pose, owner=tgt_owner, role=ref_kf.role)
+    out = KeypointFrame.from_pose(tgt_pose, owner="target", role=ref_kf.role)
 
     diag = TransferDiagnostics(
         ref_region_size=len(ref_region),
@@ -172,10 +170,3 @@ def transfer_keypoint(
         otsu_threshold_tgt=float(thr_tgt),
     )
     return out, diag
-
-
-def _nearest(query: np.ndarray, target: np.ndarray) -> np.ndarray:
-    from scipy.spatial import cKDTree
-
-    _, idx = cKDTree(target).query(query, k=1)
-    return target[idx]

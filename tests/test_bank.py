@@ -10,7 +10,7 @@ import pytest
 import keycontact
 from keycontact import bank as bank_module
 from keycontact.bank import Bank, PlanRecord, SkillRecord
-from keycontact.errors import BankError, SchemaError
+from keycontact.errors import BankError, DegenerateInputError, SchemaError
 from keycontact.geometry import Pose
 from keycontact.keypoints import KeypointFrame, WaypointPath
 from keycontact.serialize import canonical_json
@@ -175,3 +175,8 @@ def test_query_text_reads_the_index_once(tmp_path, monkeypatch):
     monkeypatch.setattr(bank, "_read_index", lambda: reads.append(1) or read_index())
     assert [rid for rid, _ in bank.query_text("peg", n_top=2)] == ids
     assert len(reads) == 1
+
+
+def test_a_plan_needs_a_subtask():
+    with pytest.raises(DegenerateInputError, match="at least one subtask"):
+        PlanRecord("assemble", ())

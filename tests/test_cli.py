@@ -3,6 +3,7 @@ import json
 import pytest
 
 from keycontact.cli import main
+from keycontact.serialize import SCHEMA_VERSION
 
 TINY_CAMPAIGN = {"profiles": ["round"], "trials": 1, "n_contacts": 1, "selection": "random", "particles": 20}
 
@@ -41,6 +42,24 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     err = _error(capsys)
     assert err["error"] == "FileNotFoundError"
     assert "absent.json" in err["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("--clearance", "-0.001"), ("--depth", "0.001"), ("--profile", "bogus")])
+def test_refine_with_an_invalid_scene_flag_exits_2_naming_it(tmp_path, capsys, flag, value):
+    out = tmp_path / "refined.json"
+    assert main(["refine", flag, value, "--contacts", "1", "--particles", "20", "--out", str(out)]) == 2
+    err = _error(capsys)
+    assert err["error"] == "ConfigError"
+    assert set(err["fields"]) == {flag[2:]}
+    assert not out.exists()
+
+
+def test_bank_put_of_a_plan_without_subtasks_exits_1_with_the_json_error(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"schema": SCHEMA_VERSION, "kind": "plan", "task": "assemble", "subtasks": []}))
+    assert main(["bank", "--bank", str(tmp_path / "bank"), "put", str(plan)]) == 1
+    err = _error(capsys)
+    assert err["error"] == "DegenerateInputError" and "subtask" in err["message"]
 
 
 def test_refine_writes_the_documented_payload(tmp_path):

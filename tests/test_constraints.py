@@ -126,6 +126,21 @@ def test_grouping_matches_oracle_random():
         assert got == connected_components_oracle(frames, pos_eps, ang_eps)
 
 
+def test_grouping_orders_groups_by_lowest_member_with_members_in_input_order():
+    # the group order names learn_records' grasp labels and so the record ids
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        frames = [
+            frame_at(origin=rng.uniform(-0.05, 0.05, 3), rotvec=rng.uniform(-0.5, 0.5, 3))
+            for _ in range(rng.integers(2, 30))
+        ]
+        pos_eps, ang_eps = rng.uniform(0.01, 0.05), rng.uniform(0.1, 0.6)
+        groups = group_grasps_fallback(frames, pos_eps, ang_eps)
+        ident = [id(f) for f in frames]
+        got = [[ident.index(id(f)) for f in g] for g in groups]
+        assert got == connected_components_oracle(frames, pos_eps, ang_eps)
+
+
 # --- typed failures -----------------------------------------------------------
 
 def test_region_with_inverted_position_bounds_names_the_field():

@@ -12,6 +12,7 @@ from keycontact.geometry import (
     icosphere_mesh,
     invert,
     penetration_depth,
+    prism_mesh,
     quat_from_rotvec,
     quat_to_matrix,
     quat_to_rotvec,
@@ -20,6 +21,7 @@ from keycontact.geometry import (
     union_aabb_volume,
 )
 from keycontact.errors import ConfigError, DegenerateInputError
+from keycontact.geometry.cloud import nearest_neighbors
 from keycontact.geometry.pose import matrix_to_quat, quat_multiply, quat_rotate
 from keycontact.geometry.shape import (
     DEFAULT_CELL,
@@ -87,6 +89,21 @@ def test_pose_quaternion_stays_unit():
     for _ in range(200):
         p = compose(p, random_pose(rng))
     assert abs(np.linalg.norm(p.q) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("q, match", [
+    ((0.0, 0.0, 0.0, 0.0), "degenerate"),
+    ((np.nan, 0.0, 0.0, 0.0), "degenerate"),
+    ((2.0, 0.0, 0.0, 0.0), "too far from 1"),
+], ids=["zero", "nan", "off_unit"])
+def test_pose_rejects_a_quaternion_that_is_not_unit(q, match):
+    with pytest.raises(DegenerateInputError, match=match):
+        Pose(np.array(q))
+
+
+def test_prism_needs_three_vertices():
+    with pytest.raises(DegenerateInputError, match="at least 3 vertices"):
+        prism_mesh(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.0, 1.0)
 
 
 def test_rotation_matrix_proper():
@@ -256,6 +273,37 @@ def test_cloud_min_distance_matches_brute_force():
     )
     assert cloud_min_distance(a, b) == pytest.approx(float(brute), abs=1e-12)
     assert cloud_min_distance(a, b) == cloud_min_distance(b, a)
+
+
+def _brute_nearest(query, target):
+    """Per-pair distances as sqrt of the summed squared differences, then the minimum."""
+    d = np.array([[np.sqrt(((q - t) ** 2).sum()) for t in target] for q in query])
+    return d.min(axis=1), d
+
+
+def test_nearest_neighbors_match_brute_force_bit_for_bit_on_small_clouds():
+    rng = np.random.default_rng(11)
+    for n_query in (1, 5, 40):
+        for n_target in range(1, 41):
+            query, target = rng.normal(size=(n_query, 3)), rng.normal(size=(n_target, 3))
+            d, idx = nearest_neighbors(query, target)
+            want, pairs = _brute_nearest(query, target)
+            assert d.tolist() == want.tolist()
+            assert pairs[np.arange(n_query), idx].tolist() == want.tolist()
+
+
+def test_nearest_neighbors_on_exact_ties_return_a_nearest_point():
+    # integer grid points: many targets at exactly the same distance
+    grid = np.array(np.meshgrid(*[np.arange(-2.0, 3.0)] * 3)).reshape(3, -1).T
+    rng = np.random.default_rng(12)
+    for n_target in (1, 2, 7, 32, 33, 40):
+        target = grid[rng.choice(len(grid), n_target, replace=False)]
+        target = np.vstack([target, target[:3]])  # duplicates tie exactly
+        query = np.vstack([grid[rng.choice(len(grid), 10)], 0.5 * grid[:10]])
+        d, idx = nearest_neighbors(query, target)
+        want, pairs = _brute_nearest(query, target)
+        assert d.tolist() == want.tolist()
+        assert pairs[np.arange(len(query)), idx].tolist() == want.tolist()
 
 
 def test_cloud_min_distance_empty_rejected():

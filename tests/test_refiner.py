@@ -38,6 +38,7 @@ from keycontact.refiner.strategy import (
 from keycontact.sim import CampaignConfig, ProbeSimulator, make_peg_hole_scene, run_campaign, write_campaign_outputs
 from keycontact.sim.campaign import Z95, wilson_interval
 from keycontact.sim.probe import CONTACT_TOL, MAX_TRAVEL, PROBE_SAMPLES, STANDOFF
+from keycontact.sim.scenes import INSERT_MARGIN, offset_polygon, profile_polygon
 
 NO_CONTACT_NOISE = NoiseConfig(contact_sigma=0.0)
 
@@ -697,7 +698,38 @@ def test_systematic_resample_is_uniform_and_unbiased():
     assert (np.abs(counts - m * w) < 1.0).all()
 
 
+# --- scenes -----------------------------------------------------------------
+
+@pytest.mark.parametrize("profile, clearance, depth, fields", [
+    ("round", -0.001, 0.006, {"clearance"}),
+    ("round", 0.002, INSERT_MARGIN, {"depth"}),
+    ("bogus", -0.001, 0.0, {"profile", "clearance", "depth"}),
+], ids=["clearance", "depth", "all"])
+def test_scene_config_errors_name_every_failing_field(profile, clearance, depth, fields):
+    with pytest.raises(ConfigError) as err:
+        make_peg_hole_scene(profile, clearance, depth, seed=0)
+    assert set(err.value.failures) == fields
+
+
+def test_unknown_profile_is_a_config_error_naming_it():
+    with pytest.raises(ConfigError) as err:
+        profile_polygon("bogus", 0.005)
+    assert set(err.value.failures) == {"profile"}
+
+
+def test_offsetting_a_polygon_that_doubles_back_is_degenerate():
+    spike = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateInputError, match="degenerate polygon corner"):
+        offset_polygon(spike, 0.001)
+
+
 # --- campaign ---------------------------------------------------------------
+
+def test_campaign_depth_at_the_insertion_margin_fails_validation():
+    with pytest.raises(ConfigError) as err:
+        CampaignConfig(depth=INSERT_MARGIN).validate()
+    assert set(err.value.failures) == {"depth"}
+
 
 def test_campaign_outputs_byte_identical_across_reruns(tmp_path):
     cfg = CampaignConfig(profiles=("round",), trials=2, n_contacts=2, selection="random", particles=40)
@@ -747,6 +779,12 @@ def test_wilson_interval_known_values():
     assert wilson_interval(11, 12) == (pytest.approx(0.6461, abs=5e-5), pytest.approx(0.9851, abs=5e-5))
     with pytest.raises(ValueError):
         wilson_interval(3, 0)
+
+
+@pytest.mark.parametrize("k, n", [(3, 0), (-1, 5), (6, 5)])
+def test_wilson_interval_of_impossible_counts_is_degenerate(k, n):
+    with pytest.raises(DegenerateInputError):
+        wilson_interval(k, n)
 
 
 def test_campaign_summary_carries_wilson_intervals():
