@@ -7,6 +7,7 @@ read-only after construction, so shapes can be shared freely across threads.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +28,13 @@ __all__ = [
 DEFAULT_CELL = 0.002  # 2 mm grid resolution, enough for mm-scale clearances
 GRID_PADDING = 4  # grid cells beyond the mesh bounding box on each side
 PENETRATION_SAMPLES = 2000  # surface samples per shape in penetration_depth
-_CHUNK = 4096
+_QUERY_BLOCK = 8192  # points per SdfGrid.query sub-block; its scratch is about 1.3 MiB
 _BLOCK_PAIRS = 12_000  # point-triangle pairs a distance block aims at
 _MIN_BLOCK = 64  # fewest points in a distance block
+_MAX_BLOCK = 2047  # most points a distance block aims at
+# point-triangle pairs per winding-number chunk: each of its (rows, triangles)
+# temporaries is about 256 KB, so they stay in cache and a build's peak stays small
+_WINDING_PAIRS = 2**15
 _CULL_SLACK = 1e-6  # m of culling slack per m of the largest coordinate
 _SIGN_SLACK = 1e-6  # m a grid edge must clear the surface by to pass on a sign
 
@@ -228,7 +233,7 @@ def _point_triangle_distances(points: np.ndarray, mesh: TriangleMesh) -> np.ndar
     points = np.asarray(points, dtype=float)
     terms = _TriangleTerms(mesh)
     n_tri = len(terms.degenerate)
-    rows = min(max(_MIN_BLOCK, _BLOCK_PAIRS // max(n_tri, 1)), _CHUNK // 2 - 1)
+    rows = min(max(_MIN_BLOCK, _BLOCK_PAIRS // max(n_tri, 1)), _MAX_BLOCK)
     order, cuts = _cube_blocks(points, rows)
     pts = points[order]
     starts, stops = cuts[:-1], cuts[1:]
@@ -310,6 +315,12 @@ def _winding_numbers(points: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
 
     Uses the solid-angle atan2 form with triple products expanded into
     point-independent per-triangle constants plus matmuls.
+
+    The points go in chunks of max(2, _WINDING_PAIRS // triangles) rows, so
+    every (rows, triangles) temporary stays near 256 KB. A 1-row matmul goes
+    through gemv, whose rounding differs from the GEMM rows, so a last
+    chunk of one row joins the chunk before it; only a 1-point input is one
+    row. Each value is the same whatever the chunking.
     """
     va, vb, vc = mesh.triangles
     bxc = np.cross(vb, vc)
@@ -322,9 +333,13 @@ def _winding_numbers(points: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
     b2 = (vb * vb).sum(axis=1)
     c2 = (vc * vc).sum(axis=1)
 
+    rows = max(2, _WINDING_PAIRS // max(len(va), 1))
+    cuts = [*range(0, len(points), rows), len(points)]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
     out = np.empty(len(points))
-    for lo in range(0, len(points), _CHUNK):
-        p = points[lo : lo + _CHUNK]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        p = points[lo:hi]
         p2 = (p * p).sum(axis=1)[:, None]
         pa = p @ va.T
         pb = p @ vb.T
@@ -338,7 +353,7 @@ def _winding_numbers(points: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
         num = det_const[None, :] - p @ det_lin.T
         den = la * lb * lc + dot_ab * lc + dot_bc * la + dot_ca * lb
         omega = 2.0 * np.arctan2(num, den)
-        out[lo : lo + _CHUNK] = omega.sum(axis=1) / (4.0 * np.pi)
+        out[lo:hi] = omega.sum(axis=1) / (4.0 * np.pi)
     return out
 
 
@@ -393,6 +408,7 @@ class SdfGrid:
     # the raveled values shifted to each cell corner (dx, dy, dz), dz fastest:
     # corner k of the cell at flat index a is _corners[k][a]
     _corners: tuple = field(init=False, repr=False, compare=False)
+    _top: np.ndarray = field(init=False, repr=False, compare=False)  # (3, 1) clamp bound in cells
 
     def __post_init__(self):
         o = np.asarray(self.origin, dtype=float).reshape(3)
@@ -405,6 +421,7 @@ class SdfGrid:
         sx, sy = v.shape[1] * v.shape[2], v.shape[2]
         shifts = [dx * sx + dy * sy + dz for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
         object.__setattr__(self, "_corners", tuple(flat[s:] for s in shifts))
+        object.__setattr__(self, "_top", (np.array(v.shape) - 1 - 1e-9)[:, None])
 
     @property
     def cell_diagonal(self) -> float:
@@ -415,44 +432,82 @@ class SdfGrid:
 
         Points outside the grid domain are clamped to the boundary; the
         Euclidean offset from the clamp position is added on top, which keeps
-        the exterior extension positive and monotone along outward rays. When
-        every point lies inside, a scalar 0.0 stands in for the offset, so a
-        -0.0 interpolation still comes out +0.0. The 8 cell corners are read
-        by flat index from shifted views of the raveled values. Each output
-        is bit-identical to the 8-corner formula with np.clip and
-        np.linalg.norm, whatever the batch it is queried in.
+        the exterior extension positive and monotone along outward rays. The
+        8 cell corners are read by flat index from shifted views of the
+        raveled values. Each output is bit-identical to the 8-corner formula
+        with np.clip and np.linalg.norm, whatever the batch it is queried in.
+
+        The points are taken in sub-blocks of _QUERY_BLOCK, and every
+        temporary is written into scratch kept per thread and sized for one
+        sub-block, so a call allocates only the array it returns; that array
+        is new, and no later query writes to it. When every point of a
+        sub-block lies inside, a scalar 0.0 stands in for its offsets; like
+        the +0.0 offset an inside point gets otherwise, it turns a -0.0
+        interpolation into +0.0.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.empty(len(pts))
+        rows = pts.T  # grid coordinates are computed as rows (3, N)
+        for lo in range(0, len(pts), _QUERY_BLOCK):
+            self._query_block(rows[:, lo : lo + _QUERY_BLOCK], out[lo : lo + _QUERY_BLOCK])
+        return out
+
+    def _query_block(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """query() of at most _QUERY_BLOCK points given as rows (3, n), into out (n,)."""
+        n = len(out)
+        tmp = _SCRATCH.floats[: 18 * n].reshape(18, n)  # contiguous rows, however small n is
+        g, g_cl, f1 = tmp[0:3], tmp[3:6], tmp[6:9]
         shape = self.values.shape
-        # grid coordinates as rows (3, N)
-        g = pts.T - self.origin[:, None]
+        np.subtract(rows, self.origin[:, None], out=g)
         g /= self.cell
-        g_cl = np.maximum(g, 0.0)
-        np.minimum(g_cl, (np.array(shape) - 1 - 1e-9)[:, None], out=g_cl)
-        off = g - g_cl
+        np.maximum(g, 0.0, out=g_cl)
+        np.minimum(g_cl, self._top, out=g_cl)
+        off = np.subtract(g, g_cl, out=g)
         if off.any():
             off *= self.cell
             off *= off
-            outside = off[0] + off[1]  # np.linalg.norm's sum order
+            outside = np.add(off[0], off[1], out=tmp[9])  # np.linalg.norm's sum order
             outside += off[2]
             np.sqrt(outside, out=outside)
         else:
             outside = 0.0
         # 0 <= g_cl < shape - 1, so truncation floors to a cell index <= shape - 2
-        i = g_cl.astype(np.intp)
+        i = _SCRATCH.ints[: 3 * n].reshape(3, n)
+        np.copyto(i, g_cl, casting="unsafe")
         f = g_cl  # the fractional part, in place
         f -= i
+        np.subtract(1.0, f, out=f1)
         fx, fy, fz = f
-        gx, gy, gz = 1 - f
-        at = i[0] * (shape[1] * shape[2])  # flat index of corner (0, 0, 0)
-        at += i[1] * shape[2]
+        gx, gy, gz = f1
+        at = i[0]  # flat index of corner (0, 0, 0)
+        at *= shape[1] * shape[2]
+        i[1] *= shape[2]
+        at += i[1]
         at += i[2]
-        v000, v001, v010, v011, v100, v101, v110, v111 = (c.take(at) for c in self._corners)
+        # in range by construction (a NaN point reads some corner, but its
+        # fractions make it NaN), so mode="clip" reads the same values
+        # without the copy that take(out=) makes under mode="raise"
+        v000, v001, v010, v011, v100, v101, v110, v111 = (
+            c.take(at, out=v, mode="clip") for c, v in zip(self._corners, tmp[10:]))
         c0 = _lerp(_lerp(v000, v100, gx, fx), _lerp(v010, v110, gx, fx), gy, fy)
         c1 = _lerp(_lerp(v001, v101, gx, fx), _lerp(v011, v111, gx, fx), gy, fy)
-        d = _lerp(c0, c1, gz, fz)
-        d += outside
-        return d
+        np.multiply(c0, gz, out=out)
+        c1 *= fz
+        out += c1
+        out += outside
+
+
+class _QueryScratch(threading.local):
+    """Per-thread temporaries of SdfGrid._query_block, sized for one sub-block:
+    18 float rows (coordinates, clamped coordinates, complements, offset and
+    8 corner values) and 3 index rows."""
+
+    def __init__(self):
+        self.floats = np.empty(18 * _QUERY_BLOCK)
+        self.ints = np.empty(3 * _QUERY_BLOCK, dtype=np.intp)
+
+
+_SCRATCH = _QueryScratch()
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, ga: np.ndarray, fb: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MisalignedTimebaseError
+from .errors import ConfigError, DegenerateInputError, MisalignedTimebaseError
 from .geometry import PointCloud, Pose, cloud_min_distance
 from .geometry.meshio import load_featured_cloud
 from . import serialize
@@ -43,11 +43,11 @@ class TrackedEntity:
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float)
         if not (len(self.clouds) == len(self.poses) == len(ts)):
-            raise ValueError("clouds, poses and timestamps must be equal length")
+            raise DegenerateInputError("clouds, poses and timestamps must be equal length")
         if len(ts) < 2:
-            raise ValueError("a trajectory needs at least 2 samples")
+            raise DegenerateInputError("a trajectory needs at least 2 samples")
         if not (np.diff(ts) > 0).all():
-            raise ValueError("timestamps must be strictly increasing")
+            raise DegenerateInputError("timestamps must be strictly increasing")
         ts.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "clouds", tuple(self.clouds))
@@ -69,9 +69,9 @@ class Segment:
 
     def __post_init__(self):
         if not self.t_b < self.t_e:
-            raise ValueError("segment must satisfy t_b < t_e")
+            raise DegenerateInputError("segment must satisfy t_b < t_e")
         if self.phase not in ("grasping", "manipulation"):
-            raise ValueError(f"unknown phase {self.phase!r}")
+            raise ConfigError({"phase": f"unknown phase {self.phase!r}"})
 
 
 def _check_aligned(a: TrackedEntity, b: TrackedEntity) -> None:
@@ -93,7 +93,7 @@ def contact_markers(
     reported.
     """
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise ConfigError({"epsilon": f"must be positive, got {epsilon}"})
     _check_aligned(a, b)
     d = np.array(
         [cloud_min_distance(ca, cb) for ca, cb in zip(a.clouds, b.clouds)]

@@ -7,7 +7,7 @@ shell over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .grounding import (
     label_phase,
 )
 from .keypoints import (
-    DEFAULT_DELTA_T,
     KeypointFrame,
     compress_squishe,
     extract_master_keypoint,

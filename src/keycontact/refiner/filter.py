@@ -10,7 +10,7 @@ hypothesized slave surface to the master shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,9 +43,9 @@ DEFAULT_PARTICLES = 500
 CONTACT_SAMPLE_SEED = 7
 FILTER_SAMPLES = 64
 PROBE_SAMPLES = 96
-# slave points per array pass of contact_distances: larger passes spill the
-# cache and fault in fresh pages for every temporary, which took longer than
-# the arithmetic
+# slave points per array pass of contact_distances: the passes reuse one set
+# of coordinate rows sized for the largest, which stays in cache, where larger
+# passes spilled it and took longer than the arithmetic
 BLOCK_POINTS = 16384
 
 
@@ -194,7 +194,9 @@ def contact_distances(
 
     Rows are independent, so they are scored in blocks of about
     BLOCK_POINTS slave points, over the gripper poses when G > 1 and over
-    the particles when G = 1, and the blocks are joined in order.
+    the particles when G = 1, and the blocks are joined in order. The
+    blocks write their slave points into one set of buffers, sized for the
+    largest block.
     """
     single = isinstance(gripper, Pose)
     grippers = [gripper] if single else gripper
@@ -205,6 +207,8 @@ def contact_distances(
     rows = len(g_q) if by_pose else len(quats)
     points = len(g_q) * len(quats) * len(slave_contact_points)
     n_blocks = max(1, min(rows, round(points / BLOCK_POINTS)))
+    largest = -(-rows // n_blocks) * (len(quats) if by_pose else len(g_q)) * len(slave_contact_points)
+    args += (np.empty(3 * largest), np.empty(largest))
     blocks = []
     for b in range(n_blocks):
         lo, hi = rows * b // n_blocks, rows * (b + 1) // n_blocks
@@ -216,11 +220,14 @@ def contact_distances(
     return d[0] if single else d
 
 
-def _min_sdf(g_q, g_t, quats, trans, master, master_inv, slave_contact_points) -> np.ndarray:
+def _min_sdf(g_q, g_t, quats, trans, master, master_inv, slave_contact_points, rows_buf, term_buf) -> np.ndarray:
     """(G, M) minimum master SDF over the slave points of every gripper-particle pair.
 
     master_inv maps world to master coordinates; it is folded into the
     keypoints and the gripper rotations before any slave point is formed.
+    The slave points are written into the front of rows_buf (at least
+    3 G M n floats) and term_buf (at least G M n), which the caller keeps
+    across blocks.
     """
     kp = master_inv.apply(quat_rotate(g_q[:, None, :], trans) + g_t[:, None, :])  # (G, M, 3)
     # per-pair keypoint rotation in the master frame, rot[g, m] = R_g' @ R_zm
@@ -232,8 +239,9 @@ def _min_sdf(g_q, g_t, quats, trans, master, master_inv, slave_contact_points) -
     rot = (r_g[..., 0, :] * r_z[..., 0, :] + r_g[..., 1, :] * r_z[..., 1, :]) + r_g[..., 2, :] * r_z[..., 2, :]
     # coordinate i of every slave point as one row (G, M, n), products in place
     p0, p1, p2 = slave_contact_points.T
-    rows = np.empty((3, len(g_q), len(quats), len(p0)))
-    term = np.empty(rows.shape[1:])
+    size = len(g_q) * len(quats) * len(p0)
+    rows = rows_buf[: 3 * size].reshape(3, len(g_q), len(quats), len(p0))
+    term = term_buf[:size].reshape(rows.shape[1:])
     for i, row in enumerate(rows):
         r = rot[:, :, i, :, None]  # g, m, k, -
         np.multiply(r[:, :, 0], p0, out=row)

@@ -80,11 +80,11 @@ class ProbeSimulator:
         actually sits at the in-hand state (q_actual[h], t_actual[h]). The
         inverse of contact_master is folded once into the rotated samples,
         the start points, the approaches and the keypoint offsets, which are
-        kept as master-frame coordinate rows; each call only adds the
-        travelled offset to the rows of the active hypotheses. At an
-        identity contact_master the fold is exact; at any other pose a
-        distance can differ in its last bits from mapping world points
-        through the inverse pose.
+        kept as master-frame coordinate rows; each call gathers the rows of
+        the active hypotheses into one buffer kept for the rollout and adds
+        the travelled offset to them in place. At an identity contact_master
+        the fold is exact; at any other pose a distance can differ in its
+        last bits from mapping world points through the inverse pose.
         """
         inv_plan = z_plan.inverse()
         # actual keypoint = planned keypoint o (z_plan^-1 o z_actual); the
@@ -103,10 +103,14 @@ class ProbeSimulator:
         start, approach, const_t = m_inv.apply(start), m_inv.apply_direction(approach), m_inv.apply_direction(const_t)
         n = len(self._slave_samples)
         master = self.scene.master_shape
+        gathered = np.empty(rows.size)
 
         def sdf_at(travels: np.ndarray, active: np.ndarray) -> np.ndarray:
-            pos = start[active] + travels[active, None] * approach[active] + const_t[active]
-            local = rows[:, active]
+            idx = np.flatnonzero(active)
+            pos = start[idx] + travels[idx, None] * approach[idx] + const_t[idx]
+            # a C-contiguous out and mode="clip" (idx is in range) let take
+            # write straight into the buffer, without a copy
+            local = rows.take(idx, axis=1, out=gathered[: 3 * len(idx) * n].reshape(3, -1, n), mode="clip")
             local += pos.T[:, :, None]
             return master.sdf_local(local.reshape(3, -1).T).reshape(-1, n).min(axis=1)
 

@@ -173,10 +173,18 @@ def _block_with_cavity(
 
 @dataclass(frozen=True)
 class SceneNoise:
-    """In-hand perception-noise scales applied when a scene is generated."""
+    """In-hand perception-noise scales applied when a scene is generated.
+
+    Each sigma must be >= 0, else ConfigError names it; 0 means no noise.
+    """
 
     in_hand_sigma_t: float = 0.005  # m
     in_hand_sigma_r: float = np.deg2rad(5.0)  # rad
+
+    def __post_init__(self):
+        fails = {name: "must be >= 0" for name in ("in_hand_sigma_t", "in_hand_sigma_r") if getattr(self, name) < 0}
+        if fails:
+            raise ConfigError(fails)
 
 
 @dataclass(frozen=True)

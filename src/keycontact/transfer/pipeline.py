@@ -20,7 +20,7 @@ from ..errors import DegenerateInputError, TransferStageError
 from ..geometry import PointCloud, Pose
 from ..geometry.cloud import nearest_neighbors
 from ..keypoints import KeypointFrame
-from .grids import DEFAULT_VOXEL, FeatureGrid, otsu_region, region_similarity, voxelize_cloud
+from .grids import DEFAULT_VOXEL, otsu_region, region_similarity, voxelize_cloud
 from .matching import kabsch_fit, median_nn_feature_distance, ransac_rigid_align, relaxed_best_buddies
 from .nonrigid import nonrigid_register
 

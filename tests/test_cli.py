@@ -54,6 +54,17 @@ def test_refine_with_an_invalid_scene_flag_exits_2_naming_it(tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [("--sigma-t", "-0.005", "in_hand_sigma_t"),
+                                                 ("--sigma-r-deg", "-5", "in_hand_sigma_r")])
+def test_refine_with_a_negative_noise_sigma_exits_2_naming_it(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "refined.json"
+    assert main(["refine", flag, value, "--contacts", "1", "--particles", "50", "--out", str(out)]) == 2
+    err = _error(capsys)
+    assert err["error"] == "ConfigError"
+    assert set(err["fields"]) == {field}
+    assert not out.exists()
+
+
 def test_bank_put_of_a_plan_without_subtasks_exits_1_with_the_json_error(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"schema": SCHEMA_VERSION, "kind": "plan", "task": "assemble", "subtasks": []}))

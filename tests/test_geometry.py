@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,7 @@ from keycontact.geometry import (
 from keycontact.errors import ConfigError, DegenerateInputError
 from keycontact.geometry.cloud import nearest_neighbors
 from keycontact.geometry.pose import matrix_to_quat, quat_multiply, quat_rotate
+from keycontact.geometry import shape as shape_module
 from keycontact.geometry.shape import (
     DEFAULT_CELL,
     GRID_PADDING,
@@ -451,6 +456,83 @@ def test_sdf_grid_query_turns_negative_zero_into_positive_zero():
         assert not np.signbit(got).any()
 
 
+def _points_across_the_grid(grid, n, seed):
+    # half inside the grid domain, half beyond it, interleaved
+    rng = np.random.default_rng(seed)
+    lo = grid.origin
+    hi = grid.origin + grid.cell * (np.array(grid.values.shape) - 1)
+    pts = rng.uniform(lo, hi, size=(n, 3))
+    pts[1::2] = rng.uniform(lo - 0.3, hi + 0.3, size=(n // 2, 3))
+    return pts
+
+
+@pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (3, 5)], ids=["R-1", "R", "R+1", "3R+5"])
+def test_sdf_grid_query_matches_corner_formula_around_the_sub_block_size(unit_cube, offset):
+    grid = unit_cube.grid
+    n = offset[0] * shape_module._QUERY_BLOCK + offset[1]
+    pts = _points_across_the_grid(grid, n, seed=n)
+    assert _same_bits(grid.query(pts), _corner_formula_query(grid, pts))
+    # the (3, N) row layout the refinement kernels pass
+    assert _same_bits(grid.query(np.ascontiguousarray(pts.T).T), _corner_formula_query(grid, pts))
+
+
+def test_sdf_grid_query_matches_when_inside_and_outside_points_fill_different_sub_blocks():
+    # -0.0 values interpolate to -0.0 inside; a sub-block of inside points
+    # only and one with outside points must both give +0.0 there
+    values = np.zeros((3, 4, 5))
+    values[:, :2] = -0.0
+    grid = SdfGrid(np.zeros(3), 0.5, values)
+    r = shape_module._QUERY_BLOCK
+    rng = np.random.default_rng(3)
+    inside = rng.uniform(0.0, 0.5, size=(r, 3))  # every corner -0.0
+    beyond = rng.uniform(-1.0, 3.0, size=(r + 7, 3))
+    for pts in (np.vstack([inside, beyond]), np.vstack([beyond[: r], inside, beyond[r:]])):
+        got = grid.query(pts)
+        assert _same_bits(got, _corner_formula_query(grid, pts))
+        assert not np.signbit(got).any()
+
+
+def test_sdf_grid_query_result_is_not_overwritten_by_a_later_query(unit_cube):
+    grid = unit_cube.grid
+    first = grid.query(_points_across_the_grid(grid, 300, seed=1))
+    kept = first.copy()
+    second = grid.query(_points_across_the_grid(grid, 300, seed=2))
+    assert _same_bits(first, kept) and not np.shares_memory(first, second)
+    assert first.flags.owndata and first.flags.writeable
+
+
+def test_threads_querying_two_grids_at_once_get_the_serial_results(unit_cube):
+    # four threads on two cores, two per grid, switching often: each thread
+    # must write its temporaries into scratch of its own
+    other = ShapeModel(icosphere_mesh(0.015, 2), DEFAULT_CELL).grid
+    grids = (unit_cube.grid, other)
+    batches = [[_points_across_the_grid(g, n, seed=n) for n in (7, 2 * shape_module._QUERY_BLOCK + 3, 500)]
+               for g in grids]
+    want = [[g.query(b) for b in bs] for g, bs in zip(grids, batches)]
+    got = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def worker(k):
+        start.wait()
+        for _ in range(10):
+            got[k].append([grids[k % 2].query(b) for b in batches[k % 2]])
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(4):
+        assert len(got[k]) == 10
+        assert all(_same_bits(g, w) for rep in got[k] for g, w in zip(rep, want[k % 2]))
+
+
 def _point_triangle_distance_reference(p, a, b, c):
     """Scalar closest-distance oracle (projection + edge/vertex clamping)."""
     ab, ac, ap = b - a, c - a, p - a
@@ -668,6 +750,62 @@ def test_flood_filled_signs_equal_the_all_node_pass_on_scene_meshes(profile):
                          ids=["box", "icosphere"])
 def test_flood_filled_signs_equal_the_all_node_pass_on_closed_meshes(mesh, cell):
     assert ShapeModel(mesh, cell).grid.values.tobytes() == all_node_sign_values(mesh, cell).tobytes()
+
+
+def _winding_numbers_in_4096_row_chunks(points, mesh):
+    """_winding_numbers as it chunked before its chunks were cut to cache size."""
+    va, vb, vc = mesh.triangles
+    bxc = np.cross(vb, vc)
+    det_const = (va * bxc).sum(axis=1)
+    det_lin = bxc + np.cross(vc, va) + np.cross(va, vb)
+    ab, bc, ca = (va * vb).sum(axis=1), (vb * vc).sum(axis=1), (vc * va).sum(axis=1)
+    a2, b2, c2 = (va * va).sum(axis=1), (vb * vb).sum(axis=1), (vc * vc).sum(axis=1)
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 4096):
+        p = points[lo : lo + 4096]
+        p2 = (p * p).sum(axis=1)[:, None]
+        pa, pb, pc = p @ va.T, p @ vb.T, p @ vc.T
+        la = np.sqrt(np.maximum(a2[None, :] - 2.0 * pa + p2, 0.0))
+        lb = np.sqrt(np.maximum(b2[None, :] - 2.0 * pb + p2, 0.0))
+        lc = np.sqrt(np.maximum(c2[None, :] - 2.0 * pc + p2, 0.0))
+        dot_ab = ab[None, :] - pa - pb + p2
+        dot_bc = bc[None, :] - pb - pc + p2
+        dot_ca = ca[None, :] - pc - pa + p2
+        num = det_const[None, :] - p @ det_lin.T
+        den = la * lb * lc + dot_ab * lc + dot_bc * la + dot_ca * lb
+        out[lo : lo + 4096] = (2.0 * np.arctan2(num, den)).sum(axis=1) / (4.0 * np.pi)
+    return out
+
+
+@pytest.mark.parametrize("profile", ["round", "hexagon"])
+def test_winding_numbers_equal_the_4096_row_chunking_on_scene_grid_nodes(profile):
+    from keycontact.sim import make_peg_hole_scene
+
+    scene = make_peg_hole_scene(profile, 0.002, 0.006, seed=0)
+    for built in (scene.master_shape, scene.slave_shape):
+        pts = _grid_nodes(built.mesh, built.cell)
+        rows = max(2, shape_module._WINDING_PAIRS // len(built.mesh.faces))
+        assert rows < len(pts)
+        assert _winding_numbers(pts, built.mesh).tobytes() == _winding_numbers_in_4096_row_chunks(
+            pts, built.mesh).tobytes()
+        # a last chunk of one row joins the chunk before it
+        tail = pts[: 2 * rows + 1]
+        assert _winding_numbers(tail, built.mesh).tobytes() == _winding_numbers_in_4096_row_chunks(
+            tail, built.mesh).tobytes()
+
+
+def test_building_the_round_scene_stays_below_12_mb(monkeypatch):
+    from keycontact.sim import make_peg_hole_scene, scenes
+
+    monkeypatch.setattr(scenes, "_SHAPE_CACHE", {})
+    tracemalloc.start()
+    try:
+        scene = make_peg_hole_scene("round", 0.002, 0.006, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scene.master_shape.grid.values.size > 30_000
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("name, cell", [("round_master", DEFAULT_CELL), ("round_slave", DEFAULT_CELL),

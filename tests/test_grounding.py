@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from keycontact.errors import MisalignedTimebaseError
+from keycontact.errors import ConfigError, DegenerateInputError, MisalignedTimebaseError
 from keycontact.geometry import PointCloud, Pose
 from keycontact.grounding import (
     Segment,
@@ -100,6 +100,40 @@ def test_contact_markers_misaligned_timebase():
     )
     with pytest.raises(MisalignedTimebaseError):
         contact_markers(a, b, 0.02)
+
+
+def _entity(n_clouds=3, n_poses=3, timestamps=(0.0, 1.0, 2.0)):
+    return TrackedEntity(id="a", clouds=tuple(PointCloud(np.zeros((1, 3))) for _ in range(n_clouds)),
+                         poses=tuple(Pose.identity() for _ in range(n_poses)), timestamps=np.array(timestamps))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n_poses": 2}, "equal length"),
+    ({"n_clouds": 1, "n_poses": 1, "timestamps": (0.0,)}, "at least 2 samples"),
+    ({"timestamps": (0.0, 1.0, 1.0)}, "strictly increasing"),
+], ids=["unequal_lengths", "one_sample", "repeated_timestamp"])
+def test_malformed_trajectory_is_degenerate_input(kwargs, match):
+    with pytest.raises(DegenerateInputError, match=match):
+        _entity(**kwargs)
+
+
+def test_segment_that_does_not_advance_is_degenerate_input():
+    with pytest.raises(DegenerateInputError, match="t_b < t_e"):
+        Segment(3, 3, "obj", "hand", "grasping")
+
+
+def test_segment_with_an_unknown_phase_names_the_field():
+    with pytest.raises(ConfigError) as err:
+        Segment(0, 4, "obj", "hand", "pouring")
+    assert set(err.value.failures) == {"phase"}
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.01])
+def test_contact_markers_with_a_non_positive_epsilon_names_the_field(epsilon):
+    a, b = entity_from_distance_series([0.1, 0.0, 0.1])
+    with pytest.raises(ConfigError) as err:
+        contact_markers(a, b, epsilon)
+    assert set(err.value.failures) == {"epsilon"}
 
 
 # --- segment filtering -------------------------------------------------------

@@ -1,7 +1,13 @@
 import contextlib
 import functools
 import io
+import json
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +41,8 @@ from keycontact.refiner.strategy import (
     _tangent_basis,
     strategy_frames,
 )
-from keycontact.sim import CampaignConfig, ProbeSimulator, make_peg_hole_scene, run_campaign, write_campaign_outputs
+from keycontact.sim import (CampaignConfig, ProbeSimulator, SceneNoise, make_peg_hole_scene, run_campaign,
+                            write_campaign_outputs)
 from keycontact.sim.campaign import Z95, wilson_interval
 from keycontact.sim.probe import CONTACT_TOL, MAX_TRAVEL, PROBE_SAMPLES, STANDOFF
 from keycontact.sim.scenes import INSERT_MARGIN, offset_polygon, profile_polygon
@@ -795,3 +802,47 @@ def test_campaign_summary_carries_wilson_intervals():
         k = sum(getattr(r, key) for r in rows)
         assert cell[f"{key}_ci95"] == wilson_interval(k, len(rows))
         assert cell[f"{key}_ci95"][0] <= cell[f"{key}_rate"] <= cell[f"{key}_ci95"][1]
+
+
+def test_scene_noise_refuses_negative_sigmas_naming_each():
+    with pytest.raises(ConfigError) as err:
+        SceneNoise(in_hand_sigma_t=-0.005, in_hand_sigma_r=-0.1)
+    assert set(err.value.failures) == {"in_hand_sigma_t", "in_hand_sigma_r"}
+    with pytest.raises(ConfigError) as err:
+        SceneNoise(in_hand_sigma_r=-1e-9)
+    assert set(err.value.failures) == {"in_hand_sigma_r"}
+    scene = make_peg_hole_scene("round", 0.002, 0.006, seed=3, noise=SceneNoise(0.0, 0.0))  # zero: no noise
+    assert scene.z_perceived.q.tobytes() == scene.z_true.q.tobytes()
+    assert scene.z_perceived.t.tobytes() == scene.z_true.t.tobytes()
+
+
+# two IG trials after the scenes are built, minor page faults per trial
+_TRIAL_FAULTS = """
+import json, resource
+from keycontact.sim import CampaignConfig, make_peg_hole_scene, run_campaign
+cfg = CampaignConfig(profiles=("round",), trials=1, selection="ig")
+make_peg_hole_scene("round", cfg.clearance, cfg.depth, seed=0)
+faults = []
+for seed in (11, 12):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_campaign(cfg, seeds=[seed], log=None)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the thresholds are glibc malloc tunables")
+def test_ig_trials_fault_in_few_pages_under_low_allocator_thresholds():
+    # with both thresholds at 128 KiB, every large temporary is a fresh
+    # mmap that faults its pages in; a trial that reuses its buffers does not
+    # depend on what set-up freed before it
+    import keycontact
+
+    src = str(Path(keycontact.__file__).resolve().parents[1])
+    env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072",
+           "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _TRIAL_FAULTS], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    faults = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(faults) == 2 and max(faults) < 20_000, faults
