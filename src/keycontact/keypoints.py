@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, SchemaError
+from .errors import ConfigError, DegenerateInputError, SchemaError
 from .geometry import PointCloud, Pose
 from .geometry.cloud import nearest_neighbors
 from .serialize import SCHEMA_VERSION, check_schema, vec_to_json, pose_to_json, pose_from_json
@@ -54,11 +54,11 @@ class KeypointFrame:
         for name, v in (("x_axis", x), ("y_axis", y), ("z_axis", z)):
             n = np.linalg.norm(v)
             if abs(n - 1.0) > 1e-6:
-                raise ValueError(f"{name} must be unit length (|v| = {n})")
+                raise DegenerateInputError(f"{name} must be unit length (|v| = {n})")
         if np.linalg.norm(np.cross(z, x) - y) > 1e-6:
-            raise ValueError("axes must satisfy y = z x x")
+            raise DegenerateInputError("axes must satisfy y = z x x")
         if self.role not in ("master", "slave"):
-            raise ValueError(f"unknown role {self.role!r}")
+            raise ConfigError({"role": f"unknown role {self.role!r}"})
         for name, v in (("origin", o), ("x_axis", x), ("y_axis", y), ("z_axis", z)):
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -119,11 +119,11 @@ class WaypointPath:
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float)
         if len(self.waypoints) < 2:
-            raise ValueError("a path needs at least 2 waypoints")
+            raise DegenerateInputError("a path needs at least 2 waypoints")
         if len(ts) != len(self.waypoints):
-            raise ValueError("timestamps must align with waypoints")
+            raise DegenerateInputError("timestamps must align with waypoints")
         if not (np.diff(ts) > 0).all():
-            raise ValueError("timestamps must be increasing")
+            raise DegenerateInputError("timestamps must be increasing")
         ts.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
@@ -170,14 +170,14 @@ def extract_slave_keypoint(
     index.
     """
     if contact_index < 1:
-        raise ValueError("contact_index must be >= 1")
+        raise DegenerateInputError("contact_index must be >= 1")
     ts = np.asarray(timestamps, dtype=float)
     if len(ts) != len(slave_pose_history):
-        raise ValueError("timestamps must align with the pose history")
+        raise DegenerateInputError("timestamps must align with the pose history")
     sp = slave_cloud_at_contact.points
     mp = master_cloud_at_contact.points
     if len(sp) == 0 or len(mp) == 0:
-        raise ValueError("contact clouds must be non-empty")
+        raise DegenerateInputError("contact clouds must be non-empty")
 
     # the slave point nearest any master point; argmin breaks ties low
     d, _ = nearest_neighbors(sp, mp)
@@ -241,7 +241,7 @@ def extract_master_keypoint(
     axes copied from the slave frame (re-expressed in the master object frame).
     """
     if len(master_cloud) == 0:
-        raise ValueError("master cloud must be non-empty")
+        raise DegenerateInputError("master cloud must be non-empty")
     world_kf = slave_kf.world(slave_pose)
     mp = master_cloud.points
     c_m_world = mp[int(np.argmin(np.linalg.norm(mp - world_kf.t, axis=1)))]
@@ -265,7 +265,7 @@ def relative_waypoint_path(
 ) -> WaypointPath:
     """Slave keypoint trajectory expressed in the (moving) master keypoint frame."""
     if not (len(slave_poses) == len(master_poses) == len(timestamps)):
-        raise ValueError("pose sequences and timestamps must align")
+        raise DegenerateInputError("pose sequences and timestamps must align")
     s_local = slave_kf.as_pose()
     m_local = master_kf.as_pose()
     wps = [
@@ -303,11 +303,12 @@ def compress_squishe(
     neighbors as an accumulated upper bound.
     """
     if (mu is None) == (ratio is None):
-        raise ValueError("specify exactly one of mu or ratio")
+        either = "specify exactly one of mu or ratio"
+        raise ConfigError({"mu": either, "ratio": either})
     if mu is not None and mu <= 0:
-        raise ValueError("mu must be positive")
+        raise ConfigError({"mu": f"must be positive, got {mu}"})
     if ratio is not None and not (0.0 < ratio <= 1.0):
-        raise ValueError("ratio must lie in (0, 1]")
+        raise ConfigError({"ratio": f"must lie in (0, 1], got {ratio}"})
 
     n = len(path)
     pos = path.positions()

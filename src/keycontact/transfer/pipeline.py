@@ -44,6 +44,7 @@ class TransferDiagnostics:
     registration_converged: bool
     registration_iterations: int  # completed CPD EM iterations
     registration_sigma2: float  # final CPD sigma^2 (normalized coordinates)
+    registration_rank: int  # kernel eigenpairs the CPD M-step kept
     otsu_threshold_ref: float
     otsu_threshold_tgt: float
 
@@ -166,6 +167,7 @@ def transfer_keypoint(
         registration_converged=deform.converged,
         registration_iterations=deform.iterations,
         registration_sigma2=deform.final_objective,
+        registration_rank=deform.rank,
         otsu_threshold_ref=float(thr_ref),
         otsu_threshold_tgt=float(thr_tgt),
     )

@@ -21,9 +21,10 @@ def test_every_name_in_a_module_all_resolves():
 # modules whose every error is a KeycontactError subclass; a bare ValueError
 # or RuntimeError here would escape the CLI's typed error reporting
 TYPED_MODULES = ["geometry/shape.py", "geometry/meshio.py", "geometry/cloud.py", "geometry/pose.py",
-                 "geometry/primitives.py", "constraints.py", "bank.py", "grounding.py", "refiner/strategy.py", "refiner/filter.py",
-                 "refiner/loop.py", "sim/probe.py", "sim/scenes.py", "sim/campaign.py", "transfer/grids.py",
-                 "transfer/matching.py", "transfer/nonrigid.py", "transfer/pipeline.py"]
+                 "geometry/primitives.py", "constraints.py", "bank.py", "grounding.py", "keypoints.py",
+                 "refiner/strategy.py", "refiner/filter.py", "refiner/loop.py", "sim/probe.py", "sim/scenes.py",
+                 "sim/campaign.py", "transfer/grids.py", "transfer/matching.py", "transfer/nonrigid.py",
+                 "transfer/pipeline.py"]
 
 
 @pytest.mark.parametrize("module", TYPED_MODULES)

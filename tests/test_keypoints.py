@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from keycontact.errors import DegenerateInputError
+from keycontact.errors import ConfigError, DegenerateInputError, KeycontactError
 from keycontact.geometry import PointCloud, Pose
 from keycontact.keypoints import (
     PERP_BAND,
@@ -387,3 +387,56 @@ def test_viewpoint_invariance_of_frames_and_path():
     for a, b in zip(path0.waypoints, path1.waypoints):
         assert a.translation_distance_to(b) < 1e-9
         assert a.rotation_angle_to(b) < 1e-9
+
+
+# --- typed errors -------------------------------------------------------------
+
+_x, _y, _z = np.eye(3)
+_cloud = PointCloud(np.eye(3))
+_empty = PointCloud(np.zeros((0, 3)))
+_poses = [Pose.identity()] * 3
+_slave_kf = KeypointFrame.from_axes(np.zeros(3), _x, _z, "s", "slave")
+_path = WaypointPath(tuple(_poses), np.arange(3.0))
+
+TYPED_FAILURES = {
+    "axis_not_unit": (DegenerateInputError, lambda: KeypointFrame(np.zeros(3), 2 * _x, _y, _z, "o", "slave")),
+    "axes_not_right_handed": (DegenerateInputError, lambda: KeypointFrame(np.zeros(3), _x, -_y, _z, "o", "slave")),
+    "unknown_role": (ConfigError, lambda: KeypointFrame(np.zeros(3), _x, _y, _z, "o", "gripper")),
+    "path_of_one_waypoint": (DegenerateInputError, lambda: WaypointPath((Pose.identity(),), np.zeros(1))),
+    "path_timestamps_misaligned": (DegenerateInputError, lambda: WaypointPath(tuple(_poses), np.arange(2.0))),
+    "path_timestamps_not_increasing": (DegenerateInputError, lambda: WaypointPath(tuple(_poses), np.zeros(3))),
+    "slave_contact_at_first_sample": (DegenerateInputError,
+                                      lambda: extract_slave_keypoint(_cloud, _cloud, _poses, 0, [0.0, 1.0, 2.0])),
+    "slave_timestamps_misaligned": (DegenerateInputError,
+                                    lambda: extract_slave_keypoint(_cloud, _cloud, _poses, 1, [0.0, 1.0])),
+    "slave_empty_contact_cloud": (DegenerateInputError,
+                                  lambda: extract_slave_keypoint(_empty, _cloud, _poses, 1, [0.0, 1.0, 2.0])),
+    "master_empty_cloud": (DegenerateInputError,
+                           lambda: extract_master_keypoint(_empty, _slave_kf, Pose.identity(), Pose.identity())),
+    "relative_path_misaligned": (DegenerateInputError,
+                                 lambda: relative_waypoint_path(_slave_kf, _slave_kf, _poses, _poses[:2], [0.0, 1.0, 2.0])),
+    "squishe_neither_mode": (ConfigError, lambda: compress_squishe(_path)),
+    "squishe_non_positive_mu": (ConfigError, lambda: compress_squishe(_path, mu=0.0)),
+    "squishe_ratio_above_one": (ConfigError, lambda: compress_squishe(_path, ratio=1.5)),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(TYPED_FAILURES))
+def test_keypoint_failure_raises_its_typed_error(failure):
+    kind, call = TYPED_FAILURES[failure]
+    with pytest.raises(kind) as ei:
+        call()
+    # typed for the CLI's JSON error line, still a ValueError for older callers
+    assert isinstance(ei.value, KeycontactError) and isinstance(ei.value, ValueError)
+
+
+@pytest.mark.parametrize("kwargs, fields", [
+    ({}, {"mu", "ratio"}),
+    ({"mu": 0.1, "ratio": 0.5}, {"mu", "ratio"}),
+    ({"mu": -0.01}, {"mu"}),
+    ({"ratio": 0.0}, {"ratio"}),
+], ids=["neither", "both", "negative_mu", "zero_ratio"])
+def test_squishe_mode_error_names_its_fields(kwargs, fields):
+    with pytest.raises(ConfigError) as err:
+        compress_squishe(_path, **kwargs)
+    assert set(err.value.failures) == fields

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from keycontact.errors import ConfigError, DegenerateInputError, KeycontactError, TransferStageError
 from keycontact.geometry import PointCloud, Pose
@@ -24,7 +25,7 @@ from keycontact.transfer import (
     voxelize_cloud,
 )
 from keycontact.transfer.matching import _SCORE_BLOCK_FLOATS, _batched_minimal_fits, _score_hypotheses
-from keycontact.transfer.nonrigid import _initial_sigma2
+from keycontact.transfer.nonrigid import _EIGEN_CUTOFF, _initial_sigma2
 
 
 def random_pose(rng, scale=0.1):
@@ -471,8 +472,9 @@ def test_cpd_sigma2_start_matches_broadcast_square(n_ref, n_tgt):
     assert float(_initial_sigma2(y, x)).hex() == float(want).hex()
 
 
-def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
-    """The CPD loop with every distance built as an (N, M, 3) broadcast.
+def dense_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
+    """The CPD loop with every distance built as an (N, M, 3) broadcast and
+    the full (N, N) M-step solve of the kernel G.
 
     Returns (weights, final sigma^2, converged, completed iterations, phi)
     for comparison with nonrigid_register.
@@ -519,9 +521,67 @@ def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
     return weights, sigma2, converged, iterations, phi
 
 
-@pytest.mark.parametrize("case", ["random", "warped", "subset"])
-def test_cpd_matches_broadcast_reference(case):
-    rng = np.random.default_rng({"random": 21, "warped": 22, "subset": 23}[case])
+def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
+    """The CPD loop with every distance built as an (N, M, 3) broadcast and
+    the M-step solved in the kernel's eigenbasis, as nonrigid_register does.
+
+    Returns (weights, final sigma^2, converged, completed iterations, phi)
+    for comparison with nonrigid_register.
+    """
+    y0, x = np.asarray(ref_points, float), np.asarray(tgt_points, float)
+    n_ref, n_tgt = len(y0), len(x)
+    both = np.vstack([y0, x])
+    mu = both.mean(axis=0)
+    scale = float(np.sqrt(((both - mu) ** 2).sum(axis=1).mean()))
+    y, xz = (y0 - mu) / scale, (x - mu) / scale
+    beta, lam, w = config.beta, config.lam, config.outlier_w
+    g = np.exp(-((y[:, None, :] - y[None, :, :]) ** 2).sum(axis=2) / (2.0 * beta**2))
+    eigvals, q = scipy.linalg.eigh(g, subset_by_value=(_EIGEN_CUTOFF * n_ref, np.inf), driver="evr")
+    # the weakest modes amplify the rounding of Q^T diag(P1) Q to about 1e-14 m
+    # of phi, so it is formed as nonrigid_register forms it: (P1 Q)^T Q, Q C-ordered
+    q = np.ascontiguousarray(q)
+    sigma2 = ((xz[None, :, :] - y[:, None, :]) ** 2).sum() / (3.0 * n_ref * n_tgt)
+    warped, alpha = y.copy(), np.zeros((len(eigvals), 3))
+    converged, iterations = False, 0
+    const_uniform = w / (1.0 - w) * n_ref / n_tgt
+    for _ in range(config.max_iterations):
+        d2 = ((xz[None, :, :] - warped[:, None, :]) ** 2).sum(axis=2)
+        p = np.exp(-d2 / (2.0 * sigma2))
+        denom = np.maximum(p.sum(axis=0) + const_uniform * (2.0 * np.pi * sigma2) ** 1.5, 1e-300)
+        p = p / denom[None, :]
+        p1, pt1 = p.sum(axis=1), p.sum(axis=0)
+        n_p = p1.sum()
+        px = p @ xz
+        a = (p1[:, None] * q).T @ q + np.diag(lam * sigma2 / eigvals)
+        alpha = np.linalg.solve(a, q.T @ (px - p1[:, None] * y))
+        warped = y + q @ alpha
+        iterations += 1
+        sigma2_new = max(
+            ((pt1 * (xz * xz).sum(axis=1)).sum() - 2.0 * (px * warped).sum()
+             + (p1 * (warped * warped).sum(axis=1)).sum()) / (3.0 * n_p),
+            1e-14,
+        )
+        done = abs(sigma2_new - sigma2) < config.tolerance
+        sigma2 = sigma2_new
+        if done:
+            converged = True
+            break
+    weights = q @ (alpha / eigvals[:, None])
+
+    def phi(query):
+        d2 = ((((query - mu) / scale)[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        return query + (np.exp(-d2 / (2.0 * beta**2)) @ weights) * scale
+
+    return weights, sigma2, converged, iterations, phi
+
+
+def cpd_case(case):
+    """(reference, target, rng) of a named registration case."""
+    rng = np.random.default_rng({"random": 21, "warped": 22, "subset": 23, "large_warped": 949}[case])
+    if case == "large_warped":
+        # a tight fit: sigma^2 ends near 2e-8, where the weakest kernel modes still move phi
+        ref = rng.uniform(-0.05, 0.05, (949, 3))
+        return ref, random_pose(rng, 0.02).apply(ref[:942] + 0.003 * np.sin(ref[:942, [1, 2, 0]] * 60)), rng
     ref = rng.uniform(-0.05, 0.05, (300, 3))
     if case == "random":
         tgt = rng.uniform(-0.05, 0.05, (280, 3))
@@ -529,14 +589,65 @@ def test_cpd_matches_broadcast_reference(case):
         tgt = random_pose(rng, 0.02).apply(ref + 0.004 * np.sin(ref[:, [1, 2, 0]] * 60))
     else:
         tgt = ref[rng.permutation(300)[:240]] + rng.normal(0, 0.001, (240, 3))
+    return ref, tgt, rng
+
+
+@pytest.mark.parametrize("case", ["random", "warped", "subset"])
+def test_cpd_matches_broadcast_reference(case):
+    ref, tgt, rng = cpd_case(case)
     weights, sigma2, converged, iterations, phi = broadcast_cpd_reference(ref, tgt)
     dmap = nonrigid_register(ref, tgt)
-    np.testing.assert_allclose(dmap.weights, weights, rtol=1e-12, atol=1e-15)
+    # Q (alpha / L) leaves about 1e-14 of the largest weight in the near-zero entries
+    np.testing.assert_allclose(dmap.weights, weights, rtol=1e-12, atol=1e-12 * np.abs(weights).max())
     np.testing.assert_allclose(dmap.final_objective, sigma2, rtol=1e-12)
     assert dmap.converged == converged
     assert dmap.iterations == iterations
     query = np.vstack([ref, tgt, rng.uniform(-0.08, 0.08, (50, 3))])
     np.testing.assert_allclose(dmap.apply(query), phi(query), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("case", ["random", "warped", "subset", "large_warped"])
+def test_cpd_low_rank_fit_matches_dense_solve(case):
+    ref, tgt, rng = cpd_case(case)
+    _, sigma2, converged, iterations, phi = dense_cpd_reference(ref, tgt)
+    dmap = nonrigid_register(ref, tgt)
+    assert dmap.iterations == iterations
+    assert dmap.converged == converged
+    query = np.vstack([ref, tgt, rng.uniform(-0.08, 0.08, (50, 3))])
+    assert np.abs(dmap.apply(query) - phi(query)).max() < 1e-6  # meters
+    np.testing.assert_allclose(dmap.final_objective, sigma2, rtol=1e-6)
+
+
+def test_cpd_is_deterministic_low_rank_and_bounded_in_memory():
+    ref, tgt, _ = cpd_case("large_warped")
+    first = nonrigid_register(ref, tgt)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        second = nonrigid_register(ref, tgt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert first.weights.tobytes() == second.weights.tobytes()
+    assert 1 <= first.rank < len(ref) // 4
+    # the one-time (N_ref, N_tgt, 3) sigma^2 start is 21.5 MB and each
+    # (N_ref, N_ref) array 7.2 MB; the dense M-step peaked at 47.7 MB
+    assert peak < 30e6
+
+
+@pytest.mark.parametrize("cloud", ["ref", "tgt"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_cpd_rejects_non_finite_points(cloud, value):
+    ref, tgt, _ = cpd_case("subset")
+    (ref if cloud == "ref" else tgt)[7, 1] = value
+    with pytest.raises(DegenerateInputError, match="finite"):
+        nonrigid_register(ref, tgt)
+
+
+def test_cpd_rejects_clouds_of_one_coincident_point():
+    with pytest.raises(DegenerateInputError, match="sigma"):
+        nonrigid_register(np.zeros((20, 3)), np.zeros((20, 3)))
 
 
 def test_cpd_reports_iterations_within_budget():
@@ -679,6 +790,8 @@ def test_pipeline_diagnostics_report_cpd_iterations_and_sigma2(ref_object):
     assert 1 <= payload["registration_iterations"] <= CpdConfig().max_iterations
     assert payload["registration_sigma2"] > 0.0
     assert payload["registration_converged"] is True
+    assert isinstance(payload["registration_rank"], int)
+    assert 1 <= payload["registration_rank"] <= payload["ref_region_size"]
 
 
 def test_pipeline_stage_error_is_typed(ref_object):
@@ -714,6 +827,8 @@ TYPED_FAILURES = {
     "best_buddies_negative_radius": (ConfigError, lambda: relaxed_best_buddies(_grid(), _grid(), -0.1)),
     "ransac_no_iterations": (ConfigError, lambda: ransac_rigid_align(CorrespondenceSet.from_pairs(_pts, _pts), 0)),
     "cpd_too_few_points": (_bad, lambda: nonrigid_register(_pts[:5], _pts)),
+    "cpd_non_finite_points": (_bad, lambda: nonrigid_register(_pts, np.vstack([_pts[:-1], [[np.nan, 0.0, 0.0]]]))),
+    "cpd_coincident_points": (_bad, lambda: nonrigid_register(np.zeros((20, 3)), np.zeros((20, 3)))),
     "deformation_not_finite": (_bad, lambda: nonrigid_register(_pts, _pts).apply([[np.inf, 0.0, 0.0]])),
     "frame_solve_misaligned": (_bad, lambda: solve_keypoint_frame(_kf, _pts[:4], _pts[:3])),
     "transfer_without_features": (_bad, lambda: transfer_keypoint(_cloud, _kf, PointCloud(_pts))),
