@@ -145,33 +145,22 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    from .refiner import NoiseConfig, RefinementConfig, run_refinement
-    from .sim import SceneNoise, make_peg_hole_scene
+    from .refiner import run_refinement
+    from .sim.campaign import CampaignConfig, trial_setup
 
-    scene = make_peg_hole_scene(
-        args.profile,
-        clearance=args.clearance,
-        depth=args.depth,
-        seed=args.seed,
-        noise=SceneNoise(
-            in_hand_sigma_t=args.sigma_t, in_hand_sigma_r=np.deg2rad(args.sigma_r_deg)
-        ),
-    )
-    cfg = RefinementConfig(
-        particles=args.particles,
-        noise=NoiseConfig(d_th=args.d_th),
-        selection=args.selection,
-        seed=args.seed,
-    )
+    # not validated here: the scene and refinement configs name a bad flag's field
+    cfg = CampaignConfig(clearance=args.clearance, depth=args.depth, selection=args.selection,
+                         particles=args.particles, d_th=args.d_th)
+    scene, rcfg = trial_setup(cfg, args.profile, args.sigma_t, np.deg2rad(args.sigma_r_deg), args.seed)
     try:
-        res = run_refinement(scene, args.contacts, cfg)
+        res = run_refinement(scene, args.contacts, rcfg)
     except RefinementDivergence as e:
         # the steps up to the divergence say where the filter lost contact
         if args.diagnostics:
             Path(args.diagnostics).write_text(_step_lines(e.diagnostics or ()))
         raise
     z = res.estimate.value
-    lat, dep, rot = scene.final_pose_errors(z)
+    lat, dep, rot, success = scene.insertion_verdict(z)
     payload = {
         "schema": serialize.SCHEMA_VERSION,
         "estimate": serialize.pose_to_json(z),
@@ -179,7 +168,7 @@ def _cmd_refine(args) -> int:
         "lateral_error": lat,
         "depth_error": dep,
         "rotation_error": rot,
-        "success": scene.insertion_success(z),
+        "success": success,
         "contacts": args.contacts,
     }
     text = canonical_json(payload) + "\n"

@@ -31,8 +31,6 @@ __all__ = [
     "average_quaternions",
 ]
 
-_UNIT_TOL = 1e-9
-
 
 def _as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3)

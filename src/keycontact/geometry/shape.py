@@ -519,7 +519,7 @@ def _lerp(a: np.ndarray, b: np.ndarray, ga: np.ndarray, fb: np.ndarray) -> np.nd
 
 
 class ShapeModel:
-    """Mesh + signed-distance grid + axis-aligned bounding box (object frame).
+    """Mesh + signed-distance grid (object frame).
 
     The mesh must be closed: every edge shared by exactly two faces, else
     DegenerateInputError. Only then is the winding number constant off the
@@ -542,9 +542,6 @@ class ShapeModel:
                 f"mesh is not closed: {open_edges} of {len(shared)} edges not shared by exactly two faces")
         self.mesh = mesh
         self.cell = float(cell)
-        lo, hi = mesh.aabb()
-        self.aabb_min = lo
-        self.aabb_max = hi
         self.grid = self._build_grid(mesh, self.cell)
         self._sample_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 

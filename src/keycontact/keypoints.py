@@ -320,56 +320,30 @@ def compress_squishe(
     nxt = list(range(1, n + 1))
     alive = [True] * n
     acc = [0.0] * n
-    INF = float("inf")
 
     def priority(i: int) -> float:
-        if i == 0 or i == n - 1:
-            return INF
         return acc[i] + _sed(pos, ts, i, prev[i], nxt[i])
 
-    heap: list[tuple[float, int]] = []
-    pri = [0.0] * n
-    for i in range(n):
-        pri[i] = priority(i)
-        if pri[i] < INF:
-            heapq.heappush(heap, (pri[i], i))
-
-    target = n if ratio is None else max(2, int(np.ceil(ratio * n)))
+    # endpoints are never queued; a popped entry is stale once its point is
+    # removed or re-queued with a new priority
+    pri = [0.0] + [priority(i) for i in range(1, n - 1)] + [0.0]
+    heap = [(pri[i], i) for i in range(1, n - 1)]
+    heapq.heapify(heap)
+    target = 2 if ratio is None else max(2, int(np.ceil(ratio * n)))
     count = n
-
-    def pop_min() -> int | None:
-        while heap:
-            p, i = heapq.heappop(heap)
-            if alive[i] and p == pri[i]:
-                return i
-        return None
-
-    while True:
-        if ratio is not None:
-            if count <= target:
-                break
-        else:
-            # peek: stop once the cheapest removal would exceed the bound
-            top = None
-            while heap:
-                p, i = heap[0]
-                if alive[i] and p == pri[i]:
-                    top = p
-                    break
-                heapq.heappop(heap)
-            if top is None or top > mu:
-                break
-        i = pop_min()
-        if i is None:
-            break
+    while count > target and heap:
+        p, i = heapq.heappop(heap)
+        if not alive[i] or p != pri[i]:
+            continue
+        if mu is not None and p > mu:
+            break  # the cheapest removal would exceed the error bound
         alive[i] = False
         count -= 1
-        p_removed = pri[i]
         a, b = prev[i], nxt[i]
         nxt[a], prev[b] = b, a
         for j in (a, b):
             if 0 < j < n - 1 and alive[j]:
-                acc[j] = max(acc[j], p_removed)
+                acc[j] = max(acc[j], p)
                 pri[j] = priority(j)
                 heapq.heappush(heap, (pri[j], j))
 

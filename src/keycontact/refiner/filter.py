@@ -64,7 +64,7 @@ class NoiseConfig:
     process_sigma_r: float = 0.01  # rad
     prior_sigma_t: float = 0.005  # m, initial spread around the vision estimate
     prior_sigma_r: float = 0.0873  # rad (~5 deg)
-    d_th: float = 0.01  # m, contact distance cutoff of the likelihood
+    d_th: float = 0.002  # m, contact distance cutoff of the likelihood
     contact_sigma: float = 0.0003  # m, reported-pose noise e^C of the probe
 
     def __post_init__(self):

@@ -1,5 +1,10 @@
 """Seeded insertion campaigns: vision-only vs contact-refined, metrics out.
 
+Each trial is set up by trial_setup, which `keycontact refine` shares, and
+judged by Scene.insertion_verdict. Each (profile, noise) cell is run and
+summarised in one pass, and the CSV columns are the TrialResult fields, so
+a new column or arm extends these three places only.
+
 Artifacts are deterministic per configuration + seed list: a CSV with one
 row per trial and a JSON summary with per-cell aggregates. Wall time is
 reported on the log stream only, never in the artifacts, so reruns stay
@@ -18,9 +23,9 @@ import numpy as np
 from ..errors import ConfigError, DegenerateInputError, RefinementDivergence
 from ..refiner import NoiseConfig, RefinementConfig, run_refinement
 from ..serialize import canonical_json
-from .scenes import INSERT_MARGIN, PROFILES, SceneNoise, make_peg_hole_scene
+from .scenes import INSERT_MARGIN, PROFILES, Scene, SceneNoise, make_peg_hole_scene
 
-__all__ = ["CampaignConfig", "TrialResult", "run_campaign", "wilson_interval", "write_campaign_outputs"]
+__all__ = ["CampaignConfig", "TrialResult", "run_campaign", "trial_setup", "wilson_interval", "write_campaign_outputs"]
 
 _FMT = "{:.10g}"
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
@@ -116,23 +121,20 @@ class TrialResult:
     diverged: bool
 
 
-def _run_trial(cfg: CampaignConfig, profile: str, sigma_t: float, sigma_r: float, seed: int) -> TrialResult:
-    scene = make_peg_hole_scene(
-        profile,
-        clearance=cfg.clearance,
-        depth=cfg.depth,
-        seed=seed,
-        noise=SceneNoise(in_hand_sigma_t=sigma_t, in_hand_sigma_r=sigma_r),
-    )
-    v_lat, _, v_rot = scene.final_pose_errors(scene.z_perceived)
-    v_ok = scene.insertion_success(scene.z_perceived)
+def trial_setup(
+    cfg: CampaignConfig, profile: str, sigma_t: float, sigma_r: float, seed: int
+) -> tuple[Scene, RefinementConfig]:
+    """The scene and refinement config of one trial: cell (profile, sigma_t, sigma_r), seed."""
+    noise = SceneNoise(in_hand_sigma_t=sigma_t, in_hand_sigma_r=sigma_r)
+    scene = make_peg_hole_scene(profile, clearance=cfg.clearance, depth=cfg.depth, seed=seed, noise=noise)
+    rcfg = RefinementConfig(particles=cfg.particles, noise=NoiseConfig(d_th=cfg.d_th), selection=cfg.selection,
+                            seed=seed)
+    return scene, rcfg
 
-    rcfg = RefinementConfig(
-        particles=cfg.particles,
-        noise=NoiseConfig(d_th=cfg.d_th),
-        selection=cfg.selection,
-        seed=seed,
-    )
+
+def _run_trial(cfg: CampaignConfig, profile: str, sigma_t: float, sigma_r: float, seed: int) -> TrialResult:
+    scene, rcfg = trial_setup(cfg, profile, sigma_t, sigma_r, seed)
+    v_lat, _, v_rot, v_ok = scene.insertion_verdict(scene.z_perceived)
     diverged = False
     try:
         res = run_refinement(scene, cfg.n_contacts, rcfg)
@@ -142,8 +144,7 @@ def _run_trial(cfg: CampaignConfig, profile: str, sigma_t: float, sigma_r: float
         diverged = True
         z = scene.z_perceived
         steps = e.diagnostics or ()
-    r_lat, _, r_rot = scene.final_pose_errors(z)
-    r_ok = scene.insertion_success(z)
+    r_lat, _, r_rot, r_ok = scene.insertion_verdict(z)
     reach = next((s.step for s in steps if s.translation_error < 0.0015), -1)
     t_err = steps[-1].translation_error if steps else float(
         np.linalg.norm(scene.z_perceived.t - scene.z_true.t)
@@ -171,32 +172,23 @@ _STDERR = object()  # run_campaign's default log: sys.stderr as of the call
 def run_campaign(cfg: CampaignConfig, seeds=None, log=_STDERR) -> tuple[list[TrialResult], dict]:
     """Execute all cells; returns (trial rows, summary dict).
 
-    The seed list defaults to base_seed + trial index per cell; passing an
-    explicit list pins it. Aggregation is indexed, so results do not depend
-    on execution order. The timing line goes to log, by default the
-    sys.stderr current at the call; log=None is silent.
+    Each (profile, noise) cell runs its trials and is summarised from those
+    rows in the same pass, so cells listed twice are reported twice, each
+    from its own trials. The seed list defaults to base_seed + trial index
+    per cell; passing an explicit list pins it. The timing line goes to log,
+    by default the sys.stderr current at the call; log=None is silent.
     """
     if log is _STDERR:
         log = sys.stderr
     cfg.validate()
     t0 = time.monotonic()
+    cell_seeds = list(seeds) if seeds is not None else [cfg.base_seed + i for i in range(cfg.trials)]
     rows: list[TrialResult] = []
-    for profile in cfg.profiles:
-        for sigma_t, sigma_r in cfg.noise_grid:
-            cell_seeds = (
-                list(seeds) if seeds is not None else [cfg.base_seed + i for i in range(cfg.trials)]
-            )
-            for seed in cell_seeds[: cfg.trials]:
-                rows.append(_run_trial(cfg, profile, sigma_t, sigma_r, int(seed)))
-    elapsed = time.monotonic() - t0
-
     summary: dict = {"cells": []}
     for profile in cfg.profiles:
         for sigma_t, sigma_r in cfg.noise_grid:
-            cell = [
-                r for r in rows
-                if r.profile == profile and r.sigma_t == sigma_t and r.sigma_r == sigma_r
-            ]
+            cell = [_run_trial(cfg, profile, sigma_t, sigma_r, int(seed)) for seed in cell_seeds[: cfg.trials]]
+            rows += cell
             lat = np.array([r.refined_lateral for r in cell])
             rot = np.array([r.refined_rotation for r in cell])
             terr = np.array([r.final_translation_error for r in cell])
@@ -222,15 +214,8 @@ def run_campaign(cfg: CampaignConfig, seeds=None, log=_STDERR) -> tuple[list[Tri
                 }
             )
     if log is not None:
-        print(f"campaign: {len(rows)} trials in {elapsed:.1f}s", file=log)
+        print(f"campaign: {len(rows)} trials in {time.monotonic() - t0:.1f}s", file=log)
     return rows, summary
-
-
-_CSV_COLUMNS = [
-    "profile", "sigma_t", "sigma_r", "seed", "vision_success", "refined_success",
-    "vision_lateral", "refined_lateral", "vision_rotation", "refined_rotation",
-    "contacts_to_1p5mm", "final_translation_error", "diverged",
-]
 
 
 def _csv_cell(v) -> str:
@@ -242,9 +227,10 @@ def _csv_cell(v) -> str:
 
 
 def write_campaign_outputs(rows: list[TrialResult], summary: dict, csv_path, summary_path) -> None:
-    """Deterministic CSV + JSON artifacts (no timing fields)."""
-    lines = [",".join(_CSV_COLUMNS)]
+    """Deterministic CSV + JSON artifacts (no timing fields); one CSV column per TrialResult field."""
+    columns = [f.name for f in fields(TrialResult)]
+    lines = [",".join(columns)]
     for r in rows:
-        lines.append(",".join(_csv_cell(getattr(r, c)) for c in _CSV_COLUMNS))
+        lines.append(",".join(_csv_cell(getattr(r, c)) for c in columns))
     Path(csv_path).write_text("\n".join(lines) + "\n")
     Path(summary_path).write_text(canonical_json(summary) + "\n")

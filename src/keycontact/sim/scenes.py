@@ -189,7 +189,11 @@ class SceneNoise:
 
 @dataclass(frozen=True)
 class Scene:
-    """Ground truth + perceived state of one insertion setup."""
+    """Ground truth + perceived state of one insertion setup.
+
+    insertion_verdict is the one judge of an in-hand estimate: the campaign
+    and `keycontact refine` both score vision and refined estimates with it.
+    """
 
     clearance: float
     master_shape: ShapeModel
@@ -202,46 +206,29 @@ class Scene:
     slave_kf: KeypointFrame
     insertion_waypoint: Pose  # slave kf in the master kf frame at full depth
 
-    @property
-    def master_kf_world_true(self) -> Pose:
-        return self.master_true.compose(self.master_kf.as_pose())
-
-    @property
-    def master_kf_world_perceived(self) -> Pose:
-        return self.master_perceived.compose(self.master_kf.as_pose())
-
     def slave_object_pose(self, gripper: Pose, z: Pose) -> Pose:
         """World slave object pose implied by a gripper pose and in-hand state."""
         return gripper.compose(z).compose(self.slave_kf.as_pose().inverse())
 
-    def commanded_final_gripper(self, z_estimate: Pose) -> Pose:
-        """Insertion command computed against the perceived master."""
-        return end_effector_target(
-            self.master_kf_world_perceived, self.insertion_waypoint, z_estimate
-        )
+    def insertion_verdict(self, z_estimate: Pose) -> tuple[float, float, float, bool]:
+        """(lateral, depth, rotation, success) of the insertion commanded with z_estimate.
 
-    def final_pose_errors(self, z_estimate: Pose) -> tuple[float, float, float]:
-        """(lateral, depth, rotation) error of the executed insertion vs truth."""
-        g = self.commanded_final_gripper(z_estimate)
-        actual_kf = g.compose(self.z_true)
-        target_kf = self.master_kf_world_true.compose(self.insertion_waypoint)
-        err = target_kf.inverse().compose(actual_kf)
+        The gripper command is computed once, against the perceived master,
+        and executed with the true in-hand pose. The errors compare the slave
+        keypoint frame it reaches with the insertion waypoint at the true
+        master. Success: the lateral error is within the clearance and, only
+        then sampled, the interpenetration at the commanded full-depth pose is
+        at most INSERTION_PEN_TOL.
+        """
+        kf = self.master_kf.as_pose()
+        g = end_effector_target(self.master_perceived.compose(kf), self.insertion_waypoint, z_estimate)
+        target_kf = self.master_true.compose(kf).compose(self.insertion_waypoint)
+        err = target_kf.inverse().compose(g.compose(self.z_true))
         lateral = float(np.hypot(err.t[0], err.t[1]))
-        return lateral, float(abs(err.t[2])), float(err.rotation_angle_to(Pose.identity()))
-
-    def insertion_success(self, z_estimate: Pose) -> bool:
-        """Success: lateral keypoint error within clearance and no sampled
-        interpenetration at the commanded full-depth pose (up to
-        INSERTION_PEN_TOL)."""
-        lateral, _, _ = self.final_pose_errors(z_estimate)
-        if lateral > self.clearance:
-            return False
-        g = self.commanded_final_gripper(z_estimate)
-        slave_pose = self.slave_object_pose(g, self.z_true)
-        pen = penetration_depth(
-            self.master_shape, self.master_true, self.slave_shape, slave_pose
-        )
-        return pen <= INSERTION_PEN_TOL
+        success = lateral <= self.clearance and penetration_depth(
+            self.master_shape, self.master_true, self.slave_shape, self.slave_object_pose(g, self.z_true)
+        ) <= INSERTION_PEN_TOL
+        return lateral, float(abs(err.t[2])), float(err.rotation_angle_to(Pose.identity())), success
 
 
 def _noise_pose(rng, sigma_t: float, sigma_r: float) -> Pose:

@@ -25,7 +25,6 @@ class FeatureGrid:
     centers: np.ndarray
     features: np.ndarray
     cell: float
-    owner: str = "object"
 
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=float)
@@ -53,7 +52,7 @@ class FeatureGrid:
         return self.features.shape[1]
 
     def select(self, mask: np.ndarray) -> "FeatureGrid":
-        return FeatureGrid(self.centers[mask], self.features[mask], self.cell, self.owner)
+        return FeatureGrid(self.centers[mask], self.features[mask], self.cell)
 
     def feature_at(self, point: np.ndarray) -> np.ndarray:
         """Feature of the voxel nearest to a query point."""
@@ -61,7 +60,7 @@ class FeatureGrid:
         return self.features[int(np.argmin(d))]
 
 
-def voxelize_cloud(cloud: PointCloud, cell: float = DEFAULT_VOXEL, owner: str = "object") -> FeatureGrid:
+def voxelize_cloud(cloud: PointCloud, cell: float = DEFAULT_VOXEL) -> FeatureGrid:
     """Reduce a featured cloud to a voxel grid of member means.
 
     A voxel sits at the centroid of its member points and carries the mean
@@ -82,7 +81,7 @@ def voxelize_cloud(cloud: PointCloud, cell: float = DEFAULT_VOXEL, owner: str = 
     np.add.at(counts, inverse, 1.0)
     means = sums / counts[:, None]
     centers = _keep_in_cell(means[:, :3], uniq, cell)
-    return FeatureGrid(centers, means[:, 3:], cell, owner)
+    return FeatureGrid(centers, means[:, 3:], cell)
 
 
 def _keep_in_cell(centers: np.ndarray, idx: np.ndarray, cell: float) -> np.ndarray:

@@ -117,8 +117,8 @@ def transfer_keypoint(
         except (DegenerateInputError, ValueError, np.linalg.LinAlgError) as e:
             raise TransferStageError(name, str(e)) from e
 
-    ref_grid = stage("voxelize", voxelize_cloud, ref_cloud, config.voxel_cell, "reference")
-    tgt_grid = stage("voxelize", voxelize_cloud, tgt_cloud, config.voxel_cell, "target")
+    ref_grid = stage("voxelize", voxelize_cloud, ref_cloud, config.voxel_cell)
+    tgt_grid = stage("voxelize", voxelize_cloud, tgt_cloud, config.voxel_cell)
 
     query_feature = ref_grid.feature_at(ref_kf.origin)
     ref_sim = stage("similarity", region_similarity, ref_grid, query_feature)

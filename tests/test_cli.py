@@ -85,6 +85,20 @@ def test_refine_writes_the_documented_payload(tmp_path):
     assert isinstance(payload["success"], bool)
 
 
+def test_refine_sets_up_and_judges_a_trial_as_the_campaign_does(tmp_path):
+    out = tmp_path / "refined.json"
+    assert main(["refine", "--contacts", "1", "--particles", "20", "--selection", "random", "--seed", "3",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert _campaign(tmp_path, {**TINY_CAMPAIGN, "base_seed": 3}) == 0
+    header, row = (tmp_path / "rows.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert row["seed"] == "3"
+    assert row["refined_success"] == str(int(payload["success"]))
+    assert row["refined_lateral"] == f"{payload['lateral_error']:.10g}"
+    assert row["refined_rotation"] == f"{payload['rotation_error']:.10g}"
+
+
 def test_campaign_writes_header_and_one_row_per_trial(tmp_path):
     assert _campaign(tmp_path, TINY_CAMPAIGN) == 0
     header, *rows = (tmp_path / "rows.csv").read_text().splitlines()

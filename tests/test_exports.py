@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -74,3 +75,22 @@ def test_no_module_imports_a_name_it_does_not_use():
                 continue
             unused += [f"{path.relative_to(root)}:{node.lineno}: {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_every_benchmark_patch_target_is_where_the_traced_run_patches_it():
+    # the traced run replaces each target in its owner's __dict__, so a
+    # refactor that moves one of these names breaks it while the rest of
+    # this suite stays green; the spans module is only read here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, cls, attr, _, _ in spans.TARGETS:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = owner.__dict__.get(cls)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}:{cls or ''}.{attr}")
+    assert len(spans.TARGETS) > 20
+    assert missing == []

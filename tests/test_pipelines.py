@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import numpy as np
 
+from keycontact.bank import Bank
+from keycontact.cli import main
 from keycontact.geometry import PointCloud, Pose
 from keycontact.grounding import TrackedEntity
-from keycontact.pipelines import learn_records
-from keycontact.serialize import canonical_json
+from keycontact.pipelines import ground_demo, learn_records
+from keycontact.serialize import SCHEMA_VERSION, canonical_json, pose_to_json
 
 DT = 0.1  # s between frames
 GRIP_OFFSET = np.array([0.0, 0.0, 0.07])  # hand centre above the peg origin while it holds the peg
@@ -79,3 +84,37 @@ def test_learn_records_is_byte_deterministic_and_writes_no_retired_key():
     for text in runs[0]:
         for key in ("trajectory_spec", "semantic_constraints", "master_mesh", "slave_mesh"):
             assert f'"{key}"' not in text
+
+
+def _write_demo(root, entities) -> str:
+    """The demo as one binary double PLY per entity and frame plus a JSON Lines index."""
+    lines = []
+    for eid, ent in entities.items():
+        for k, (cloud, pose, t) in enumerate(zip(ent.clouds, ent.poses, ent.timestamps)):
+            ref = f"{eid}_{k:03d}.ply"
+            header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}",
+                      "property double x", "property double y", "property double z", "end_header"]
+            pts = np.ascontiguousarray(cloud.points, dtype="<f8")
+            (root / ref).write_bytes(("\n".join(header) + "\n").encode() + pts.tobytes())
+            lines.append(json.dumps({"t": float(t), "entity_id": eid, "pose": pose_to_json(pose), "cloud_ref": ref}))
+    path = root / "trajectories.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_ground_and_learn_commands_read_the_demo_files_back_exactly(tmp_path):
+    demo = peg_onto_block_demo()
+    traj = _write_demo(tmp_path, demo)
+
+    segments = tmp_path / "segments.json"
+    assert main(["ground", "--trajectories", traj, "--out", str(segments)]) == 0
+    want = {"schema": SCHEMA_VERSION, "segments": [g.to_json() for g in ground_demo(demo)]}
+    assert want["segments"]
+    assert segments.read_text() == canonical_json(want) + "\n"
+
+    out, bank = tmp_path / "records", tmp_path / "bank"
+    assert main(["learn", "--trajectories", traj, "--out-dir", str(out), "--bank", str(bank)]) == 0
+    texts = [canonical_json(r.to_json()) for r in learn_records(demo, demo_id="demo")]
+    assert len(texts) == 2
+    assert [f.read_text() for f in sorted(out.glob("record_*.json"))] == [t + "\n" for t in texts]
+    assert Bank(bank).ids() == [hashlib.sha256(t.encode()).hexdigest() for t in texts]

@@ -20,6 +20,7 @@ from keycontact.refiner import (
     ContactMeasurement,
     NoiseConfig,
     ParticleSet,
+    RefinementConfig,
     effective_sample_size,
     filter_estimate,
     filter_init,
@@ -750,6 +751,17 @@ def test_campaign_outputs_byte_identical_across_reruns(tmp_path):
     assert csv_a.read_bytes() == csv_b.read_bytes()
     assert js_a.read_bytes() == js_b.read_bytes()
     assert len(csv_a.read_text().splitlines()) == 1 + cfg.trials
+
+
+def test_campaign_summarises_a_repeated_cell_from_its_own_trials():
+    cfg = CampaignConfig(profiles=("round", "round"), trials=1, n_contacts=1, selection="random", particles=20)
+    rows, summary = run_campaign(cfg, log=None)
+    assert len(rows) == 2
+    assert [cell["trials"] for cell in summary["cells"]] == [1, 1]
+
+
+def test_a_bare_refinement_config_scores_contacts_with_the_campaign_kernel():
+    assert RefinementConfig().noise.d_th == CampaignConfig().d_th
 
 
 def test_campaign_logs_to_the_stderr_current_at_the_call():
