@@ -638,7 +638,11 @@ def penetration_depth(a: ShapeModel, pose_a: Pose, b: ShapeModel, pose_b: Pose) 
     Maximum over PENETRATION_SAMPLES surface samples (seed 0) of either
     shape of the negated signed distance to the other, clamped at zero.
     Resolution limited by the sample count and the SDF cell diagonal.
+    Raises DegenerateInputError for a pose with a non-finite translation,
+    whose depth is undefined rather than 0.
     """
+    if not (np.isfinite(pose_a.t).all() and np.isfinite(pose_b.t).all()):
+        raise DegenerateInputError("penetration depth needs finite poses")
     pa, _ = a.surface_samples(PENETRATION_SAMPLES, 0)
     pb, _ = b.surface_samples(PENETRATION_SAMPLES, 0)
     a_in_b = b.sdf_local(pose_b.inverse().apply(pose_a.apply(pa)))

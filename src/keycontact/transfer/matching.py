@@ -7,6 +7,7 @@ space come from geometry.cloud.nearest_neighbors, the one kd-tree query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
 
 RANSAC_ITERATIONS = 2000
 RANSAC_INLIER_EPS = 0.005
+RANSAC_CONFIDENCE = 0.999  # p of the adaptive stop rule
 _SCORE_BLOCK_FLOATS = 2**15  # 256 KB of float64 per scoring block
 
 
@@ -179,32 +181,73 @@ def _score_hypotheses(
     return counts, best, best_res
 
 
+def _draw_triples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """k uniform ordered triples of distinct indices in [0, n), in one draw.
+
+    Column j is drawn from n - j values and shifted past the indices
+    already taken, smaller one first, which maps it one-to-one onto the
+    values left. Returns (k, 3) int64.
+    """
+    idx = rng.integers(0, [n, n - 1, n - 2], size=(k, 3))
+    a, b, c = idx.T
+    b += b >= a
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    c += c >= lo
+    c += c >= hi
+    return idx
+
+
+def _hypotheses_needed(inlier_frac: float, iterations: int) -> int:
+    """Fischler & Bolles' stop rule N = ceil(log(1 - p) / log(1 - w^3)).
+
+    N minimal samples hold at least one all-inlier triple with probability
+    RANSAC_CONFIDENCE when a fraction w of the pairs are inliers. Capped at
+    iterations, which is also the count when w <= 0 or w^3 underflows to 0.
+    """
+    if inlier_frac >= 1.0:
+        return 1
+    miss = math.log1p(-inlier_frac**3) if inlier_frac > 0.0 else 0.0
+    if miss == 0.0:
+        return iterations
+    return min(iterations, math.ceil(math.log1p(-RANSAC_CONFIDENCE) / miss))
+
+
 def ransac_rigid_align(
     c: CorrespondenceSet,
     iterations: int = RANSAC_ITERATIONS,
     inlier_eps: float = RANSAC_INLIER_EPS,
     seed: int = 0,
 ) -> tuple[Pose, np.ndarray]:
-    """RANSAC rigid fit over putative correspondences.
+    """Adaptive RANSAC rigid fit over putative correspondences.
 
-    Draws `iterations` minimal samples of 3 pairs and fits them all at once.
-    Scoring them walks the hypotheses in cache-sized blocks, so its working
-    set is one reused buffer of about 256 KB whatever the number of pairs
-    (see _score_hypotheses). The largest consensus set, earliest on ties, is
-    refit by weighted Kabsch until the inlier set stabilizes, so every
-    reported inlier has residual <= inlier_eps under the reported transform.
-    Deterministic per seed. Returns (transform ref->tgt, inlier mask).
+    Draws `iterations` minimal samples of 3 pairs in one call, then fits and
+    scores them one block of max(1, 2**15 // (3 N)) at a time (see
+    _score_hypotheses), so the working set is one buffer of about 256 KB
+    whatever the number of pairs. After each block it stops once the
+    hypotheses scored reach the stop rule's count for the best inlier
+    fraction so far (_hypotheses_needed); `iterations` is the cap. The
+    largest consensus set, earliest on ties, is refit by weighted Kabsch
+    until the inlier set stabilizes, so every reported inlier has residual
+    <= inlier_eps under the reported transform. Deterministic per seed.
+    Returns (transform ref->tgt, inlier mask).
     """
     if iterations < 1:
         raise ConfigError({"iterations": f"must be >= 1, got {iterations}"})
     n = len(c)
     if n < 3:
         raise DegenerateInputError("RANSAC needs at least 3 correspondences")
-    rng = np.random.default_rng(seed)
-    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
-    r_all, t_all, ok = _batched_minimal_fits(c.ref_points[idx], c.tgt_points[idx])
-    counts, best, best_res = _score_hypotheses(r_all, t_all, ok, c, inlier_eps)
-    if counts[best] < 3:
+    idx = _draw_triples(np.random.default_rng(seed), n, iterations)
+    block = max(1, _SCORE_BLOCK_FLOATS // (3 * n))
+    best_count, best_res = -1, None
+    for lo in range(0, iterations, block):
+        hi = min(lo + block, iterations)
+        fits = _batched_minimal_fits(c.ref_points[idx[lo:hi]], c.tgt_points[idx[lo:hi]])
+        counts, j, res = _score_hypotheses(*fits, c, inlier_eps)
+        if counts[j] > best_count:
+            best_count, best_res = int(counts[j]), res
+        if hi >= _hypotheses_needed(best_count / n, iterations):
+            break
+    if best_count < 3:
         raise DegenerateInputError("no consensus set of size >= 3 found")
     inliers = best_res <= inlier_eps
 

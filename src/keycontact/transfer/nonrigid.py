@@ -20,10 +20,14 @@ cutoff is at least 1e-14 of the largest eigenvalue.
 
 The EM loop's one large buffer is the (N_ref, N_tgt) responsibilities,
 allocated once: cdist writes the squared distances into it, which are then
-scaled, exponentiated and normalized in place. The only (N_ref, N_tgt, 3)
-temporary is the one-time sigma^2 start, squared in place before the kernel
-exists: summing the cdist matrix instead adds in another order and moves
-the fit in its last bits.
+scaled, exponentiated and normalized in place, beside one reused bool
+buffer of the same shape. np.exp leaves its SIMD path below about -708 and
+is exactly +0.0 below about -745.13, so only exponents >= _EXP_FLOOR are
+exponentiated and the rest are set to 0.0 (_exp_above_floor): once sigma^2
+is small most entries are skipped, and every output stays bit-identical.
+The only (N_ref, N_tgt, 3) temporary is the one-time sigma^2 start,
+squared in place before the kernel exists: summing the cdist matrix
+instead adds in another order and moves the fit in its last bits.
 
 scipy's cdist and eigh are imported inside the functions that call them.
 """
@@ -43,6 +47,8 @@ __all__ = ["CpdConfig", "DeformationMap", "nonrigid_register"]
 # tight fits need weak modes: at 1e-12 a warped 949-point fit ending at
 # sigma^2 ~ 2e-8 moved 16 um from the dense solve, at 1e-14 it moves 0.014 um.
 _EIGEN_CUTOFF = 1e-14
+# exp(x) rounds to exactly +0.0 for every double below about -745.13
+_EXP_FLOOR = -746.0
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,20 @@ def _gaussian_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarr
     k = cdist(a, b, "sqeuclidean")
     np.divide(k, -2.0 * bandwidth**2, out=k)
     return np.exp(k, out=k)
+
+
+def _exp_above_floor(p: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """p = np.exp(p) in place, bit for bit, without exponentiating below _EXP_FLOOR.
+
+    live is a bool buffer of p's shape, overwritten. NaN entries are
+    exponentiated, so they stay NaN.
+    """
+    np.less(p, _EXP_FLOOR, out=live)
+    np.logical_not(live, out=live)
+    np.exp(p, out=p, where=live)
+    np.logical_not(live, out=live)
+    np.copyto(p, 0.0, where=live)
+    return p
 
 
 def _initial_sigma2(y: np.ndarray, x: np.ndarray) -> float:
@@ -163,13 +183,14 @@ def nonrigid_register(
     const_uniform = w / max(1e-12, (1.0 - w)) * n_ref / n_tgt
     xz_sq = (xz * xz).sum(axis=1)
     p = np.empty((n_ref, n_tgt))  # responsibilities, rewritten every E-step
+    live = np.empty((n_ref, n_tgt), dtype=bool)  # exponents above _EXP_FLOOR
     p1q = np.empty_like(q)  # diag(P1) Q
 
     for _ in range(config.max_iterations):
         # E-step: responsibilities p (N_ref, N_tgt), in the distance buffer
         cdist(warped, xz, "sqeuclidean", out=p)
         np.divide(p, -2.0 * sigma2, out=p)
-        np.exp(p, out=p)
+        _exp_above_floor(p, live)
         denom = p.sum(axis=0) + const_uniform * (2.0 * np.pi * sigma2) ** 1.5
         denom = np.where(denom < 1e-300, 1e-300, denom)
         p /= denom

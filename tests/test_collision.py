@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from keycontact.errors import NoCollisionFreePoseError
+from keycontact.errors import DegenerateInputError, NoCollisionFreePoseError
 from keycontact.geometry import Pose, penetration_depth, union_aabb_volume
 from keycontact.geometry.pose import quat_from_rotvec
 from keycontact.keypoints import KeypointFrame
@@ -74,3 +74,11 @@ def test_pose_distance_resolves_small_rotations(angle):
     quats = quat_from_rotvec(np.array([[angle, 0.0, 0.0], [0.0, 0.0, -angle]]))
     got = _pose_distance(quats, np.zeros((2, 3)), Pose.identity(), rot_weight=1.0)
     assert got == pytest.approx([angle, angle], rel=1e-12)
+
+
+@pytest.mark.parametrize("moved", ["master", "slave"])
+def test_penetration_depth_rejects_a_nan_translation(scene, moved):
+    # max(0.0, nan) is 0.0, which would read as "no penetration"
+    poses = {"master": Pose.identity(), "slave": Pose.identity(), moved: Pose(t=(np.nan, 0.0, 0.0))}
+    with pytest.raises(DegenerateInputError, match="finite"):
+        penetration_depth(scene.master_shape, poses["master"], scene.slave_shape, poses["slave"])

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,8 +25,15 @@ from keycontact.transfer import (
     transfer_keypoint,
     voxelize_cloud,
 )
-from keycontact.transfer.matching import _SCORE_BLOCK_FLOATS, _batched_minimal_fits, _score_hypotheses
-from keycontact.transfer.nonrigid import _EIGEN_CUTOFF, _initial_sigma2
+from keycontact.transfer import matching, nonrigid
+from keycontact.transfer.matching import (
+    _SCORE_BLOCK_FLOATS,
+    _batched_minimal_fits,
+    _draw_triples,
+    _hypotheses_needed,
+    _score_hypotheses,
+)
+from keycontact.transfer.nonrigid import _EIGEN_CUTOFF, _EXP_FLOOR, _exp_above_floor, _initial_sigma2
 
 
 def random_pose(rng, scale=0.1):
@@ -281,14 +289,20 @@ def test_ransac_degenerate_rejected():
 
 
 def einsum_ransac_reference(c, seed, inlier_eps=0.005, iterations=2000):
-    """ransac_rigid_align with the residual tensor built by einsum."""
-    rng = np.random.default_rng(seed)
-    idx = np.array([rng.choice(len(c), size=3, replace=False) for _ in range(iterations)])
+    """ransac_rigid_align with the residual tensor built by einsum.
+
+    Scores every drawn hypothesis, then keeps those that ransac_rigid_align
+    scores before its stop rule ends the walk over blocks.
+    """
+    idx = _draw_triples(np.random.default_rng(seed), len(c), iterations)
     r_all, t_all, ok = _batched_minimal_fits(c.ref_points[idx], c.tgt_points[idx])
     mapped = np.einsum("kij,nj->kni", r_all, c.ref_points) + t_all[:, None, :]
     res = np.linalg.norm(mapped - c.tgt_points[None, :, :], axis=2)
     counts = np.where(ok, (res <= inlier_eps).sum(axis=1), -1)
-    inliers = res[int(np.argmax(counts))] <= inlier_eps
+    block = max(1, _SCORE_BLOCK_FLOATS // (3 * len(c)))
+    scored = next(hi for hi in [*range(block, iterations, block), iterations]
+                  if hi >= _hypotheses_needed(counts[:hi].max() / len(c), iterations))
+    inliers = res[int(np.argmax(counts[:scored]))] <= inlier_eps
     for _ in range(8):
         pose = kabsch_fit(c.ref_points[inliers], c.tgt_points[inliers])
         new = np.linalg.norm(pose.apply(c.ref_points) - c.tgt_points, axis=1) <= inlier_eps
@@ -315,6 +329,75 @@ def test_ransac_matches_einsum_reference():
         assert np.array_equal(inliers, want_inliers)
         assert pose.translation_distance_to(want_pose) < 1e-12
         assert pose.rotation_angle_to(want_pose) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 50, 1000])
+def test_triples_are_distinct_and_in_range(n):
+    idx = _draw_triples(np.random.default_rng(n), n, 24000)
+    assert idx.shape == (24000, 3)
+    assert idx.min() >= 0 and idx.max() < n
+    assert (idx[:, 0] != idx[:, 1]).all() and (idx[:, 0] != idx[:, 2]).all() and (idx[:, 1] != idx[:, 2]).all()
+    if n == 3:
+        assert (np.sort(idx, axis=1) == [0, 1, 2]).all()
+    if n == 4:
+        # 24 ordered triples, each drawn about 1000 times (sd about 31)
+        triples, counts = np.unique(idx, axis=0, return_counts=True)
+        assert len(triples) == 24
+        assert counts.min() > 850 and counts.max() < 1150
+
+
+def test_triples_depend_only_on_the_seed():
+    a = _draw_triples(np.random.default_rng(5), 80, 2000)
+    assert a.tobytes() == _draw_triples(np.random.default_rng(5), 80, 2000).tobytes()
+    assert a.tobytes() != _draw_triples(np.random.default_rng(6), 80, 2000).tobytes()
+
+
+def test_stop_rule_hypothesis_counts():
+    assert _hypotheses_needed(1.0, 2000) == 1
+    assert _hypotheses_needed(0.78, 2000) == 11
+    assert _hypotheses_needed(0.16, 2000) == math.ceil(math.log(0.001) / math.log(1 - 0.16**3))
+    assert 1650 <= _hypotheses_needed(0.16, 2000) <= 1750
+    assert _hypotheses_needed(0.05, 2000) == 2000  # the uncapped rule asks for about 55,000
+    assert _hypotheses_needed(0.78, 5) == 5
+    # no consensus, all hypotheses degenerate (-1 / n), N about 7e21, w^3 = 0.0
+    for w in (0.0, -1 / 40, 1e-7, 1e-120):
+        assert _hypotheses_needed(w, 2000) == 2000
+
+
+def count_scored(monkeypatch):
+    """Wrap _score_hypotheses; returns the list of block sizes it was called with."""
+    blocks = []
+
+    def counted(r_all, *args):
+        blocks.append(len(r_all))
+        return _score_hypotheses(r_all, *args)
+
+    monkeypatch.setattr(matching, "_score_hypotheses", counted)
+    return blocks
+
+
+def test_ransac_stops_after_one_block_on_an_exact_copy(monkeypatch):
+    blocks = count_scored(monkeypatch)
+    rng = np.random.default_rng(28)
+    ref = rng.uniform(-0.1, 0.1, (40, 3))
+    pose, inliers = ransac_rigid_align(CorrespondenceSet.from_pairs(ref, random_pose(rng).apply(ref)), seed=0)
+    assert blocks == [_SCORE_BLOCK_FLOATS // 120]
+    assert inliers.all()
+
+
+def test_ransac_scores_every_hypothesis_on_weak_consensus(monkeypatch):
+    # 10 of 200 pairs agree (w = 0.05): the stop rule never ends the walk early
+    blocks = count_scored(monkeypatch)
+    rng = np.random.default_rng(29)
+    ref = rng.uniform(-0.1, 0.1, (200, 3))
+    tgt = rng.uniform(-0.1, 0.1, (200, 3))
+    tgt[:10] = random_pose(rng).apply(ref[:10])
+    try:
+        ransac_rigid_align(CorrespondenceSet.from_pairs(ref, tgt), seed=0)
+    except DegenerateInputError:
+        pass
+    assert sum(blocks) == 2000
+    assert len(blocks) > 1
 
 
 def unblocked_scores(r_all, t_all, ok, c, inlier_eps=0.005):
@@ -648,6 +731,49 @@ def test_cpd_rejects_non_finite_points(cloud, value):
 def test_cpd_rejects_clouds_of_one_coincident_point():
     with pytest.raises(DegenerateInputError, match="sigma"):
         nonrigid_register(np.zeros((20, 3)), np.zeros((20, 3)))
+
+
+def test_exp_above_floor_matches_np_exp_bitwise():
+    # the subnormal band and the floor's neighbours are where a wrong floor would show
+    x = np.concatenate([
+        np.linspace(-3000.0, 0.0, 300_001),
+        np.linspace(-745.2, -708.0, 100_001),
+        [-746.0, np.nextafter(-746.0, -np.inf), np.nextafter(-746.0, 0.0), -745.13, -745.14, -np.inf, np.nan],
+    ])
+    for shape in ((len(x),), (7, len(x) // 7)):
+        p = x[: int(np.prod(shape))].reshape(shape)
+        got = _exp_above_floor(p.copy(), np.empty(shape, dtype=bool))
+        assert got.tobytes() == np.exp(p).tobytes()
+
+
+def test_np_exp_is_positive_zero_below_the_floor():
+    below = np.concatenate([
+        np.linspace(-3000.0, np.nextafter(_EXP_FLOOR, -np.inf), 100_001), [-1e300, -np.finfo(float).max],
+    ])
+    e = np.exp(below)
+    assert (e == 0.0).all() and not np.signbit(e).any()
+
+
+@pytest.mark.parametrize("case", ["subset", "large_warped"])
+def test_cpd_skips_exponents_below_the_floor_with_unchanged_bits(monkeypatch, case):
+    ref, tgt, _ = cpd_case(case)
+    skipped = []
+
+    def counted(p, live):
+        skipped.append(int((p < _EXP_FLOOR).sum()))
+        return _exp_above_floor(p, live)
+
+    def plain(p, live):
+        return np.exp(p, out=p)
+
+    monkeypatch.setattr(nonrigid, "_exp_above_floor", counted)
+    masked = nonrigid_register(ref, tgt)
+    monkeypatch.setattr(nonrigid, "_exp_above_floor", plain)
+    dense = nonrigid_register(ref, tgt)
+    assert max(skipped) > 0
+    assert masked.weights.tobytes() == dense.weights.tobytes()
+    assert masked.final_objective == dense.final_objective
+    assert masked.iterations == dense.iterations and masked.converged == dense.converged
 
 
 def test_cpd_reports_iterations_within_budget():
