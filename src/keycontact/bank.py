@@ -161,6 +161,9 @@ class Bank:
         self.records_dir.mkdir(parents=True, exist_ok=True)
         if not self.index_path.exists():
             self._write_index([])
+        # description tokens per content id; an id is the hash of the record's
+        # bytes, so an entry cannot go stale
+        self._tokens: dict[str, frozenset[str]] = {}
 
     # -- locking ------------------------------------------------------------
     @contextmanager
@@ -239,10 +242,15 @@ class Bank:
         if not order:
             raise BankError("bank is empty")
         q = tokenize(query)
-        scored = []
-        for pos, rid in enumerate(order):
-            d = self.get_raw(rid)
-            text = d.get("description") if d.get("kind") == "skill" else d.get("task", "")
-            scored.append((-overlap_score(q, tokenize(text or "")), pos, rid))
+        scored = [(-overlap_score(q, self._description_tokens(rid)), pos, rid) for pos, rid in enumerate(order)]
         scored.sort()
         return [(rid, -neg) for neg, _, rid in scored[:n_top]]
+
+    def _description_tokens(self, rid: str) -> frozenset[str]:
+        """Tokens of a skill's description or a plan's task, read from disk once per id."""
+        tokens = self._tokens.get(rid)
+        if tokens is None:
+            d = self.get_raw(rid)
+            text = d.get("description") if d.get("kind") == "skill" else d.get("task", "")
+            tokens = self._tokens[rid] = tokenize(text or "")
+        return tokens

@@ -101,7 +101,8 @@ def kabsch_fit(ref: np.ndarray, tgt: np.ndarray, weights: np.ndarray | None = No
     """Least-squares rigid transform mapping ref points onto tgt points.
 
     SVD solution with det(R) = +1 enforced (no reflections). Raises on
-    degenerate (collinear / coincident) support.
+    degenerate (collinear / coincident) support and on weights that are
+    not one finite, non-negative value per pair with a positive sum.
     """
     ref = np.asarray(ref, dtype=float)
     tgt = np.asarray(tgt, dtype=float)
@@ -110,6 +111,10 @@ def kabsch_fit(ref: np.ndarray, tgt: np.ndarray, weights: np.ndarray | None = No
     if weights is None:
         weights = np.ones(len(ref))
     w = np.asarray(weights, dtype=float)
+    if w.shape != (len(ref),):
+        raise DegenerateInputError(f"rigid fit needs one weight per pair: {w.shape} for {len(ref)} pairs")
+    if not np.isfinite(w).all() or (w < 0).any() or not w.sum() > 0:
+        raise DegenerateInputError("rigid fit weights must be finite and non-negative with a positive sum")
     w = w / w.sum()
     rc = (w[:, None] * ref).sum(axis=0)
     tc = (w[:, None] * tgt).sum(axis=0)

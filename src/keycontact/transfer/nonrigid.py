@@ -5,11 +5,17 @@ points, the M-step solves for a smooth displacement field regularized by a
 Gaussian-kernel motion-coherence prior. The result is a DeformationMap that
 can be evaluated anywhere via kernel interpolation of the control weights.
 
-The kernel G is numerically low-rank (Myronenko & Song, "Point Set
-Registration: Coherent Point Drift", TPAMI 2010). Each call
-eigendecomposes it once, keeping the K eigenpairs G ~ Q diag(L) Q^T whose
-eigenvalues exceed _EIGEN_CUTOFF * N_ref, and then drops G. Every M-step
-solves the (K, K) system
+Both clouds are normalized by the reference's own centroid and RMS radius,
+as Myronenko & Song normalize the moving set ("Point Set Registration:
+Coherent Point Drift", TPAMI 2010). The kernel G = G(y, y) then belongs to
+the reference alone: it is the same for every target registered to it.
+
+G is numerically low-rank. Its K eigenpairs G ~ Q diag(L) Q^T whose
+eigenvalues exceed _EIGEN_CUTOFF * N_ref come from _kernel_basis, an LRU
+cache of _BASIS_CACHE_SIZE entries keyed on the normalized reference's
+bytes and beta, so registering many targets to one reference eigensolves
+once; the cached arrays are read-only, and a warm call is bit-identical to
+a cold one. Every M-step solves the (K, K) system
 
     (Q^T diag(P1) Q + lam sigma^2 diag(L)^-1) alpha = Q^T (P X - diag(P1) Y)
 
@@ -26,8 +32,8 @@ is exactly +0.0 below about -745.13, so only exponents >= _EXP_FLOOR are
 exponentiated and the rest are set to 0.0 (_exp_above_floor): once sigma^2
 is small most entries are skipped, and every output stays bit-identical.
 The only (N_ref, N_tgt, 3) temporary is the one-time sigma^2 start,
-squared in place before the kernel exists: summing the cdist matrix
-instead adds in another order and moves the fit in its last bits.
+squared in place: summing the cdist matrix instead adds in another order
+and moves the fit in its last bits.
 
 scipy's cdist and eigh are imported inside the functions that call them.
 """
@@ -35,6 +41,7 @@ scipy's cdist and eigh are imported inside the functions that call them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +54,9 @@ __all__ = ["CpdConfig", "DeformationMap", "nonrigid_register"]
 # tight fits need weak modes: at 1e-12 a warped 949-point fit ending at
 # sigma^2 ~ 2e-8 moved 16 um from the dense solve, at 1e-14 it moves 0.014 um.
 _EIGEN_CUTOFF = 1e-14
+# kernel eigenbases kept by _kernel_basis, one per (reference, beta); each
+# holds its (N_ref, K) basis, 0.75 MB for a 949-point reference at K = 99
+_BASIS_CACHE_SIZE = 8
 # exp(x) rounds to exactly +0.0 for every double below about -745.13
 _EXP_FLOOR = -746.0
 
@@ -64,8 +74,10 @@ class CpdConfig:
 class DeformationMap:
     """phi(p) = p + nu(p), nu interpolated from control-point weights.
 
-    Control points and weights live in normalized coordinates (shift mu,
-    scale s); apply() handles the round trip.
+    Control points and weights live in the reference's normalized
+    coordinates: mu is the reference centroid and scale its RMS distance
+    from mu. The kernel and its eigenbasis belong to the reference and are
+    reused across targets; apply() handles the round trip.
     """
 
     control_points: np.ndarray  # normalized (N, 3)
@@ -118,6 +130,32 @@ def _exp_above_floor(p: np.ndarray, live: np.ndarray) -> np.ndarray:
     return p
 
 
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _kernel_basis(y_bytes: bytes, n_ref: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L, Q): the eigenpairs of G(y, y) whose eigenvalues exceed _EIGEN_CUTOFF * n_ref.
+
+    y is the (n_ref, 3) normalized reference, passed as its bytes so that
+    the call can be cached; equal bytes give the same eigensolve. Both
+    arrays are read-only, since every caller of one reference shares them.
+    """
+    from scipy.linalg import eigh
+
+    y = np.frombuffer(y_bytes).reshape(n_ref, 3)
+    # G is symmetric, so its transpose is the Fortran-ordered G that LAPACK
+    # overwrites in place
+    eigvals, q = eigh(
+        _gaussian_kernel(y, y, beta).T,
+        subset_by_value=(_EIGEN_CUTOFF * n_ref, np.inf),
+        driver="evr",
+        overwrite_a=True,
+        check_finite=False,
+    )
+    q = np.ascontiguousarray(q)  # the returned columns view an (N_ref, N_ref) buffer
+    eigvals.flags.writeable = False
+    q.flags.writeable = False
+    return eigvals, q
+
+
 def _initial_sigma2(y: np.ndarray, x: np.ndarray) -> float:
     """Mean squared coordinate difference over all (y_i, x_j) pairs.
 
@@ -149,12 +187,11 @@ def nonrigid_register(
         )
     if not (np.isfinite(y0).all() and np.isfinite(x).all()):
         raise DegenerateInputError("non-rigid registration needs finite points")
-    from scipy.linalg import eigh
     from scipy.spatial.distance import cdist
 
-    # common normalization keeps the kernel bandwidth scale-free
-    mu = np.vstack([y0, x]).mean(axis=0)
-    scale = float(np.sqrt(((np.vstack([y0, x]) - mu) ** 2).sum(axis=1).mean()))
+    # the reference's own frame, so that y and its kernel do not depend on the target
+    mu = y0.mean(axis=0)
+    scale = float(np.sqrt(((y0 - mu) ** 2).sum(axis=1).mean()))
     if scale < 1e-12:
         scale = 1.0
     y = (y0 - mu) / scale
@@ -165,16 +202,7 @@ def nonrigid_register(
     if sigma2 == 0.0:
         raise DegenerateInputError("both clouds are one coincident point (sigma^2 = 0)")
 
-    # G is symmetric, so its transpose is the Fortran-ordered G that LAPACK
-    # overwrites in place
-    eigvals, q = eigh(
-        _gaussian_kernel(y, y, beta).T,
-        subset_by_value=(_EIGEN_CUTOFF * n_ref, np.inf),
-        driver="evr",
-        overwrite_a=True,
-        check_finite=False,
-    )
-    q = np.ascontiguousarray(q)  # the returned columns view an (N_ref, N_ref) buffer
+    eigvals, q = _kernel_basis(y.tobytes(), n_ref, beta)
     rank = len(eigvals)
     warped = y.copy()
     alpha = np.zeros((rank, 3))

@@ -177,6 +177,19 @@ def test_query_text_reads_the_index_once(tmp_path, monkeypatch):
     assert len(reads) == 1
 
 
+def test_query_text_reads_each_record_once(tmp_path, monkeypatch):
+    bank = Bank(tmp_path / "bank")
+    for text in ("insert the peg", "pour water", "insert the peg into the hole"):
+        bank.put(_skill(text))
+    bank.put(PlanRecord("peg assembly", ("pick the peg",)))
+    first = bank.query_text("insert peg", n_top=4)
+    reads = []
+    get_raw = bank.get_raw
+    monkeypatch.setattr(bank, "get_raw", lambda rid: reads.append(rid) or get_raw(rid))
+    assert bank.query_text("insert peg", n_top=4) == first
+    assert reads == []
+
+
 def test_a_plan_needs_a_subtask():
     with pytest.raises(DegenerateInputError, match="at least one subtask"):
         PlanRecord("assemble", ())

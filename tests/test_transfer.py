@@ -564,9 +564,8 @@ def dense_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
     """
     y0, x = np.asarray(ref_points, float), np.asarray(tgt_points, float)
     n_ref, n_tgt = len(y0), len(x)
-    both = np.vstack([y0, x])
-    mu = both.mean(axis=0)
-    scale = float(np.sqrt(((both - mu) ** 2).sum(axis=1).mean()))
+    mu = y0.mean(axis=0)
+    scale = float(np.sqrt(((y0 - mu) ** 2).sum(axis=1).mean()))
     y, xz = (y0 - mu) / scale, (x - mu) / scale
     beta, lam, w = config.beta, config.lam, config.outlier_w
     g = np.exp(-((y[:, None, :] - y[None, :, :]) ** 2).sum(axis=2) / (2.0 * beta**2))
@@ -613,9 +612,8 @@ def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
     """
     y0, x = np.asarray(ref_points, float), np.asarray(tgt_points, float)
     n_ref, n_tgt = len(y0), len(x)
-    both = np.vstack([y0, x])
-    mu = both.mean(axis=0)
-    scale = float(np.sqrt(((both - mu) ** 2).sum(axis=1).mean()))
+    mu = y0.mean(axis=0)
+    scale = float(np.sqrt(((y0 - mu) ** 2).sum(axis=1).mean()))
     y, xz = (y0 - mu) / scale, (x - mu) / scale
     beta, lam, w = config.beta, config.lam, config.outlier_w
     g = np.exp(-((y[:, None, :] - y[None, :, :]) ** 2).sum(axis=2) / (2.0 * beta**2))
@@ -717,6 +715,99 @@ def test_cpd_is_deterministic_low_rank_and_bounded_in_memory():
     # the one-time (N_ref, N_tgt, 3) sigma^2 start is 21.5 MB and each
     # (N_ref, N_ref) array 7.2 MB; the dense M-step peaked at 47.7 MB
     assert peak < 30e6
+
+
+def test_cpd_cold_call_is_bounded_in_memory():
+    ref, tgt, _ = cpd_case("large_warped")
+    nonrigid._kernel_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        nonrigid_register(ref, tgt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert nonrigid._kernel_basis.cache_info().misses == 1
+    assert peak < 30e6
+
+
+# --- the reference's kernel eigenbasis, reused across targets ---------------------------
+
+def test_cpd_warm_fit_is_byte_identical_to_a_cold_fit():
+    ref, tgt, _ = cpd_case("warped")
+    nonrigid._kernel_basis.cache_clear()
+    cold = nonrigid_register(ref, tgt)
+    warm = nonrigid_register(ref, tgt)
+    info = nonrigid._kernel_basis.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cold.weights.tobytes() == warm.weights.tobytes()
+    assert cold.final_objective.hex() == warm.final_objective.hex()
+    assert (cold.iterations, cold.rank) == (warm.iterations, warm.rank)
+
+
+def test_cpd_basis_cache_misses_on_another_beta_or_reference():
+    ref, tgt, _ = cpd_case("subset")
+    nonrigid._kernel_basis.cache_clear()
+    nonrigid_register(ref, tgt, CpdConfig(max_iterations=1))
+    nonrigid_register(ref, tgt, CpdConfig(beta=2.5, max_iterations=1))
+    nudged = ref.copy()
+    nudged[7, 1] = np.nextafter(nudged[7, 1], np.inf)  # one ulp
+    nonrigid_register(nudged, tgt, CpdConfig(max_iterations=1))
+    nonrigid_register(ref, tgt * 1.1, CpdConfig(max_iterations=1))  # the first reference and beta again
+    info = nonrigid._kernel_basis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
+
+
+def test_cpd_cached_basis_is_read_only():
+    ref, tgt, _ = cpd_case("subset")
+    nonrigid._kernel_basis.cache_clear()
+    dmap = nonrigid_register(ref, tgt, CpdConfig(max_iterations=1))
+    eigvals, q = nonrigid._kernel_basis(dmap.control_points.tobytes(), len(ref), CpdConfig().beta)
+    assert nonrigid._kernel_basis.cache_info().hits == 1
+    assert q.shape == (len(ref), dmap.rank) and eigvals.shape == (dmap.rank,)
+    assert not eigvals.flags.writeable and not q.flags.writeable
+    with pytest.raises(ValueError):
+        q[0, 0] = 0.0
+
+
+def test_cpd_basis_cache_is_bounded():
+    ref, tgt, _ = cpd_case("subset")
+    nonrigid._kernel_basis.cache_clear()
+    maxsize = nonrigid._kernel_basis.cache_info().maxsize
+    assert maxsize == nonrigid._BASIS_CACHE_SIZE
+    for k in range(maxsize + 3):
+        nonrigid_register(ref, tgt, CpdConfig(beta=1.0 + 0.25 * k, max_iterations=1))
+        assert nonrigid._kernel_basis.cache_info().currsize == min(k + 1, maxsize)
+    assert nonrigid._kernel_basis.cache_info().misses == maxsize + 3
+
+
+def test_cpd_frame_is_the_reference_s_own():
+    ref, tgt, _ = cpd_case("warped")
+    mu = ref.mean(axis=0)
+    scale = float(np.sqrt(((ref - mu) ** 2).sum(axis=1).mean()))
+    fits = [nonrigid_register(ref, tgt), nonrigid_register(ref, 1.2 * tgt)]
+    for dmap in fits:
+        assert dmap.mu.tobytes() == mu.tobytes() and dmap.scale == scale
+        assert dmap.control_points.tobytes() == ((ref - mu) / scale).tobytes()
+    assert fits[0].rank == fits[1].rank
+
+
+def test_transfer_frames_do_not_depend_on_the_order_of_targets(ref_object):
+    cloud, kf = ref_object
+    rng = np.random.default_rng(29)
+    targets = [
+        PointCloud(random_pose(rng, 0.05).apply(cloud.points), cloud.features),
+        PointCloud(random_pose(rng, 0.05).apply(1.2 * cloud.points), cloud.features),
+    ]
+
+    def frames(order):
+        nonrigid._kernel_basis.cache_clear()
+        out = {i: transfer_keypoint(cloud, kf, targets[i], TransferConfig(seed=7))[0] for i in order}
+        return [np.concatenate([out[i].origin, out[i].x_axis, out[i].z_axis]).tobytes() for i in (0, 1)]
+
+    assert frames((0, 1)) == frames((1, 0))
+    assert nonrigid._kernel_basis.cache_info().hits == 1
 
 
 @pytest.mark.parametrize("cloud", ["ref", "tgt"])
@@ -951,6 +1042,10 @@ TYPED_FAILURES = {
     "best_buddies_empty_region": (_bad,
                                   lambda: relaxed_best_buddies(_grid(), _grid().select(_pts[:12, 0] > 1), 0.1)),
     "best_buddies_negative_radius": (ConfigError, lambda: relaxed_best_buddies(_grid(), _grid(), -0.1)),
+    "kabsch_zero_weights": (_bad, lambda: kabsch_fit(_pts[:5], _pts[:5], np.zeros(5))),
+    "kabsch_negative_weight": (_bad, lambda: kabsch_fit(_pts[:5], _pts[:5], [1.0, 1.0, 1.0, -3.0, 0.0])),
+    "kabsch_nan_weight": (_bad, lambda: kabsch_fit(_pts[:5], _pts[:5], [1.0, np.nan, 1.0, 1.0, 1.0])),
+    "kabsch_weights_misaligned": (_bad, lambda: kabsch_fit(_pts[:5], _pts[:5], np.ones(4))),
     "ransac_no_iterations": (ConfigError, lambda: ransac_rigid_align(CorrespondenceSet.from_pairs(_pts, _pts), 0)),
     "cpd_too_few_points": (_bad, lambda: nonrigid_register(_pts[:5], _pts)),
     "cpd_non_finite_points": (_bad, lambda: nonrigid_register(_pts, np.vstack([_pts[:-1], [[np.nan, 0.0, 0.0]]]))),
