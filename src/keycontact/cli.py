@@ -48,15 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--out-dir", required=True)
     l.add_argument("--bank", default=None, help="also store records in this bank")
 
-    t = sub.add_parser("transfer", help="record + target object -> keypoint")
+    t = sub.add_parser("transfer", help="record + target objects -> one keypoint per target")
     t.add_argument("--record", required=True, help="skill record JSON")
     t.add_argument("--reference", required=True, help="featured PLY of the reference object")
-    t.add_argument("--target", required=True, help="featured PLY of the target object")
+    t.add_argument("--target", required=True, nargs="+", help="featured PLY of each target object")
     t.add_argument("--which", choices=("master", "slave"), default="master")
     t.add_argument("--voxel", type=float, default=0.005)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--out", required=True)
-    t.add_argument("--diagnostics", default=None)
+    t.add_argument("--out", required=True, nargs="+", help="keypoint JSON per target, in --target order")
+    t.add_argument("--diagnostics", default=None, nargs="+", help="diagnostics JSON per target")
 
     r = sub.add_parser("refine", help="synthetic scene -> contact-refined estimate")
     r.add_argument("--profile", default="round")
@@ -134,13 +134,21 @@ def _cmd_transfer(args) -> int:
     kf = rec.master_kf if args.which == "master" else rec.slave_kf
     if kf is None:
         raise ConfigError({"--which": f"record has no {args.which} keypoint frame"})
+    n = len(args.target)
+    failures = {flag: f"needs one path per --target ({n}), got {len(paths)}"
+                for flag, paths in (("--out", args.out), ("--diagnostics", args.diagnostics))
+                if paths is not None and len(paths) != n}
+    if failures:
+        raise ConfigError(failures)
     ref = load_featured_cloud(args.reference)
-    tgt = load_featured_cloud(args.target)
     cfg = TransferConfig(voxel_cell=args.voxel, seed=args.seed)
-    out_kf, diag = transfer_keypoint(ref, kf, tgt, cfg)
-    Path(args.out).write_text(canonical_json(out_kf.to_json()) + "\n")
-    if args.diagnostics:
-        Path(args.diagnostics).write_text(canonical_json(diag.to_json()) + "\n")
+    # every target goes from the one reference in this process, so CPD
+    # eigensolves the reference's kernel once; a failing target leaves no file
+    results = [transfer_keypoint(ref, kf, load_featured_cloud(path), cfg) for path in args.target]
+    for i, (out_kf, diag) in enumerate(results):
+        Path(args.out[i]).write_text(canonical_json(out_kf.to_json()) + "\n")
+        if args.diagnostics:
+            Path(args.diagnostics[i]).write_text(canonical_json(diag.to_json()) + "\n")
     return 0
 
 

@@ -54,9 +54,14 @@ __all__ = ["CpdConfig", "DeformationMap", "nonrigid_register"]
 # tight fits need weak modes: at 1e-12 a warped 949-point fit ending at
 # sigma^2 ~ 2e-8 moved 16 um from the dense solve, at 1e-14 it moves 0.014 um.
 _EIGEN_CUTOFF = 1e-14
-# kernel eigenbases kept by _kernel_basis, one per (reference, beta); each
-# holds its (N_ref, K) basis, 0.75 MB for a 949-point reference at K = 99
-_BASIS_CACHE_SIZE = 8
+# kernel eigenbases kept by _kernel_basis, one per (reference, beta), for the
+# life of the process. An entry holds its (N_ref, K) basis and a 24 N_ref-byte
+# key. At beta = 2 the unit-RMS reference keeps K <= ~190 however many points
+# it has (183 for 1,000 to 3,000 points filling a ball), so an entry costs
+# about 1.5 KB per reference point. Sized for the regions of the default
+# 5 mm voxel, 400 to 1,000 points: at most 1.5 MB an entry, 6 MB in all; a
+# finer voxel_cell grows every entry in proportion to N_ref.
+_BASIS_CACHE_SIZE = 4
 # exp(x) rounds to exactly +0.0 for every double below about -745.13
 _EXP_FLOOR = -746.0
 

@@ -11,6 +11,7 @@ from keycontact.geometry import Pose, load_featured_cloud
 from keycontact.geometry.meshio import _read_ply
 from keycontact.keypoints import KeypointFrame
 from keycontact.serialize import canonical_json
+from keycontact.transfer import nonrigid
 
 
 def write_ply(path, names, rows, fmt="ascii", scalar="float", faces=()):
@@ -199,31 +200,97 @@ def test_binary_vertices_decode_as_the_per_row_struct_reference(tmp_path):
 
 # --- through the transfer command ------------------------------------------------
 
-def _transfer(tmp_path, reference, target):
+def _record(tmp_path):
     kf = KeypointFrame.from_axes(np.array([0.03, 0.01, -0.02]), (1, 0, 0), (0, 0, -1), "ref", "master")
     record = tmp_path / "record.json"
     record.write_text(canonical_json(SkillRecord("insert the peg", "manipulation", master_kf=kf).to_json()))
+    return kf, record
+
+
+def _transfer(tmp_path, reference, target):
+    kf, record = _record(tmp_path)
     out = tmp_path / "kf.json"
     code = main(["transfer", "--record", str(record), "--reference", str(reference), "--target", str(target),
                  "--seed", "1", "--out", str(out)])
     return code, kf, out
 
 
-def test_transfer_command_moves_the_keypoint_with_the_object(tmp_path):
-    rng = np.random.default_rng(15)
-    pts = rng.uniform(-0.05, 0.05, (800, 3))
+FEATURED_NAMES = ["x", "y", "z", *(f"f_{i}" for i in range(8))]
+
+
+def _featured_rows(pose=None):
+    """800 points with 8 smooth features, moved by pose (features move with them)."""
+    pts = np.random.default_rng(15).uniform(-0.05, 0.05, (800, 3))
     p = pts / 0.05
     feats = np.column_stack([np.sin(p), np.cos(p), np.sin(2 * p[:, 0] + p[:, 1]), np.cos(2 * p[:, 1] - p[:, 2])])
-    names = ["x", "y", "z", *(f"f_{i}" for i in range(8))]
+    return np.column_stack([pts if pose is None else pose.apply(pts), feats])
+
+
+def test_transfer_command_moves_the_keypoint_with_the_object(tmp_path):
     moved = Pose.from_rotvec(np.array([0.3, -0.2, 0.5]), np.array([0.04, -0.02, 0.01]))
-    write_ply(tmp_path / "ref.ply", names, np.column_stack([pts, feats]), "binary_little_endian", "double")
-    write_ply(tmp_path / "tgt.ply", names, np.column_stack([moved.apply(pts), feats]), "ascii")
+    write_ply(tmp_path / "ref.ply", FEATURED_NAMES, _featured_rows(), "binary_little_endian", "double")
+    write_ply(tmp_path / "tgt.ply", FEATURED_NAMES, _featured_rows(moved), "ascii")
     code, kf, out = _transfer(tmp_path, tmp_path / "ref.ply", tmp_path / "tgt.ply")
     assert code == 0
     got = KeypointFrame.from_json(json.loads(out.read_text())).as_pose()
     want = moved.compose(kf.as_pose())
     assert got.translation_distance_to(want) < 1e-6
     assert got.rotation_angle_to(want) < 1e-6
+
+
+def _transfer_to_targets(tmp_path, targets, outs, diagnostics=()):
+    _, record = _record(tmp_path)
+    args = ["transfer", "--record", str(record), "--reference", str(tmp_path / "ref.ply"),
+            "--target", *map(str, targets), "--seed", "1", "--out", *map(str, outs)]
+    if diagnostics:
+        args += ["--diagnostics", *map(str, diagnostics)]
+    return main(args)
+
+
+def test_transfer_command_takes_many_targets_from_one_reference_eigensolve(tmp_path):
+    poses = [Pose.from_rotvec(np.array([0.3, -0.2, 0.5]), np.array([0.04, -0.02, 0.01])),
+             Pose.from_rotvec(np.array([-0.4, 0.1, 0.2]), np.array([-0.01, 0.03, 0.02]))]
+    write_ply(tmp_path / "ref.ply", FEATURED_NAMES, _featured_rows())
+    targets = [tmp_path / f"tgt{i}.ply" for i in range(2)]
+    for path, pose in zip(targets, poses):
+        write_ply(path, FEATURED_NAMES, _featured_rows(pose))
+    singles = []
+    for i, path in enumerate(targets):
+        assert _transfer_to_targets(tmp_path, [path], [tmp_path / f"single{i}.json"]) == 0
+        singles.append((tmp_path / f"single{i}.json").read_text())
+
+    nonrigid._kernel_basis.cache_clear()
+    outs = [tmp_path / f"kf{i}.json" for i in range(2)]
+    diags = [tmp_path / f"diag{i}.json" for i in range(2)]
+    assert _transfer_to_targets(tmp_path, targets, outs, diags) == 0
+    assert [o.read_text() for o in outs] == singles
+    assert all(json.loads(d.read_text())["registration_rank"] > 0 for d in diags)
+    info = nonrigid._kernel_basis.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--diagnostics"])
+def test_transfer_command_needs_one_output_per_target_and_writes_none_otherwise(tmp_path, capsys, flag):
+    write_ply(tmp_path / "ref.ply", FEATURED_NAMES, _featured_rows())
+    outs, diags = [tmp_path / "a.json", tmp_path / "b.json"], [tmp_path / "da.json", tmp_path / "db.json"]
+    if flag == "--out":
+        outs = outs[:1]
+    else:
+        diags = diags[:1]
+    assert _transfer_to_targets(tmp_path, [tmp_path / "ref.ply"] * 2, outs, diags) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and list(err["fields"]) == [flag]
+    assert not any(p.exists() for p in [*outs, *diags])
+
+
+def test_transfer_command_writes_nothing_when_one_target_fails(tmp_path, capsys):
+    write_ply(tmp_path / "ref.ply", FEATURED_NAMES, _featured_rows())
+    bad = _header_only(tmp_path / "bad.ply", "ply", "format ascii 1.0", "end_header")
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    assert _transfer_to_targets(tmp_path, [tmp_path / "ref.ply", bad], outs) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "SchemaError" and str(bad) in err["message"]
+    assert not any(p.exists() for p in outs)
 
 
 def test_transfer_command_reports_a_malformed_ply_as_json(tmp_path, capsys):
