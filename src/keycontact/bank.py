@@ -87,7 +87,7 @@ class SkillRecord:
 
     @staticmethod
     def from_json(d: dict) -> "SkillRecord":
-        check_schema(d, kind="SkillRecord")
+        check_schema(d, kind="SkillRecord", fields=("description", "phase"))
         if d.get("kind") != "skill":
             raise SchemaError(f"not a skill record: kind={d.get('kind')!r}")
         for key in _RETIRED_SKILL_KEYS:
@@ -129,7 +129,7 @@ class PlanRecord:
 
     @staticmethod
     def from_json(d: dict) -> "PlanRecord":
-        check_schema(d, kind="PlanRecord")
+        check_schema(d, kind="PlanRecord", fields=("task", "subtasks"))
         if d.get("kind") != "plan":
             raise SchemaError(f"not a plan record: kind={d.get('kind')!r}")
         return PlanRecord(d["task"], tuple(d["subtasks"]))

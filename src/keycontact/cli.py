@@ -16,7 +16,7 @@ import numpy as np
 
 from . import serialize
 from .bank import Bank, PlanRecord, SkillRecord, default_bank_path
-from .errors import ConfigError, KeycontactError, RefinementDivergence
+from .errors import ConfigError, KeycontactError, RefinementDivergence, SchemaError
 from .grounding import HAND_ID, load_trajectories
 from .pipelines import ground_demo, learn_records
 from .serialize import canonical_json
@@ -94,6 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_json(path):
+    """The JSON document in a file; SchemaError if it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{path}: not JSON: {e}") from e
+
+
 def _cmd_ground(args) -> int:
     entities = load_trajectories(args.trajectories)
     grounded = ground_demo(entities, args.hand_id, args.epsilon, args.gamma)
@@ -130,7 +138,7 @@ def _cmd_transfer(args) -> int:
     from .geometry.meshio import load_featured_cloud
     from .transfer import TransferConfig, transfer_keypoint
 
-    rec = SkillRecord.from_json(json.loads(Path(args.record).read_text()))
+    rec = SkillRecord.from_json(_read_json(args.record))
     kf = rec.master_kf if args.which == "master" else rec.slave_kf
     if kf is None:
         raise ConfigError({"--which": f"record has no {args.which} keypoint frame"})
@@ -195,10 +203,13 @@ def _step_lines(steps) -> str:
 def _cmd_campaign(args) -> int:
     from .sim import CampaignConfig, run_campaign, write_campaign_outputs
 
-    cfg = CampaignConfig.from_json(json.loads(Path(args.config).read_text()))
+    cfg = CampaignConfig.from_json(_read_json(args.config))
     seeds = None
     if args.seed_file:
-        seeds = [int(line) for line in Path(args.seed_file).read_text().split() if line.strip()]
+        try:
+            seeds = [int(word) for word in Path(args.seed_file).read_text().split()]
+        except ValueError as e:
+            raise ConfigError({"--seed-file": f"seeds must be integers ({e})"}) from e
     rows, summary = run_campaign(cfg, seeds=seeds)
     write_campaign_outputs(rows, summary, args.out_csv, args.out_summary)
     return 0
@@ -207,7 +218,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_bank(args) -> int:
     bank = Bank(args.bank if args.bank else default_bank_path())
     if args.bank_command == "put":
-        d = json.loads(Path(args.record).read_text())
+        d = _read_json(args.record)
         rec = SkillRecord.from_json(d) if d.get("kind") == "skill" else PlanRecord.from_json(d)
         print(bank.put(rec))
         return 0

@@ -17,7 +17,7 @@ from .geometry import Obb, average_quaternions, quat_to_rotvec
 from .geometry.pose import quat_conjugate, quat_multiply, rotation_angle_between
 from .geometry.shape import _component_labels
 from .keypoints import KeypointFrame
-from .serialize import SCHEMA_VERSION, check_schema, vec_to_json
+from .serialize import SCHEMA_VERSION, check_fields, check_schema, vec_to_json
 
 __all__ = [
     "GraspRegion",
@@ -82,8 +82,10 @@ class GraspRegion:
 
     @staticmethod
     def from_json(d: dict) -> "GraspRegion":
-        check_schema(d, kind="GraspRegion")
+        check_schema(d, kind="GraspRegion", fields=("position_min", "position_max", "mean_rotation",
+                                                    "angular_limits", "anchor", "group_label"))
         a = d["anchor"]
+        check_fields(a, ("center", "half_extents", "orientation"), "GraspRegion anchor")
         return GraspRegion(
             np.array(d["position_min"]), np.array(d["position_max"]),
             np.array(d["mean_rotation"]), np.array(d["angular_limits"]),

@@ -6,7 +6,6 @@ __all__ = [
     "MisalignedTimebaseError",
     "TransferStageError",
     "RefinementDivergence",
-    "NoCollisionFreePoseError",
     "BankError",
     "RecordNotFoundError",
     "SchemaError",
@@ -39,14 +38,6 @@ class RefinementDivergence(KeycontactError, RuntimeError):
 
     def __init__(self, message: str, diagnostics=None):
         self.diagnostics = diagnostics
-        super().__init__(message)
-
-
-class NoCollisionFreePoseError(KeycontactError, RuntimeError):
-    """Collision-minimal search found no feasible configuration; keeps best found."""
-
-    def __init__(self, message: str, best=None):
-        self.best = best
         super().__init__(message)
 
 

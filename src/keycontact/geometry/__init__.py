@@ -21,7 +21,6 @@ from .shape import (
     TriangleMesh,
     penetration_depth,
     sdf_query,
-    union_aabb_volume,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "DEFAULT_CELL",
     "sdf_query",
     "penetration_depth",
-    "union_aabb_volume",
     "box_mesh",
     "prism_mesh",
     "icosphere_mesh",

@@ -22,7 +22,6 @@ __all__ = [
     "Obb",
     "sdf_query",
     "penetration_depth",
-    "union_aabb_volume",
 ]
 
 DEFAULT_CELL = 0.002  # 2 mm grid resolution, enough for mm-scale clearances
@@ -650,11 +649,3 @@ def penetration_depth(a: ShapeModel, pose_a: Pose, b: ShapeModel, pose_b: Pose) 
     depth = max(float(-a_in_b.min()), float(-b_in_a.min()))
     return max(0.0, depth)
 
-
-def union_aabb_volume(a: ShapeModel, pose_a: Pose, b: ShapeModel, pose_b: Pose) -> float:
-    """Volume (m^3) of the world axis-aligned box enclosing both posed vertex sets."""
-    va = pose_a.apply(a.mesh.vertices)
-    vb = pose_b.apply(b.mesh.vertices)
-    lo = np.minimum(va.min(axis=0), vb.min(axis=0))
-    hi = np.maximum(va.max(axis=0), vb.max(axis=0))
-    return float(np.prod(hi - lo))

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, MisalignedTimebaseError
+from .errors import ConfigError, DegenerateInputError, MisalignedTimebaseError, SchemaError
 from .geometry import PointCloud, Pose, cloud_min_distance
 from .geometry.meshio import load_featured_cloud
 from . import serialize
@@ -136,7 +136,8 @@ def load_trajectories(jsonl_path, cloud_root=None) -> dict[str, TrackedEntity]:
 
     One record per frame: {"t": seconds, "entity_id": str, "pose": {...},
     "cloud_ref": relative PLY path}. Cloud paths resolve against cloud_root
-    (defaults to the JSONL's directory).
+    (defaults to the JSONL's directory). A line that is not JSON or lacks a
+    field raises SchemaError naming the file and line.
     """
     jsonl_path = Path(jsonl_path)
     root = Path(cloud_root) if cloud_root is not None else jsonl_path.parent
@@ -147,7 +148,11 @@ def load_trajectories(jsonl_path, cloud_root=None) -> dict[str, TrackedEntity]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise SchemaError(f"{jsonl_path}:{line_no}: not JSON: {e}") from e
+            serialize.check_fields(rec, ("t", "entity_id", "pose", "cloud_ref"), f"{jsonl_path}:{line_no}: trajectory")
             ref = rec["cloud_ref"]
             if ref not in cloud_cache:
                 cloud_cache[ref] = load_featured_cloud(root / ref)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, SchemaError
+from .errors import ConfigError, DegenerateInputError
 from .geometry import PointCloud, Pose
 from .geometry.cloud import nearest_neighbors
 from .serialize import SCHEMA_VERSION, check_schema, vec_to_json, pose_to_json, pose_from_json
@@ -99,14 +99,11 @@ class KeypointFrame:
 
     @staticmethod
     def from_json(d: dict) -> "KeypointFrame":
-        check_schema(d, kind="KeypointFrame")
-        try:
-            return KeypointFrame(
-                np.array(d["origin"]), np.array(d["x_axis"]), np.array(d["y_axis"]),
-                np.array(d["z_axis"]), d["owner"], d["role"],
-            )
-        except KeyError as e:
-            raise SchemaError(f"KeypointFrame record missing field: {e}") from e
+        check_schema(d, kind="KeypointFrame", fields=("origin", "x_axis", "y_axis", "z_axis", "owner", "role"))
+        return KeypointFrame(
+            np.array(d["origin"]), np.array(d["x_axis"]), np.array(d["y_axis"]),
+            np.array(d["z_axis"]), d["owner"], d["role"],
+        )
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ class WaypointPath:
 
     @staticmethod
     def from_json(d: dict) -> "WaypointPath":
-        check_schema(d, kind="WaypointPath")
+        check_schema(d, kind="WaypointPath", fields=("waypoints", "timestamps"))
         return WaypointPath(
             tuple(pose_from_json(w) for w in d["waypoints"]),
             np.array(d["timestamps"], dtype=float),

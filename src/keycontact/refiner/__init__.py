@@ -1,12 +1,5 @@
-"""Skill refiner: collision-minimal optimization, contact filter, IG selection."""
+"""Skill refiner: contact filter, IG selection."""
 
-from .collision import (
-    NeighborhoodSearch,
-    RefinedKeypoints,
-    RefinedTrajectory,
-    refine_grounded_trajectory,
-    refine_transferred_keypoints,
-)
 from .filter import (
     DEFAULT_PARTICLES,
     ContactMeasurement,
@@ -52,11 +45,6 @@ __all__ = [
     "StrategySelection",
     "sample_contact_candidates",
     "select_contact_strategy",
-    "NeighborhoodSearch",
-    "RefinedTrajectory",
-    "RefinedKeypoints",
-    "refine_grounded_trajectory",
-    "refine_transferred_keypoints",
     "RefinementConfig",
     "RefinementResult",
     "StepDiagnostics",

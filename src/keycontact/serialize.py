@@ -23,6 +23,7 @@ __all__ = [
     "pose_to_json",
     "pose_from_json",
     "vec_to_json",
+    "check_fields",
     "check_schema",
 ]
 
@@ -77,7 +78,16 @@ def pose_from_json(d: dict) -> Pose:
         raise SchemaError(f"malformed pose record: {e}") from e
 
 
-def check_schema(d: dict, expected: int = SCHEMA_VERSION, kind: str = "record") -> None:
+def check_fields(d: dict, fields, kind: str = "record") -> None:
+    """SchemaError naming every one of fields that d lacks."""
+    missing = [f for f in fields if f not in d]
+    if missing:
+        raise SchemaError(f"{kind} record missing field(s): {', '.join(missing)}")
+
+
+def check_schema(d: dict, expected: int = SCHEMA_VERSION, kind: str = "record", fields=()) -> None:
+    """SchemaError unless d has the expected schema version and every one of fields."""
     v = d.get("schema")
     if v != expected:
         raise SchemaError(f"{kind} schema version {v!r} unsupported (expected {expected})")
+    check_fields(d, fields, kind)

@@ -154,36 +154,26 @@ def _batched_minimal_fits(ref3: np.ndarray, tgt3: np.ndarray) -> tuple[np.ndarra
 def _score_hypotheses(
     r_all: np.ndarray, t_all: np.ndarray, ok: np.ndarray, c: CorrespondenceSet, inlier_eps: float
 ) -> tuple[np.ndarray, int, np.ndarray]:
-    """Inlier count of every hypothesis, the first best one and its residuals.
+    """Inlier count of every given hypothesis, the first best one and its residuals.
 
-    Walks the K hypotheses in blocks of max(1, 2**15 // (3 N)) through one
-    reused (B, 3, N) buffer of about 256 KB, whose coordinate rows are
+    Builds one (K, 3, N) residual buffer whose coordinate rows are
     contiguous; the squares add as np.linalg.norm adds them, (x + y) + z.
-    Degenerate samples count -1. The best count is carried across blocks
-    with a strict >, so ties go to the earliest hypothesis, and only the
-    winning residual row is kept. Returns (counts (K,), best index, its
-    (N,) residuals).
+    ransac_rigid_align hands it one block of max(1, 2**15 // (3 N))
+    hypotheses at a time, so the buffer stays near 256 KB. Degenerate
+    samples count -1 and ties go to the earliest hypothesis. Returns
+    (counts (K,), best index, its (N,) residuals).
     """
-    k, n = len(r_all), len(c)
-    block = max(1, _SCORE_BLOCK_FLOATS // (3 * n))
-    buf = np.empty((min(block, k), 3, n))
-    counts = np.empty(k, dtype=np.int64)
-    best, best_res = 0, None
-    for lo in range(0, k, block):
-        hi = min(lo + block, k)
-        diff = np.matmul(r_all[lo:hi], c.ref_points.T, out=buf[: hi - lo])
-        diff += t_all[lo:hi, :, None]
-        diff -= c.tgt_points.T
-        diff *= diff
-        res = diff[:, 0]
-        res += diff[:, 1]
-        res += diff[:, 2]
-        np.sqrt(res, out=res)
-        counts[lo:hi] = np.where(ok[lo:hi], (res <= inlier_eps).sum(axis=1), -1)
-        j = int(np.argmax(counts[lo:hi]))  # ties: earliest in the block
-        if best_res is None or counts[lo + j] > counts[best]:
-            best, best_res = lo + j, res[j].copy()
-    return counts, best, best_res
+    diff = r_all @ c.ref_points.T
+    diff += t_all[:, :, None]
+    diff -= c.tgt_points.T
+    diff *= diff
+    res = diff[:, 0]
+    res += diff[:, 1]
+    res += diff[:, 2]
+    np.sqrt(res, out=res)
+    counts = np.where(ok, (res <= inlier_eps).sum(axis=1), -1)
+    best = int(np.argmax(counts))
+    return counts, best, res[best].copy()
 
 
 def _draw_triples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -231,9 +221,10 @@ def ransac_rigid_align(
     whatever the number of pairs. After each block it stops once the
     hypotheses scored reach the stop rule's count for the best inlier
     fraction so far (_hypotheses_needed); `iterations` is the cap. The
-    largest consensus set, earliest on ties, is refit by weighted Kabsch
-    until the inlier set stabilizes, so every reported inlier has residual
-    <= inlier_eps under the reported transform. Deterministic per seed.
+    largest consensus set, earliest on ties, is refit by unweighted Kabsch,
+    at most 9 times, until the inlier set stabilizes; the inliers are
+    always those of the returned transform, so every reported inlier has
+    residual <= inlier_eps under it. Deterministic per seed.
     Returns (transform ref->tgt, inlier mask).
     """
     if iterations < 1:
@@ -255,20 +246,13 @@ def ransac_rigid_align(
     if best_count < 3:
         raise DegenerateInputError("no consensus set of size >= 3 found")
     inliers = best_res <= inlier_eps
-
-    for _ in range(8):
+    for _ in range(9):
         pose = kabsch_fit(c.ref_points[inliers], c.tgt_points[inliers])
-        resid = np.linalg.norm(pose.apply(c.ref_points) - c.tgt_points, axis=1)
-        new_inliers = resid <= inlier_eps
+        new_inliers = np.linalg.norm(pose.apply(c.ref_points) - c.tgt_points, axis=1) <= inlier_eps
         if new_inliers.sum() < 3:
-            break
-        if (new_inliers == inliers).all():
-            inliers = new_inliers
-            break
+            raise DegenerateInputError("consensus collapsed during refinement")
+        stable = (new_inliers == inliers).all()
         inliers = new_inliers
-    pose = kabsch_fit(c.ref_points[inliers], c.tgt_points[inliers])
-    resid = np.linalg.norm(pose.apply(c.ref_points) - c.tgt_points, axis=1)
-    inliers = resid <= inlier_eps
-    if inliers.sum() < 3:
-        raise DegenerateInputError("consensus collapsed during refinement")
+        if stable:
+            break
     return pose, inliers

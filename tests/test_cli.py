@@ -178,3 +178,53 @@ def test_refine_diagnostics_that_fail_to_serialize_leave_no_file(tmp_path, capsy
     assert _refine_8_contacts(tmp_path, diag) == 1
     assert _error(capsys)["error"] == "SchemaError"
     assert not diag.exists() and not (tmp_path / "refined.json").exists()
+
+
+def _skill_without_description(tmp_path) -> str:
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({"schema": SCHEMA_VERSION, "kind": "skill", "phase": "manipulation"}))
+    return str(path)
+
+
+def _text_file(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+_POSE = {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]}
+
+# each builds (argv, expected exit code, expected error type) for one malformed input
+MALFORMED_INPUTS = {
+    "bank_put_record_without_description": lambda tmp: (
+        ["bank", "--bank", str(tmp / "bank"), "put", _skill_without_description(tmp)], 1, "SchemaError"),
+    "bank_put_record_not_json": lambda tmp: (
+        ["bank", "--bank", str(tmp / "bank"), "put", _text_file(tmp, "record.json", "{kind: skill")], 1,
+        "SchemaError"),
+    "transfer_record_without_description": lambda tmp: (
+        ["transfer", "--record", _skill_without_description(tmp), "--reference", str(tmp / "ref.ply"),
+         "--target", str(tmp / "tgt.ply"), "--out", str(tmp / "kf.json")], 1, "SchemaError"),
+    "ground_frame_without_cloud_ref": lambda tmp: (
+        ["ground", "--trajectories",
+         _text_file(tmp, "traj.jsonl", json.dumps({"t": 0.0, "entity_id": "hand", "pose": _POSE}) + "\n"),
+         "--out", str(tmp / "segments.json")], 1, "SchemaError"),
+    "ground_frame_not_json": lambda tmp: (
+        ["ground", "--trajectories", _text_file(tmp, "traj.jsonl", "{\"t\": 0.0,\n"),
+         "--out", str(tmp / "segments.json")], 1, "SchemaError"),
+    "campaign_seed_not_an_integer": lambda tmp: (
+        ["campaign", "--config", _text_file(tmp, "config.json", json.dumps(TINY_CAMPAIGN)),
+         "--seed-file", _text_file(tmp, "seeds.txt", "3\nfour\n"), "--out-csv", str(tmp / "rows.csv"),
+         "--out-summary", str(tmp / "summary.json")], 2, "ConfigError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_one_json_error_line(tmp_path, capsys, case):
+    argv, code, error = MALFORMED_INPUTS[case](tmp_path)
+    assert main(argv) == code
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == error
+    if error == "ConfigError":
+        assert set(err["fields"]) == {"--seed-file"}
+    assert not any(p.name in ("kf.json", "segments.json", "rows.csv") for p in tmp_path.iterdir())

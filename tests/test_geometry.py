@@ -22,7 +22,6 @@ from keycontact.geometry import (
     quat_to_rotvec,
     rotation_angle_between,
     sdf_query,
-    union_aabb_volume,
 )
 from keycontact.errors import ConfigError, DegenerateInputError
 from keycontact.geometry.cloud import nearest_neighbors
@@ -1019,24 +1018,6 @@ def test_penetration_iff_surface_distance_positive(unit_cube):
     pb, _ = unit_cube.mesh.sample_surface(2000, seed=10)
     d = cloud_min_distance(PointCloud(pa), PointCloud(pose_b.apply(pb)))
     assert d > 0
-
-
-# --- union AABB volume -------------------------------------------------------
-
-def test_union_volume_trivial(unit_cube):
-    assert union_aabb_volume(unit_cube, Pose.identity(), unit_cube, Pose.identity()) == pytest.approx(1.0)
-    assert union_aabb_volume(unit_cube, Pose.identity(), unit_cube, Pose(t=(1, 0, 0))) == pytest.approx(2.0)
-
-
-def test_union_volume_matches_vertex_scan(unit_cube):
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        pa, pb = random_pose(rng), random_pose(rng)
-        va = pa.apply(unit_cube.mesh.vertices)
-        vb = pb.apply(unit_cube.mesh.vertices)
-        allv = np.vstack([va, vb])
-        want = float(np.prod(allv.max(axis=0) - allv.min(axis=0)))
-        assert union_aabb_volume(unit_cube, pa, unit_cube, pb) == pytest.approx(want, rel=1e-12)
 
 
 def test_obb_validation():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from keycontact.errors import ConfigError, DegenerateInputError
-from keycontact.geometry import Pose, quat_from_rotvec, sdf_query
+from keycontact.geometry import Pose, penetration_depth, quat_from_rotvec, sdf_query
 from keycontact.geometry.pose import _norm, quat_multiply, quat_rotate, quat_to_matrix
 from keycontact.geometry.shape import SdfGrid
 from keycontact.refiner import (
@@ -67,6 +67,14 @@ def _min_slave_sdf(scene, gripper, z_actual):
     samples = np.vstack([scene.slave_kf.origin[None, :], pts])
     world = scene.slave_object_pose(gripper, z_actual).apply(samples)
     return float(sdf_query(scene.master_shape, scene.master_true, world).min())
+
+
+@pytest.mark.parametrize("moved", ["master", "slave"])
+def test_penetration_depth_rejects_a_nan_translation(scene, moved):
+    # max(0.0, nan) is 0.0, which would read as "no penetration"
+    poses = {"master": Pose.identity(), "slave": Pose.identity(), moved: Pose(t=(np.nan, 0.0, 0.0))}
+    with pytest.raises(DegenerateInputError, match="finite"):
+        penetration_depth(scene.master_shape, poses["master"], scene.slave_shape, poses["slave"])
 
 
 # --- probe ------------------------------------------------------------------

@@ -62,3 +62,9 @@ def test_check_schema_rejects_other_versions():
     for d in ({"schema": SCHEMA_VERSION + 1}, {"schema": str(SCHEMA_VERSION)}, {}):
         with pytest.raises(SchemaError, match="unsupported"):
             check_schema(d, kind="test record")
+
+
+def test_check_schema_names_every_missing_field():
+    check_schema({"schema": SCHEMA_VERSION, "a": 1, "b": None}, fields=("a", "b"))
+    with pytest.raises(SchemaError, match=r"missing field\(s\): a, c$"):
+        check_schema({"schema": SCHEMA_VERSION, "b": 2}, kind="test", fields=("a", "b", "c"))
