@@ -94,12 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_json(path):
-    """The JSON document in a file; SchemaError if it is not JSON."""
+def _read_json(path) -> dict:
+    """The JSON object in a file; SchemaError if it is not JSON or not an object."""
     try:
-        return json.loads(Path(path).read_text())
+        d = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: not JSON: {e}") from e
+    if not isinstance(d, dict):
+        raise SchemaError(f"{path}: not a JSON object but {type(d).__name__}")
+    return d
 
 
 def _cmd_ground(args) -> int:
@@ -138,6 +141,7 @@ def _cmd_transfer(args) -> int:
     from .geometry.meshio import load_featured_cloud
     from .transfer import TransferConfig, transfer_keypoint
 
+    cfg = TransferConfig(voxel_cell=args.voxel, seed=args.seed)
     rec = SkillRecord.from_json(_read_json(args.record))
     kf = rec.master_kf if args.which == "master" else rec.slave_kf
     if kf is None:
@@ -149,7 +153,6 @@ def _cmd_transfer(args) -> int:
     if failures:
         raise ConfigError(failures)
     ref = load_featured_cloud(args.reference)
-    cfg = TransferConfig(voxel_cell=args.voxel, seed=args.seed)
     # every target goes from the one reference in this process, so CPD
     # eigensolves the reference's kernel once; a failing target leaves no file
     results = [transfer_keypoint(ref, kf, load_featured_cloud(path), cfg) for path in args.target]

@@ -5,8 +5,6 @@ from .meshio import load_featured_cloud
 from .pose import (
     Pose,
     average_quaternions,
-    compose,
-    invert,
     quat_from_rotvec,
     quat_to_matrix,
     quat_to_rotvec,
@@ -25,8 +23,6 @@ from .shape import (
 
 __all__ = [
     "Pose",
-    "compose",
-    "invert",
     "average_quaternions",
     "quat_from_rotvec",
     "quat_to_rotvec",

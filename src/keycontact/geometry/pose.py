@@ -5,7 +5,7 @@ points from its local frame into the parent frame:
 
     p_world = R(q) @ p_local + t
 
-Composition follows the usual convention: ``compose(a, b)`` applies ``b``
+Composition follows the usual convention: ``a.compose(b)`` applies ``b``
 first, then ``a``.
 """
 
@@ -19,7 +19,6 @@ from ..errors import DegenerateInputError
 
 __all__ = [
     "Pose",
-    "compose",
     "quat_multiply",
     "quat_conjugate",
     "quat_rotate",
@@ -167,16 +166,12 @@ def rotation_angle_between(qa: np.ndarray, qb: np.ndarray):
 
     With qb sign-aligned to qa, |qa - qb| / |qa + qb| = tan(angle / 4).
     Unlike 2 arccos|qa . qb|, this resolves angles down to 0: the dot
-    product rounds to 1 for every angle below about 3e-8 rad. Two (4,)
-    inputs give a float; broadcastable (..., 4) inputs give an array of
-    angles, each bit-identical to the float of its pair.
+    product rounds to 1 for every angle below about 3e-8 rad. Broadcastable
+    (..., 4) inputs give (...) angles, each bit-identical to that of its
+    pair alone; two (4,) inputs give one numpy float.
     """
     qa = np.asarray(qa, dtype=float)
     qb = np.asarray(qb, dtype=float)
-    if qa.ndim == qb.ndim == 1:
-        if np.dot(qa, qb) < 0.0:
-            qb = -qb
-        return float(4.0 * np.arctan2(np.linalg.norm(qa - qb), np.linalg.norm(qa + qb)))
     dots = (qa[..., None, :] @ qb[..., :, None])[..., 0]
     qb = np.where(dots < 0.0, -qb, qb)
     return 4.0 * np.arctan2(_norm(qa - qb), _norm(qa + qb))
@@ -279,7 +274,7 @@ class Pose:
         return Pose(q, quat_rotate(self.q, other.t) + self.t)
 
     def rotation_angle_to(self, other: "Pose") -> float:
-        return rotation_angle_between(self.q, other.q)
+        return float(rotation_angle_between(self.q, other.q))
 
     def translation_distance_to(self, other: "Pose") -> float:
         return float(np.linalg.norm(self.t - other.t))
@@ -294,12 +289,3 @@ class Pose:
         q = ", ".join(f"{v:.6g}" for v in self.q)
         t = ", ".join(f"{v:.6g}" for v in self.t)
         return f"Pose(q=[{q}], t=[{t}])"
-
-
-def compose(a: Pose, b: Pose) -> Pose:
-    """Pose product: apply b, then a."""
-    return a.compose(b)
-
-
-def invert(p: Pose) -> Pose:
-    return p.inverse()

@@ -613,11 +613,6 @@ class Obb:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 
-    @property
-    def extents(self) -> np.ndarray:
-        """Full extents (2x half extents)."""
-        return 2.0 * self.half_extents
-
 
 def sdf_query(shape: ShapeModel, pose: Pose, points: np.ndarray) -> np.ndarray:
     """Signed distance (m) from world-frame point(s) to the posed shape.

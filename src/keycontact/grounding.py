@@ -92,7 +92,7 @@ def contact_markers(
     A series that starts already in contact has no onset crossing and is not
     reported.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigError({"epsilon": f"must be positive, got {epsilon}"})
     _check_aligned(a, b)
     d = np.array(
@@ -122,7 +122,9 @@ def hand_path_length(hand: TrackedEntity, t_b: int, t_e: int) -> float:
 def filter_segments(
     segments: Sequence[Segment], hand: TrackedEntity, gamma: float = 0.05
 ) -> list[Segment]:
-    """Drop segments whose hand path length over [t_b, t_e] falls below gamma."""
+    """Drop segments whose hand path length over [t_b, t_e] falls below gamma >= 0."""
+    if not gamma >= 0:
+        raise ConfigError({"gamma": f"must be >= 0, got {gamma}"})
     return [s for s in segments if hand_path_length(hand, s.t_b, s.t_e) >= gamma]
 
 

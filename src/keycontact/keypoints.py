@@ -281,31 +281,20 @@ def _sed(pos: np.ndarray, ts: np.ndarray, i: int, a: int, b: int) -> float:
     return float(np.linalg.norm(pos[i] - proj))
 
 
-def compress_squishe(
-    path: WaypointPath,
-    mu: float | None = None,
-    ratio: float | None = None,
-) -> WaypointPath:
-    """SQUISH-E waypoint compression.
+def compress_squishe(path: WaypointPath, mu: float) -> WaypointPath:
+    """SQUISH-E waypoint compression with an error bound mu > 0 (meters).
 
-    Exactly one mode must be given. Error-bound mode (mu > 0, meters)
-    guarantees that the synchronized Euclidean distance of every removed
-    waypoint against the retained subsequence stays <= mu. Ratio mode
-    (0 < ratio <= 1) keeps ceil(ratio * N) waypoints (at least the two
-    endpoints). The SED is computed on waypoint translations.
+    The synchronized Euclidean distance (SED) of every removed waypoint
+    against the retained subsequence stays <= mu. The SED is computed on
+    waypoint translations; both endpoints are always kept.
 
     Removal uses the SQUISH-E priority queue: each interior point carries
     priority = accumulated error + SED against its current neighbors, the
     minimum-priority point is removed, and its priority propagates to the
     neighbors as an accumulated upper bound.
     """
-    if (mu is None) == (ratio is None):
-        either = "specify exactly one of mu or ratio"
-        raise ConfigError({"mu": either, "ratio": either})
-    if mu is not None and mu <= 0:
+    if not mu > 0:
         raise ConfigError({"mu": f"must be positive, got {mu}"})
-    if ratio is not None and not (0.0 < ratio <= 1.0):
-        raise ConfigError({"ratio": f"must lie in (0, 1], got {ratio}"})
 
     n = len(path)
     pos = path.positions()
@@ -326,16 +315,13 @@ def compress_squishe(
     pri = [0.0] + [priority(i) for i in range(1, n - 1)] + [0.0]
     heap = [(pri[i], i) for i in range(1, n - 1)]
     heapq.heapify(heap)
-    target = 2 if ratio is None else max(2, int(np.ceil(ratio * n)))
-    count = n
-    while count > target and heap:
+    while heap:
         p, i = heapq.heappop(heap)
         if not alive[i] or p != pri[i]:
             continue
-        if mu is not None and p > mu:
+        if p > mu:
             break  # the cheapest removal would exceed the error bound
         alive[i] = False
-        count -= 1
         a, b = prev[i], nxt[i]
         nxt[a], prev[b] = b, a
         for j in (a, b):

@@ -57,7 +57,7 @@ class NoiseConfig:
     i.i.d. N(0, process_sigma_t) and the rotation perturbation is a rotation
     vector with i.i.d. N(0, process_sigma_r) components, composed on the
     right (local frame). Sigmas of exactly zero are accepted to express the
-    noise-free limit.
+    noise-free limit; NaN is rejected like a negative sigma.
     """
 
     process_sigma_t: float = 0.001  # m
@@ -71,9 +71,9 @@ class NoiseConfig:
         fails = {}
         for name in ("process_sigma_t", "process_sigma_r", "prior_sigma_t",
                      "prior_sigma_r", "contact_sigma"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 fails[name] = "must be >= 0"
-        if self.d_th <= 0:
+        if not self.d_th > 0:
             fails["d_th"] = "must be > 0"
         if fails:
             raise ConfigError(fails)

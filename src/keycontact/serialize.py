@@ -79,15 +79,18 @@ def pose_from_json(d: dict) -> Pose:
 
 
 def check_fields(d: dict, fields, kind: str = "record") -> None:
-    """SchemaError naming every one of fields that d lacks."""
+    """SchemaError unless d is a JSON object, else one naming every one of fields that d lacks."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{kind} record must be a JSON object, got {type(d).__name__}")
     missing = [f for f in fields if f not in d]
     if missing:
         raise SchemaError(f"{kind} record missing field(s): {', '.join(missing)}")
 
 
-def check_schema(d: dict, expected: int = SCHEMA_VERSION, kind: str = "record", fields=()) -> None:
-    """SchemaError unless d has the expected schema version and every one of fields."""
+def check_schema(d: dict, kind: str = "record", fields=()) -> None:
+    """SchemaError unless d is a JSON object with schema version SCHEMA_VERSION and every one of fields."""
+    check_fields(d, (), kind)  # a JSON object
     v = d.get("schema")
-    if v != expected:
-        raise SchemaError(f"{kind} schema version {v!r} unsupported (expected {expected})")
+    if v != SCHEMA_VERSION:
+        raise SchemaError(f"{kind} schema version {v!r} unsupported (expected {SCHEMA_VERSION})")
     check_fields(d, fields, kind)

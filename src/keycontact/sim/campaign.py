@@ -67,9 +67,9 @@ class CampaignConfig:
         for p in self.profiles:
             if p not in PROFILES:
                 fails[f"profiles[{p}]"] = f"unknown profile (choose from {PROFILES})"
-        if self.clearance < 0:
+        if not self.clearance >= 0:
             fails["clearance"] = "must be >= 0"
-        if self.depth <= INSERT_MARGIN:
+        if not self.depth > INSERT_MARGIN:
             fails["depth"] = f"must exceed the insertion margin {INSERT_MARGIN} m"
         if self.trials < 1:
             fails["trials"] = "must be >= 1"
@@ -79,10 +79,10 @@ class CampaignConfig:
             fails["selection"] = "must be 'ig' or 'random'"
         if self.particles < 2:
             fails["particles"] = "must be >= 2"
-        if self.d_th <= 0:
+        if not self.d_th > 0:
             fails["d_th"] = "must be > 0"
         for i, (st, sr) in enumerate(self.noise_grid):
-            if st < 0 or sr < 0:
+            if not (st >= 0 and sr >= 0):
                 fails[f"noise_grid[{i}]"] = "sigmas must be >= 0"
         if fails:
             raise ConfigError(fails)

@@ -175,14 +175,15 @@ def _block_with_cavity(
 class SceneNoise:
     """In-hand perception-noise scales applied when a scene is generated.
 
-    Each sigma must be >= 0, else ConfigError names it; 0 means no noise.
+    Each sigma must be >= 0 (not NaN), else ConfigError names it; 0 means no noise.
     """
 
     in_hand_sigma_t: float = 0.005  # m
     in_hand_sigma_r: float = np.deg2rad(5.0)  # rad
 
     def __post_init__(self):
-        fails = {name: "must be >= 0" for name in ("in_hand_sigma_t", "in_hand_sigma_r") if getattr(self, name) < 0}
+        fails = {name: "must be >= 0" for name in ("in_hand_sigma_t", "in_hand_sigma_r")
+                 if not getattr(self, name) >= 0}
         if fails:
             raise ConfigError(fails)
 
@@ -257,9 +258,9 @@ def make_peg_hole_scene(
     fails = {}
     if profile not in PROFILES:
         fails["profile"] = f"unsupported {profile!r} (choose from {PROFILES})"
-    if clearance < 0:
+    if not clearance >= 0:
         fails["clearance"] = "must be >= 0"
-    if depth <= INSERT_MARGIN:
+    if not depth > INSERT_MARGIN:
         fails["depth"] = f"must exceed the insertion margin {INSERT_MARGIN} m"
     if fails:
         raise ConfigError(fails)

@@ -12,7 +12,7 @@ from .matching import (
     ransac_rigid_align,
     relaxed_best_buddies,
 )
-from .nonrigid import CpdConfig, DeformationMap, nonrigid_register
+from .nonrigid import DeformationMap, nonrigid_register
 from .pipeline import TransferConfig, TransferDiagnostics, solve_keypoint_frame, transfer_keypoint
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ransac_rigid_align",
     "kabsch_fit",
     "median_nn_feature_distance",
-    "CpdConfig",
     "DeformationMap",
     "nonrigid_register",
     "TransferConfig",

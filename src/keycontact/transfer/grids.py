@@ -12,6 +12,7 @@ from ..geometry import PointCloud
 __all__ = ["FeatureGrid", "voxelize_cloud", "region_similarity", "otsu_region"]
 
 DEFAULT_VOXEL = 0.005  # 5 mm
+OTSU_BINS = 256  # histogram bins of otsu_region
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,10 @@ def voxelize_cloud(cloud: PointCloud, cell: float = DEFAULT_VOXEL) -> FeatureGri
     of their features, so a rigidly moved copy of a cloud whose voxel
     membership is unchanged yields the rigidly moved voxels. Output is
     sorted by voxel index, so the result is independent of input point
-    order.
+    order. The cell must be finite and positive.
     """
+    if not (np.isfinite(cell) and cell > 0):
+        raise DegenerateInputError(f"voxel cell must be finite and > 0, got {cell}")
     if cloud.features is None:
         raise DegenerateInputError("voxelize_cloud needs per-point features")
     if len(cloud) == 0:
@@ -117,8 +120,8 @@ def region_similarity(grid: FeatureGrid, reference_feature: np.ndarray) -> np.nd
     return np.clip(sim, -1.0, 1.0)
 
 
-def otsu_region(similarities: np.ndarray, bins: int = 256) -> tuple[np.ndarray, float]:
-    """Otsu threshold over a histogram of the similarity values.
+def otsu_region(similarities: np.ndarray) -> tuple[np.ndarray, float]:
+    """Otsu threshold over an OTSU_BINS histogram of the similarity values.
 
     Returns (boolean mask of values above the threshold, threshold). The
     threshold maximizes the between-class variance; when several bin edges
@@ -130,7 +133,7 @@ def otsu_region(similarities: np.ndarray, bins: int = 256) -> tuple[np.ndarray, 
     if len(vals) < 2 or np.ptp(vals) == 0.0:
         raise DegenerateInputError("needs at least two distinct values")
     lo, hi = float(vals.min()), float(vals.max())
-    hist, edges = np.histogram(vals, bins=bins, range=(lo, hi))
+    hist, edges = np.histogram(vals, bins=OTSU_BINS, range=(lo, hi))
     p = hist.astype(float) / hist.sum()
     omega0 = np.cumsum(p)[:-1]  # class probability below edge k+1
     centers = 0.5 * (edges[:-1] + edges[1:])

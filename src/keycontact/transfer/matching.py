@@ -24,19 +24,18 @@ __all__ = [
     "median_nn_feature_distance",
 ]
 
-RANSAC_ITERATIONS = 2000
-RANSAC_INLIER_EPS = 0.005
+RANSAC_ITERATIONS = 2000  # Fischler & Bolles' sample cap
+RANSAC_INLIER_EPS = 0.005  # inlier radius (m)
 RANSAC_CONFIDENCE = 0.999  # p of the adaptive stop rule
 _SCORE_BLOCK_FLOATS = 2**15  # 256 KB of float64 per scoring block
 
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
-    """Putative point pairs (reference -> target) with per-pair inlier flags."""
+    """Putative point pairs (reference -> target)."""
 
     ref_points: np.ndarray
     tgt_points: np.ndarray
-    inliers: np.ndarray  # bool mask
 
     def __post_init__(self):
         r = np.asarray(self.ref_points, dtype=float).reshape(-1, 3)
@@ -45,18 +44,12 @@ class CorrespondenceSet:
             raise DegenerateInputError(f"pair arrays must align: {len(r)} reference, {len(t)} target points")
         if not (np.isfinite(r).all() and np.isfinite(t).all()):
             raise DegenerateInputError("correspondence points must be finite")
-        m = np.asarray(self.inliers, dtype=bool).reshape(len(r))
-        for name, v in (("ref_points", r), ("tgt_points", t), ("inliers", m)):
+        for name, v in (("ref_points", r), ("tgt_points", t)):
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
     def __len__(self) -> int:
         return len(self.ref_points)
-
-    @staticmethod
-    def from_pairs(ref: np.ndarray, tgt: np.ndarray) -> "CorrespondenceSet":
-        ref = np.asarray(ref, dtype=float).reshape(-1, 3)
-        return CorrespondenceSet(ref, tgt, np.ones(len(ref), dtype=bool))
 
 
 def median_nn_feature_distance(grid: FeatureGrid) -> float:
@@ -76,7 +69,7 @@ def relaxed_best_buddies(ref: FeatureGrid, tgt: FeatureGrid, d_t: float) -> Corr
     reference feature i lies within d_t of the nearest reference neighbor of
     target feature j. d_t = 0 recovers strict mutual nearest neighbors.
     """
-    if d_t < 0:
+    if not d_t >= 0:
         raise ConfigError({"d_t": f"must be >= 0, got {d_t}"})
     if len(ref) == 0 or len(tgt) == 0:
         raise DegenerateInputError("both regions must be non-empty")
@@ -94,28 +87,20 @@ def relaxed_best_buddies(ref: FeatureGrid, tgt: FeatureGrid, d_t: float) -> Corr
     cond_a = near_t[nn_tgt_of_ref, :]
     cond_b = near_r[:, nn_ref_of_tgt]
     ii, jj = np.nonzero(cond_a & cond_b)
-    return CorrespondenceSet.from_pairs(ref.centers[ii], tgt.centers[jj])
+    return CorrespondenceSet(ref.centers[ii], tgt.centers[jj])
 
 
-def kabsch_fit(ref: np.ndarray, tgt: np.ndarray, weights: np.ndarray | None = None) -> Pose:
+def kabsch_fit(ref: np.ndarray, tgt: np.ndarray) -> Pose:
     """Least-squares rigid transform mapping ref points onto tgt points.
 
-    SVD solution with det(R) = +1 enforced (no reflections). Raises on
-    degenerate (collinear / coincident) support and on weights that are
-    not one finite, non-negative value per pair with a positive sum.
+    SVD solution with det(R) = +1 enforced (no reflections), every pair
+    weighted equally. Raises on degenerate (collinear / coincident) support.
     """
     ref = np.asarray(ref, dtype=float)
     tgt = np.asarray(tgt, dtype=float)
     if len(ref) < 3:
         raise DegenerateInputError("rigid fit needs at least 3 pairs")
-    if weights is None:
-        weights = np.ones(len(ref))
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(ref),):
-        raise DegenerateInputError(f"rigid fit needs one weight per pair: {w.shape} for {len(ref)} pairs")
-    if not np.isfinite(w).all() or (w < 0).any() or not w.sum() > 0:
-        raise DegenerateInputError("rigid fit weights must be finite and non-negative with a positive sum")
-    w = w / w.sum()
+    w = np.full(len(ref), 1.0 / len(ref))
     rc = (w[:, None] * ref).sum(axis=0)
     tc = (w[:, None] * tgt).sum(axis=0)
     h = (w[:, None] * (ref - rc)).T @ (tgt - tc)
@@ -192,43 +177,38 @@ def _draw_triples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return idx
 
 
-def _hypotheses_needed(inlier_frac: float, iterations: int) -> int:
+def _hypotheses_needed(inlier_frac: float) -> int:
     """Fischler & Bolles' stop rule N = ceil(log(1 - p) / log(1 - w^3)).
 
     N minimal samples hold at least one all-inlier triple with probability
     RANSAC_CONFIDENCE when a fraction w of the pairs are inliers. Capped at
-    iterations, which is also the count when w <= 0 or w^3 underflows to 0.
+    RANSAC_ITERATIONS, which is also the count when w <= 0 or w^3
+    underflows to 0.
     """
     if inlier_frac >= 1.0:
         return 1
     miss = math.log1p(-inlier_frac**3) if inlier_frac > 0.0 else 0.0
     if miss == 0.0:
-        return iterations
-    return min(iterations, math.ceil(math.log1p(-RANSAC_CONFIDENCE) / miss))
+        return RANSAC_ITERATIONS
+    return min(RANSAC_ITERATIONS, math.ceil(math.log1p(-RANSAC_CONFIDENCE) / miss))
 
 
-def ransac_rigid_align(
-    c: CorrespondenceSet,
-    iterations: int = RANSAC_ITERATIONS,
-    inlier_eps: float = RANSAC_INLIER_EPS,
-    seed: int = 0,
-) -> tuple[Pose, np.ndarray]:
+def ransac_rigid_align(c: CorrespondenceSet, seed: int = 0) -> tuple[Pose, np.ndarray]:
     """Adaptive RANSAC rigid fit over putative correspondences.
 
-    Draws `iterations` minimal samples of 3 pairs in one call, then fits and
-    scores them one block of max(1, 2**15 // (3 N)) at a time (see
+    Draws RANSAC_ITERATIONS minimal samples of 3 pairs in one call, then
+    fits and scores them one block of max(1, 2**15 // (3 N)) at a time (see
     _score_hypotheses), so the working set is one buffer of about 256 KB
     whatever the number of pairs. After each block it stops once the
     hypotheses scored reach the stop rule's count for the best inlier
-    fraction so far (_hypotheses_needed); `iterations` is the cap. The
+    fraction so far (_hypotheses_needed), which RANSAC_ITERATIONS caps. The
     largest consensus set, earliest on ties, is refit by unweighted Kabsch,
     at most 9 times, until the inlier set stabilizes; the inliers are
     always those of the returned transform, so every reported inlier has
-    residual <= inlier_eps under it. Deterministic per seed.
+    residual <= RANSAC_INLIER_EPS under it. Deterministic per seed.
     Returns (transform ref->tgt, inlier mask).
     """
-    if iterations < 1:
-        raise ConfigError({"iterations": f"must be >= 1, got {iterations}"})
+    iterations, inlier_eps = RANSAC_ITERATIONS, RANSAC_INLIER_EPS
     n = len(c)
     if n < 3:
         raise DegenerateInputError("RANSAC needs at least 3 correspondences")
@@ -241,7 +221,7 @@ def ransac_rigid_align(
         counts, j, res = _score_hypotheses(*fits, c, inlier_eps)
         if counts[j] > best_count:
             best_count, best_res = int(counts[j]), res
-        if hi >= _hypotheses_needed(best_count / n, iterations):
+        if hi >= _hypotheses_needed(best_count / n):
             break
     if best_count < 3:
         raise DegenerateInputError("no consensus set of size >= 3 found")

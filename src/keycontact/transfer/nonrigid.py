@@ -13,9 +13,9 @@ the reference alone: it is the same for every target registered to it.
 G is numerically low-rank. Its K eigenpairs G ~ Q diag(L) Q^T whose
 eigenvalues exceed _EIGEN_CUTOFF * N_ref come from _kernel_basis, an LRU
 cache of _BASIS_CACHE_SIZE entries keyed on the normalized reference's
-bytes and beta, so registering many targets to one reference eigensolves
-once; the cached arrays are read-only, and a warm call is bit-identical to
-a cold one. Every M-step solves the (K, K) system
+bytes (beta is the constant CPD_BETA), so registering many targets to one
+reference eigensolves once; the cached arrays are read-only, and a warm
+call is bit-identical to a cold one. Every M-step solves the (K, K) system
 
     (Q^T diag(P1) Q + lam sigma^2 diag(L)^-1) alpha = Q^T (P X - diag(P1) Y)
 
@@ -47,14 +47,22 @@ import numpy as np
 
 from ..errors import DegenerateInputError
 
-__all__ = ["CpdConfig", "DeformationMap", "nonrigid_register"]
+__all__ = ["DeformationMap", "nonrigid_register"]
+
+# Myronenko & Song's parameters, read when nonrigid_register runs; the basis
+# cache is keyed on the reference alone, so CPD_BETA must stay fixed
+CPD_BETA = 2.0  # kernel bandwidth (normalized coordinates)
+CPD_LAMBDA = 3.0  # motion-coherence regularization weight
+CPD_OUTLIER_W = 0.1  # uniform-component mixing weight
+CPD_MAX_ITERATIONS = 150
+CPD_TOLERANCE = 1e-8  # on the change of sigma^2
 
 # kernel eigenvalues kept, relative to N_ref (an upper bound on the largest).
 # A dropped mode still moves phi by about L_k / (lam sigma^2) of its share, so
 # tight fits need weak modes: at 1e-12 a warped 949-point fit ending at
 # sigma^2 ~ 2e-8 moved 16 um from the dense solve, at 1e-14 it moves 0.014 um.
 _EIGEN_CUTOFF = 1e-14
-# kernel eigenbases kept by _kernel_basis, one per (reference, beta), for the
+# kernel eigenbases kept by _kernel_basis, one per reference, for the
 # life of the process. An entry holds its (N_ref, K) basis and a 24 N_ref-byte
 # key. At beta = 2 the unit-RMS reference keeps K <= ~190 however many points
 # it has (183 for 1,000 to 3,000 points filling a ball), so an entry costs
@@ -64,15 +72,6 @@ _EIGEN_CUTOFF = 1e-14
 _BASIS_CACHE_SIZE = 4
 # exp(x) rounds to exactly +0.0 for every double below about -745.13
 _EXP_FLOOR = -746.0
-
-
-@dataclass(frozen=True)
-class CpdConfig:
-    beta: float = 2.0  # kernel bandwidth (normalized coordinates)
-    lam: float = 3.0  # motion-coherence regularization weight
-    outlier_w: float = 0.1  # uniform-component mixing weight
-    max_iterations: int = 150
-    tolerance: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def _exp_above_floor(p: np.ndarray, live: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _kernel_basis(y_bytes: bytes, n_ref: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_basis(y_bytes: bytes, n_ref: int) -> tuple[np.ndarray, np.ndarray]:
     """(L, Q): the eigenpairs of G(y, y) whose eigenvalues exceed _EIGEN_CUTOFF * n_ref.
 
     y is the (n_ref, 3) normalized reference, passed as its bytes so that
@@ -149,7 +148,7 @@ def _kernel_basis(y_bytes: bytes, n_ref: int, beta: float) -> tuple[np.ndarray, 
     # G is symmetric, so its transpose is the Fortran-ordered G that LAPACK
     # overwrites in place
     eigvals, q = eigh(
-        _gaussian_kernel(y, y, beta).T,
+        _gaussian_kernel(y, y, CPD_BETA).T,
         subset_by_value=(_EIGEN_CUTOFF * n_ref, np.inf),
         driver="evr",
         overwrite_a=True,
@@ -172,15 +171,11 @@ def _initial_sigma2(y: np.ndarray, x: np.ndarray) -> float:
     return d.sum() / (3.0 * len(y) * len(x))
 
 
-def nonrigid_register(
-    ref_points: np.ndarray,
-    tgt_points: np.ndarray,
-    config: CpdConfig = CpdConfig(),
-) -> DeformationMap:
+def nonrigid_register(ref_points: np.ndarray, tgt_points: np.ndarray) -> DeformationMap:
     """Fit phi moving ref_points (the GMM centroids) toward tgt_points.
 
-    Stops when the sigma^2 objective change drops below the tolerance or the
-    iteration budget runs out; a non-converged fit is still returned, flagged
+    Stops when the sigma^2 objective change drops below CPD_TOLERANCE or
+    CPD_MAX_ITERATIONS run out; a non-converged fit is still returned, flagged
     via DeformationMap.converged.
     """
     y0 = np.asarray(ref_points, dtype=float).reshape(-1, 3)
@@ -202,24 +197,23 @@ def nonrigid_register(
     y = (y0 - mu) / scale
     xz = (x - mu) / scale
 
-    beta, lam, w = config.beta, config.lam, config.outlier_w
     sigma2 = _initial_sigma2(y, xz)
     if sigma2 == 0.0:
         raise DegenerateInputError("both clouds are one coincident point (sigma^2 = 0)")
 
-    eigvals, q = _kernel_basis(y.tobytes(), n_ref, beta)
+    eigvals, q = _kernel_basis(y.tobytes(), n_ref)
     rank = len(eigvals)
     warped = y.copy()
     alpha = np.zeros((rank, 3))
     converged = False
     iterations = 0
-    const_uniform = w / max(1e-12, (1.0 - w)) * n_ref / n_tgt
+    const_uniform = CPD_OUTLIER_W / max(1e-12, (1.0 - CPD_OUTLIER_W)) * n_ref / n_tgt
     xz_sq = (xz * xz).sum(axis=1)
     p = np.empty((n_ref, n_tgt))  # responsibilities, rewritten every E-step
     live = np.empty((n_ref, n_tgt), dtype=bool)  # exponents above _EXP_FLOOR
     p1q = np.empty_like(q)  # diag(P1) Q
 
-    for _ in range(config.max_iterations):
+    for _ in range(CPD_MAX_ITERATIONS):
         # E-step: responsibilities p (N_ref, N_tgt), in the distance buffer
         cdist(warped, xz, "sqeuclidean", out=p)
         np.divide(p, -2.0 * sigma2, out=p)
@@ -237,7 +231,7 @@ def nonrigid_register(
 
         np.multiply(q, p1[:, None], out=p1q)
         a = p1q.T @ q
-        a.flat[:: rank + 1] += lam * sigma2 / eigvals
+        a.flat[:: rank + 1] += CPD_LAMBDA * sigma2 / eigvals
         alpha = np.linalg.solve(a, q.T @ (px - p1[:, None] * y))
         warped = y + q @ alpha
         iterations += 1
@@ -247,7 +241,7 @@ def nonrigid_register(
         wtw = (p1 * (warped * warped).sum(axis=1)).sum()
         sigma2_new = (xpx - 2.0 * trpxw + wtw) / (3.0 * n_p)
         sigma2_new = max(sigma2_new, 1e-14)
-        if abs(sigma2_new - sigma2) < config.tolerance:
+        if abs(sigma2_new - sigma2) < CPD_TOLERANCE:
             sigma2 = sigma2_new
             converged = True
             break
@@ -256,7 +250,7 @@ def nonrigid_register(
     return DeformationMap(
         control_points=y,
         weights=q @ (alpha / eigvals[:, None]),
-        bandwidth=beta,
+        bandwidth=CPD_BETA,
         mu=mu,
         scale=scale,
         converged=converged,

@@ -16,12 +16,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import DegenerateInputError, TransferStageError
+from ..errors import ConfigError, DegenerateInputError, TransferStageError
 from ..geometry import PointCloud, Pose
 from ..geometry.cloud import nearest_neighbors
 from ..keypoints import KeypointFrame
 from .grids import DEFAULT_VOXEL, otsu_region, region_similarity, voxelize_cloud
-from .matching import kabsch_fit, median_nn_feature_distance, ransac_rigid_align, relaxed_best_buddies
+from .matching import (CorrespondenceSet, kabsch_fit, median_nn_feature_distance, ransac_rigid_align,
+                       relaxed_best_buddies)
 from .nonrigid import nonrigid_register
 
 __all__ = ["TransferConfig", "TransferDiagnostics", "solve_keypoint_frame", "transfer_keypoint"]
@@ -31,6 +32,10 @@ __all__ = ["TransferConfig", "TransferDiagnostics", "solve_keypoint_frame", "tra
 class TransferConfig:
     voxel_cell: float = DEFAULT_VOXEL
     seed: int = 0  # RANSAC sampling
+
+    def __post_init__(self):
+        if not (np.isfinite(self.voxel_cell) and self.voxel_cell > 0):
+            raise ConfigError({"voxel_cell": f"must be finite and > 0, got {self.voxel_cell}"})
 
 
 @dataclass(frozen=True)
@@ -137,11 +142,13 @@ def transfer_keypoint(
     if len(corr) < 3:
         raise TransferStageError("best_buddies", f"only {len(corr)} correspondences")
 
-    # alignment maps target points into the reference-aligned space
+    # alignment maps target points into the reference-aligned space; seed goes
+    # by keyword, since perfbench's RANSAC span reads a second positional
+    # argument as the sample cap
     align, inliers = stage(
         "ransac",
         ransac_rigid_align,
-        type(corr).from_pairs(corr.tgt_points, corr.ref_points),
+        CorrespondenceSet(corr.tgt_points, corr.ref_points),
         seed=config.seed,
     )
 

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
+from test_pipelines import _write_demo, peg_onto_block_demo
 
+from keycontact.bank import SkillRecord
 from keycontact.cli import main
-from keycontact.serialize import SCHEMA_VERSION
+from keycontact.keypoints import KeypointFrame
+from keycontact.serialize import SCHEMA_VERSION, canonical_json
 
 TINY_CAMPAIGN = {"profiles": ["round"], "trials": 1, "n_contacts": 1, "selection": "random", "particles": 20}
 
@@ -194,37 +198,84 @@ def _text_file(tmp_path, name: str, text: str) -> str:
 
 _POSE = {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]}
 
-# each builds (argv, expected exit code, expected error type) for one malformed input
+
+def _transfer_argv(tmp_path, voxel: str) -> list[str]:
+    """A transfer of a valid record between two valid featured clouds, with --voxel set."""
+    kf = KeypointFrame.from_axes(np.zeros(3), (1, 0, 0), (0, 0, 1), "ref", "master")
+    record = _text_file(tmp_path, "record.json",
+                        canonical_json(SkillRecord("insert", "manipulation", master_kf=kf).to_json()))
+    rows = np.random.default_rng(0).uniform(-0.05, 0.05, (40, 5))
+    header = ["ply", "format ascii 1.0", f"element vertex {len(rows)}",
+              *(f"property double {n}" for n in ("x", "y", "z", "f_0", "f_1")), "end_header"]
+    cloud = _text_file(tmp_path, "cloud.ply", "\n".join(header + [" ".join(map(repr, r)) for r in rows]) + "\n")
+    return ["transfer", "--record", record, "--reference", cloud, "--target", cloud, "--voxel", voxel,
+            "--out", str(tmp_path / "kf.json")]
+
+
+def _learn_argv(tmp_path, flag: str) -> list[str]:
+    """Learning from the peg demo, with one flag set to NaN."""
+    traj = _write_demo(tmp_path, peg_onto_block_demo())
+    return ["learn", "--trajectories", traj, flag, "nan", "--out-dir", str(tmp_path / "records")]
+
+
+def _refine_argv(tmp_path, flag: str) -> list[str]:
+    return ["refine", flag, "nan", "--contacts", "1", "--particles", "20", "--out", str(tmp_path / "refined.json")]
+
+
+def _campaign_argv(tmp_path, config: str, *extra: str) -> list[str]:
+    return ["campaign", "--config", _text_file(tmp_path, "config.json", config), *extra,
+            "--out-csv", str(tmp_path / "rows.csv"), "--out-summary", str(tmp_path / "summary.json")]
+
+
+# each builds (argv, expected exit code, expected error type, the field a
+# ConfigError names) for one malformed input
 MALFORMED_INPUTS = {
     "bank_put_record_without_description": lambda tmp: (
-        ["bank", "--bank", str(tmp / "bank"), "put", _skill_without_description(tmp)], 1, "SchemaError"),
+        ["bank", "--bank", str(tmp / "bank"), "put", _skill_without_description(tmp)], 1, "SchemaError", None),
     "bank_put_record_not_json": lambda tmp: (
         ["bank", "--bank", str(tmp / "bank"), "put", _text_file(tmp, "record.json", "{kind: skill")], 1,
-        "SchemaError"),
+        "SchemaError", None),
+    "bank_put_record_not_an_object": lambda tmp: (
+        ["bank", "--bank", str(tmp / "bank"), "put", _text_file(tmp, "record.json", "[]")], 1, "SchemaError", None),
     "transfer_record_without_description": lambda tmp: (
         ["transfer", "--record", _skill_without_description(tmp), "--reference", str(tmp / "ref.ply"),
-         "--target", str(tmp / "tgt.ply"), "--out", str(tmp / "kf.json")], 1, "SchemaError"),
+         "--target", str(tmp / "tgt.ply"), "--out", str(tmp / "kf.json")], 1, "SchemaError", None),
+    "transfer_voxel_zero": lambda tmp: (_transfer_argv(tmp, "0"), 2, "ConfigError", "voxel_cell"),
+    "transfer_voxel_nan": lambda tmp: (_transfer_argv(tmp, "nan"), 2, "ConfigError", "voxel_cell"),
+    "transfer_voxel_negative": lambda tmp: (_transfer_argv(tmp, "-0.005"), 2, "ConfigError", "voxel_cell"),
     "ground_frame_without_cloud_ref": lambda tmp: (
         ["ground", "--trajectories",
          _text_file(tmp, "traj.jsonl", json.dumps({"t": 0.0, "entity_id": "hand", "pose": _POSE}) + "\n"),
-         "--out", str(tmp / "segments.json")], 1, "SchemaError"),
+         "--out", str(tmp / "segments.json")], 1, "SchemaError", None),
     "ground_frame_not_json": lambda tmp: (
         ["ground", "--trajectories", _text_file(tmp, "traj.jsonl", "{\"t\": 0.0,\n"),
-         "--out", str(tmp / "segments.json")], 1, "SchemaError"),
+         "--out", str(tmp / "segments.json")], 1, "SchemaError", None),
+    "ground_frame_not_an_object": lambda tmp: (
+        ["ground", "--trajectories", _text_file(tmp, "traj.jsonl", "5\n"), "--out", str(tmp / "segments.json")],
+        1, "SchemaError", None),
+    "learn_squish_mu_nan": lambda tmp: (_learn_argv(tmp, "--squish-mu"), 2, "ConfigError", "mu"),
+    "learn_epsilon_nan": lambda tmp: (_learn_argv(tmp, "--epsilon"), 2, "ConfigError", "epsilon"),
+    "learn_gamma_nan": lambda tmp: (_learn_argv(tmp, "--gamma"), 2, "ConfigError", "gamma"),
+    "refine_d_th_nan": lambda tmp: (_refine_argv(tmp, "--d-th"), 2, "ConfigError", "d_th"),
+    "refine_sigma_t_nan": lambda tmp: (_refine_argv(tmp, "--sigma-t"), 2, "ConfigError", "in_hand_sigma_t"),
+    "refine_sigma_r_deg_nan": lambda tmp: (_refine_argv(tmp, "--sigma-r-deg"), 2, "ConfigError", "in_hand_sigma_r"),
+    "refine_depth_nan": lambda tmp: (_refine_argv(tmp, "--depth"), 2, "ConfigError", "depth"),
+    "refine_clearance_nan": lambda tmp: (_refine_argv(tmp, "--clearance"), 2, "ConfigError", "clearance"),
     "campaign_seed_not_an_integer": lambda tmp: (
-        ["campaign", "--config", _text_file(tmp, "config.json", json.dumps(TINY_CAMPAIGN)),
-         "--seed-file", _text_file(tmp, "seeds.txt", "3\nfour\n"), "--out-csv", str(tmp / "rows.csv"),
-         "--out-summary", str(tmp / "summary.json")], 2, "ConfigError"),
+        _campaign_argv(tmp, json.dumps(TINY_CAMPAIGN), "--seed-file", _text_file(tmp, "seeds.txt", "3\nfour\n")),
+        2, "ConfigError", "--seed-file"),
+    "campaign_config_not_an_object": lambda tmp: (_campaign_argv(tmp, "[]"), 1, "SchemaError", None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_with_one_json_error_line(tmp_path, capsys, case):
-    argv, code, error = MALFORMED_INPUTS[case](tmp_path)
+    argv, code, error, field = MALFORMED_INPUTS[case](tmp_path)
     assert main(argv) == code
     (line,) = capsys.readouterr().err.strip().splitlines()
     err = json.loads(line)
     assert err["error"] == error
     if error == "ConfigError":
-        assert set(err["fields"]) == {"--seed-file"}
-    assert not any(p.name in ("kf.json", "segments.json", "rows.csv") for p in tmp_path.iterdir())
+        assert set(err["fields"]) == {field}
+    written = ("kf.json", "segments.json", "rows.csv", "records", "refined.json")
+    assert not any(p.name in written for p in tmp_path.iterdir())

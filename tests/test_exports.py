@@ -77,6 +77,33 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
 
 
+# kept public as fixtures and reference oracles of the tests: box_mesh builds
+# their box shapes and sdf_query is the exact distance that SdfGrid is checked against
+TEST_FIXTURES = {"box_mesh", "sdf_query"}
+
+
+def test_every_exported_name_is_used_outside_tests():
+    # a name in a src __all__ that only tests load is test-only surface; a
+    # name counts as used where a src module (its own included) or perfbench
+    # loads it as a Name or an Attribute
+    root = Path(keycontact.__file__).parent
+    sources = sorted(root.rglob("*.py")) + sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    loaded, exported = set(), []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif (isinstance(node, ast.Assign) and path.is_relative_to(root)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                exported += [(path.relative_to(root), e.value) for e in node.value.elts]
+    assert len(exported) > 100
+    unused = [f"{path}: {name}" for path, name in exported if name not in loaded | TEST_FIXTURES]
+    assert unused == []
+
+
 def test_every_benchmark_patch_target_is_where_the_traced_run_patches_it():
     # the traced run replaces each target in its owner's __dict__, so a
     # refactor that moves one of these names breaks it while the rest of

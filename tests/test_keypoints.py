@@ -294,22 +294,6 @@ def test_squishe_corner_retained():
     assert any(np.allclose(k, [1, 0, 0]) for k in kept)  # the corner survives
 
 
-def test_squishe_ratio_one_identity():
-    rng = np.random.default_rng(7)
-    pos = rng.normal(size=(15, 3))
-    path = path_from_positions(pos)
-    out = compress_squishe(path, ratio=1.0)
-    assert len(out) == len(path)
-    assert np.allclose(out.positions(), path.positions())
-
-
-def test_squishe_ratio_counts():
-    rng = np.random.default_rng(8)
-    path = path_from_positions(rng.normal(size=(40, 3)))
-    out = compress_squishe(path, ratio=0.25)
-    assert len(out) == 10
-
-
 def test_squishe_output_is_subsequence_with_endpoints():
     rng = np.random.default_rng(9)
     pos = rng.normal(size=(25, 3)).cumsum(axis=0)
@@ -341,13 +325,11 @@ def test_squishe_sed_bound_on_random_paths():
 
 
 def test_squishe_mode_validation():
+    # the error bound is the one mode; it must be a positive number
     path = path_from_positions(np.zeros((5, 3)))
-    with pytest.raises(ValueError):
-        compress_squishe(path)
-    with pytest.raises(ValueError):
-        compress_squishe(path, mu=0.1, ratio=0.5)
-    with pytest.raises(ValueError):
-        compress_squishe(path, ratio=1.5)
+    for mu in (0.0, -0.1, np.nan, -np.inf):
+        with pytest.raises(ValueError):
+            compress_squishe(path, mu=mu)
 
 
 def test_waypoint_path_json_roundtrip():
@@ -415,9 +397,8 @@ TYPED_FAILURES = {
                            lambda: extract_master_keypoint(_empty, _slave_kf, Pose.identity(), Pose.identity())),
     "relative_path_misaligned": (DegenerateInputError,
                                  lambda: relative_waypoint_path(_slave_kf, _slave_kf, _poses, _poses[:2], [0.0, 1.0, 2.0])),
-    "squishe_neither_mode": (ConfigError, lambda: compress_squishe(_path)),
     "squishe_non_positive_mu": (ConfigError, lambda: compress_squishe(_path, mu=0.0)),
-    "squishe_ratio_above_one": (ConfigError, lambda: compress_squishe(_path, ratio=1.5)),
+    "squishe_nan_mu": (ConfigError, lambda: compress_squishe(_path, mu=np.nan)),
 }
 
 
@@ -430,13 +411,8 @@ def test_keypoint_failure_raises_its_typed_error(failure):
     assert isinstance(ei.value, KeycontactError) and isinstance(ei.value, ValueError)
 
 
-@pytest.mark.parametrize("kwargs, fields", [
-    ({}, {"mu", "ratio"}),
-    ({"mu": 0.1, "ratio": 0.5}, {"mu", "ratio"}),
-    ({"mu": -0.01}, {"mu"}),
-    ({"ratio": 0.0}, {"ratio"}),
-], ids=["neither", "both", "negative_mu", "zero_ratio"])
-def test_squishe_mode_error_names_its_fields(kwargs, fields):
+@pytest.mark.parametrize("mu", [-0.01, 0.0, np.nan], ids=["negative_mu", "zero_mu", "nan_mu"])
+def test_squishe_mode_error_names_its_fields(mu):
     with pytest.raises(ConfigError) as err:
-        compress_squishe(_path, **kwargs)
-    assert set(err.value.failures) == fields
+        compress_squishe(_path, mu=mu)
+    assert set(err.value.failures) == {"mu"}

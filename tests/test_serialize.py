@@ -5,7 +5,14 @@ import pytest
 
 from keycontact.errors import SchemaError
 from keycontact.geometry import Pose, quat_from_rotvec
-from keycontact.serialize import SCHEMA_VERSION, canonical_json, check_schema, pose_from_json, pose_to_json
+from keycontact.serialize import (
+    SCHEMA_VERSION,
+    canonical_json,
+    check_fields,
+    check_schema,
+    pose_from_json,
+    pose_to_json,
+)
 
 
 def test_pose_round_trip_is_bit_exact():
@@ -68,3 +75,10 @@ def test_check_schema_names_every_missing_field():
     check_schema({"schema": SCHEMA_VERSION, "a": 1, "b": None}, fields=("a", "b"))
     with pytest.raises(SchemaError, match=r"missing field\(s\): a, c$"):
         check_schema({"schema": SCHEMA_VERSION, "b": 2}, kind="test", fields=("a", "b", "c"))
+
+
+@pytest.mark.parametrize("parsed", [[], 5, "schema", None])
+def test_check_fields_and_schema_reject_json_that_is_not_an_object(parsed):
+    for check in (check_fields, check_schema):
+        with pytest.raises(SchemaError, match="JSON object"):
+            check(parsed, fields=("schema",), kind="test")

@@ -12,7 +12,6 @@ from keycontact.keypoints import KeypointFrame
 from keycontact.serialize import canonical_json
 from keycontact.transfer import (
     CorrespondenceSet,
-    CpdConfig,
     FeatureGrid,
     TransferConfig,
     kabsch_fit,
@@ -236,7 +235,7 @@ def test_ransac_exact_recovery():
     rng = np.random.default_rng(7)
     ref = rng.uniform(-0.1, 0.1, (40, 3))
     truth = random_pose(rng)
-    corr = CorrespondenceSet.from_pairs(ref, truth.apply(ref))
+    corr = CorrespondenceSet(ref, truth.apply(ref))
     pose, inliers = ransac_rigid_align(corr, seed=0)
     assert inliers.all()
     assert pose.translation_distance_to(truth) < 1e-9
@@ -252,8 +251,8 @@ def test_ransac_with_outliers_many_seeds():
         tgt = truth.apply(ref)
         outliers = rng.choice(60, size=18, replace=False)  # 30%
         tgt[outliers] += rng.uniform(0.05, 0.3, (18, 3)) * rng.choice([-1, 1], (18, 3))
-        corr = CorrespondenceSet.from_pairs(ref, tgt)
-        pose, inliers = ransac_rigid_align(corr, inlier_eps=0.005, seed=seed)
+        corr = CorrespondenceSet(ref, tgt)
+        pose, inliers = ransac_rigid_align(corr, seed=seed)
         ok = (
             pose.translation_distance_to(truth) < 1e-3
             and pose.rotation_angle_to(truth) < 1e-3
@@ -266,26 +265,24 @@ def test_ransac_with_outliers_many_seeds():
     assert fails <= 1  # >= 99% success
 
 
-def test_ransac_rotation_always_proper():
+def test_ransac_rotation_always_proper(monkeypatch):
+    # a radius as wide as the clouds gives the garbage pairs of every seed a
+    # consensus to fit; at the default 5 mm only 1 seed of 20 reaches one
+    monkeypatch.setattr(matching, "RANSAC_INLIER_EPS", 0.2)
     rng = np.random.default_rng(9)
     for seed in range(20):
         ref = rng.uniform(-0.1, 0.1, (10, 3))
         tgt = rng.uniform(-0.1, 0.1, (10, 3))  # garbage pairs
-        try:
-            pose, _ = ransac_rigid_align(
-                CorrespondenceSet.from_pairs(ref, tgt), inlier_eps=0.2, seed=seed
-            )
-        except DegenerateInputError:
-            continue
+        pose, _ = ransac_rigid_align(CorrespondenceSet(ref, tgt), seed=seed)
         assert np.linalg.det(pose.rotation_matrix()) > 0
 
 
 def test_ransac_degenerate_rejected():
     line = np.column_stack([np.linspace(0, 1, 10), np.zeros(10), np.zeros(10)])
     with pytest.raises(DegenerateInputError):
-        ransac_rigid_align(CorrespondenceSet.from_pairs(line, line), seed=0)
+        ransac_rigid_align(CorrespondenceSet(line, line), seed=0)
     with pytest.raises(DegenerateInputError):
-        ransac_rigid_align(CorrespondenceSet.from_pairs(line[:2], line[:2]), seed=0)
+        ransac_rigid_align(CorrespondenceSet(line[:2], line[:2]), seed=0)
 
 
 def einsum_ransac_reference(c, seed, inlier_eps=0.005, iterations=2000):
@@ -301,7 +298,7 @@ def einsum_ransac_reference(c, seed, inlier_eps=0.005, iterations=2000):
     counts = np.where(ok, (res <= inlier_eps).sum(axis=1), -1)
     block = max(1, _SCORE_BLOCK_FLOATS // (3 * len(c)))
     scored = next(hi for hi in [*range(block, iterations, block), iterations]
-                  if hi >= _hypotheses_needed(counts[:hi].max() / len(c), iterations))
+                  if hi >= _hypotheses_needed(counts[:hi].max() / len(c)))
     inliers = res[int(np.argmax(counts[:scored]))] <= inlier_eps
     for _ in range(8):
         pose = kabsch_fit(c.ref_points[inliers], c.tgt_points[inliers])
@@ -323,7 +320,7 @@ def test_ransac_matches_einsum_reference():
         tgt = random_pose(rng).apply(ref) + rng.normal(0, 0.002, ref.shape)
         outliers = rng.choice(120, size=40, replace=False)
         tgt[outliers] += rng.uniform(-0.05, 0.05, (40, 3))
-        corr = CorrespondenceSet.from_pairs(ref, tgt)
+        corr = CorrespondenceSet(ref, tgt)
         pose, inliers = ransac_rigid_align(corr, seed=seed)
         want_pose, want_inliers = einsum_ransac_reference(corr, seed)
         assert np.array_equal(inliers, want_inliers)
@@ -352,16 +349,18 @@ def test_triples_depend_only_on_the_seed():
     assert a.tobytes() != _draw_triples(np.random.default_rng(6), 80, 2000).tobytes()
 
 
-def test_stop_rule_hypothesis_counts():
-    assert _hypotheses_needed(1.0, 2000) == 1
-    assert _hypotheses_needed(0.78, 2000) == 11
-    assert _hypotheses_needed(0.16, 2000) == math.ceil(math.log(0.001) / math.log(1 - 0.16**3))
-    assert 1650 <= _hypotheses_needed(0.16, 2000) <= 1750
-    assert _hypotheses_needed(0.05, 2000) == 2000  # the uncapped rule asks for about 55,000
-    assert _hypotheses_needed(0.78, 5) == 5
+def test_stop_rule_hypothesis_counts(monkeypatch):
+    assert matching.RANSAC_ITERATIONS == 2000
+    assert _hypotheses_needed(1.0) == 1
+    assert _hypotheses_needed(0.78) == 11
+    assert _hypotheses_needed(0.16) == math.ceil(math.log(0.001) / math.log(1 - 0.16**3))
+    assert 1650 <= _hypotheses_needed(0.16) <= 1750
+    assert _hypotheses_needed(0.05) == 2000  # the uncapped rule asks for about 55,000
     # no consensus, all hypotheses degenerate (-1 / n), N about 7e21, w^3 = 0.0
     for w in (0.0, -1 / 40, 1e-7, 1e-120):
-        assert _hypotheses_needed(w, 2000) == 2000
+        assert _hypotheses_needed(w) == 2000
+    monkeypatch.setattr(matching, "RANSAC_ITERATIONS", 5)
+    assert _hypotheses_needed(0.78) == 5
 
 
 def count_scored(monkeypatch):
@@ -380,7 +379,7 @@ def test_ransac_stops_after_one_block_on_an_exact_copy(monkeypatch):
     blocks = count_scored(monkeypatch)
     rng = np.random.default_rng(28)
     ref = rng.uniform(-0.1, 0.1, (40, 3))
-    pose, inliers = ransac_rigid_align(CorrespondenceSet.from_pairs(ref, random_pose(rng).apply(ref)), seed=0)
+    pose, inliers = ransac_rigid_align(CorrespondenceSet(ref, random_pose(rng).apply(ref)), seed=0)
     assert blocks == [_SCORE_BLOCK_FLOATS // 120]
     assert inliers.all()
 
@@ -393,7 +392,7 @@ def test_ransac_scores_every_hypothesis_on_weak_consensus(monkeypatch):
     tgt = rng.uniform(-0.1, 0.1, (200, 3))
     tgt[:10] = random_pose(rng).apply(ref[:10])
     try:
-        ransac_rigid_align(CorrespondenceSet.from_pairs(ref, tgt), seed=0)
+        ransac_rigid_align(CorrespondenceSet(ref, tgt), seed=0)
     except DegenerateInputError:
         pass
     assert sum(blocks) == 2000
@@ -419,7 +418,7 @@ def noisy_correspondences(rng, n):
     tgt = random_pose(rng).apply(ref) + rng.normal(0, 0.002, ref.shape)
     outliers = rng.choice(n, size=n // 3, replace=False)
     tgt[outliers] += rng.uniform(-0.05, 0.05, (len(outliers), 3))
-    return CorrespondenceSet.from_pairs(ref, tgt)
+    return CorrespondenceSet(ref, tgt)
 
 
 def assert_scores_equal(got, want):
@@ -445,7 +444,7 @@ def test_blocked_scoring_matches_unblocked(n, hypotheses, block):
 def test_blocked_scoring_tie_goes_to_the_earlier_block():
     rng = np.random.default_rng(25)
     ref = rng.uniform(-0.1, 0.1, (10, 3))
-    c = CorrespondenceSet.from_pairs(ref, ref)
+    c = CorrespondenceSet(ref, ref)
     block = _SCORE_BLOCK_FLOATS // 30
     early, late = 5, block + 7
     r_all = np.tile(np.eye(3), (2000, 1, 1))
@@ -461,7 +460,7 @@ def test_blocked_scoring_tie_goes_to_the_earlier_block():
 
 def test_blocked_scoring_of_all_degenerate_hypotheses():
     line = np.column_stack([np.linspace(0, 1, 10), np.zeros(10), np.zeros(10)])
-    c = CorrespondenceSet.from_pairs(line, line)
+    c = CorrespondenceSet(line, line)
     rng = np.random.default_rng(26)
     idx = np.array([rng.choice(10, size=3, replace=False) for _ in range(2000)])
     fits = _batched_minimal_fits(c.ref_points[idx], c.tgt_points[idx])
@@ -485,18 +484,6 @@ def test_ransac_memory_stays_bounded():
         tracemalloc.stop()
     # one (K, 3, N) residual buffer would be 43 MB at 900 pairs
     assert peak < 8e6
-
-
-def test_kabsch_weighted():
-    rng = np.random.default_rng(10)
-    ref = rng.uniform(-1, 1, (20, 3))
-    truth = random_pose(rng)
-    tgt = truth.apply(ref)
-    tgt[0] += 10.0  # huge outlier, zero weight
-    w = np.ones(20)
-    w[0] = 0.0
-    pose = kabsch_fit(ref, tgt, w)
-    assert pose.translation_distance_to(truth) < 1e-9
 
 
 # --- non-rigid registration --------------------------------------------------------
@@ -530,11 +517,12 @@ def test_cpd_recovers_planted_smooth_warp():
     assert resid.mean() < 0.001
 
 
-def test_cpd_heavy_regularization_stays_rigid():
+def test_cpd_heavy_regularization_stays_rigid(monkeypatch):
     rng = np.random.default_rng(11)
     pts = grid_cloud()
     target = pts + 0.004 * rng.normal(size=pts.shape)  # incoherent noise
-    dmap = nonrigid_register(pts, target, CpdConfig(lam=1e6))
+    monkeypatch.setattr(nonrigid, "CPD_LAMBDA", 1e6)
+    dmap = nonrigid_register(pts, target)
     moved = dmap.apply(pts)
     # with infinite coherence weight the best fit collapses toward no motion;
     # deviation from the best rigid fit of (pts -> moved) stays tiny
@@ -555,7 +543,7 @@ def test_cpd_sigma2_start_matches_broadcast_square(n_ref, n_tgt):
     assert float(_initial_sigma2(y, x)).hex() == float(want).hex()
 
 
-def dense_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
+def dense_cpd_reference(ref_points, tgt_points):
     """The CPD loop with every distance built as an (N, M, 3) broadcast and
     the full (N, N) M-step solve of the kernel G.
 
@@ -567,13 +555,13 @@ def dense_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
     mu = y0.mean(axis=0)
     scale = float(np.sqrt(((y0 - mu) ** 2).sum(axis=1).mean()))
     y, xz = (y0 - mu) / scale, (x - mu) / scale
-    beta, lam, w = config.beta, config.lam, config.outlier_w
+    beta, lam, w = nonrigid.CPD_BETA, nonrigid.CPD_LAMBDA, nonrigid.CPD_OUTLIER_W
     g = np.exp(-((y[:, None, :] - y[None, :, :]) ** 2).sum(axis=2) / (2.0 * beta**2))
     sigma2 = ((xz[None, :, :] - y[:, None, :]) ** 2).sum() / (3.0 * n_ref * n_tgt)
     warped, weights = y.copy(), np.zeros_like(y)
     converged, iterations = False, 0
     const_uniform = w / (1.0 - w) * n_ref / n_tgt
-    for _ in range(config.max_iterations):
+    for _ in range(nonrigid.CPD_MAX_ITERATIONS):
         d2 = ((xz[None, :, :] - warped[:, None, :]) ** 2).sum(axis=2)
         p = np.exp(-d2 / (2.0 * sigma2))
         denom = np.maximum(p.sum(axis=0) + const_uniform * (2.0 * np.pi * sigma2) ** 1.5, 1e-300)
@@ -590,7 +578,7 @@ def dense_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
              + (p1 * (warped * warped).sum(axis=1)).sum()) / (3.0 * n_p),
             1e-14,
         )
-        done = abs(sigma2_new - sigma2) < config.tolerance
+        done = abs(sigma2_new - sigma2) < nonrigid.CPD_TOLERANCE
         sigma2 = sigma2_new
         if done:
             converged = True
@@ -603,7 +591,7 @@ def dense_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
     return weights, sigma2, converged, iterations, phi
 
 
-def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
+def broadcast_cpd_reference(ref_points, tgt_points):
     """The CPD loop with every distance built as an (N, M, 3) broadcast and
     the M-step solved in the kernel's eigenbasis, as nonrigid_register does.
 
@@ -615,7 +603,7 @@ def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
     mu = y0.mean(axis=0)
     scale = float(np.sqrt(((y0 - mu) ** 2).sum(axis=1).mean()))
     y, xz = (y0 - mu) / scale, (x - mu) / scale
-    beta, lam, w = config.beta, config.lam, config.outlier_w
+    beta, lam, w = nonrigid.CPD_BETA, nonrigid.CPD_LAMBDA, nonrigid.CPD_OUTLIER_W
     g = np.exp(-((y[:, None, :] - y[None, :, :]) ** 2).sum(axis=2) / (2.0 * beta**2))
     eigvals, q = scipy.linalg.eigh(g, subset_by_value=(_EIGEN_CUTOFF * n_ref, np.inf), driver="evr")
     # the weakest modes amplify the rounding of Q^T diag(P1) Q to about 1e-14 m
@@ -625,7 +613,7 @@ def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
     warped, alpha = y.copy(), np.zeros((len(eigvals), 3))
     converged, iterations = False, 0
     const_uniform = w / (1.0 - w) * n_ref / n_tgt
-    for _ in range(config.max_iterations):
+    for _ in range(nonrigid.CPD_MAX_ITERATIONS):
         d2 = ((xz[None, :, :] - warped[:, None, :]) ** 2).sum(axis=2)
         p = np.exp(-d2 / (2.0 * sigma2))
         denom = np.maximum(p.sum(axis=0) + const_uniform * (2.0 * np.pi * sigma2) ** 1.5, 1e-300)
@@ -642,7 +630,7 @@ def broadcast_cpd_reference(ref_points, tgt_points, config=CpdConfig()):
              + (p1 * (warped * warped).sum(axis=1)).sum()) / (3.0 * n_p),
             1e-14,
         )
-        done = abs(sigma2_new - sigma2) < config.tolerance
+        done = abs(sigma2_new - sigma2) < nonrigid.CPD_TOLERANCE
         sigma2 = sigma2_new
         if done:
             converged = True
@@ -746,24 +734,25 @@ def test_cpd_warm_fit_is_byte_identical_to_a_cold_fit():
     assert (cold.iterations, cold.rank) == (warm.iterations, warm.rank)
 
 
-def test_cpd_basis_cache_misses_on_another_beta_or_reference():
+def test_cpd_basis_cache_misses_on_another_reference(monkeypatch):
+    monkeypatch.setattr(nonrigid, "CPD_MAX_ITERATIONS", 1)
     ref, tgt, _ = cpd_case("subset")
     nonrigid._kernel_basis.cache_clear()
-    nonrigid_register(ref, tgt, CpdConfig(max_iterations=1))
-    nonrigid_register(ref, tgt, CpdConfig(beta=2.5, max_iterations=1))
+    nonrigid_register(ref, tgt)
     nudged = ref.copy()
     nudged[7, 1] = np.nextafter(nudged[7, 1], np.inf)  # one ulp
-    nonrigid_register(nudged, tgt, CpdConfig(max_iterations=1))
-    nonrigid_register(ref, tgt * 1.1, CpdConfig(max_iterations=1))  # the first reference and beta again
+    nonrigid_register(nudged, tgt)
+    nonrigid_register(ref, tgt * 1.1)  # the first reference again
     info = nonrigid._kernel_basis.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
-def test_cpd_cached_basis_is_read_only():
+def test_cpd_cached_basis_is_read_only(monkeypatch):
+    monkeypatch.setattr(nonrigid, "CPD_MAX_ITERATIONS", 1)
     ref, tgt, _ = cpd_case("subset")
     nonrigid._kernel_basis.cache_clear()
-    dmap = nonrigid_register(ref, tgt, CpdConfig(max_iterations=1))
-    eigvals, q = nonrigid._kernel_basis(dmap.control_points.tobytes(), len(ref), CpdConfig().beta)
+    dmap = nonrigid_register(ref, tgt)
+    eigvals, q = nonrigid._kernel_basis(dmap.control_points.tobytes(), len(ref))
     assert nonrigid._kernel_basis.cache_info().hits == 1
     assert q.shape == (len(ref), dmap.rank) and eigvals.shape == (dmap.rank,)
     assert not eigvals.flags.writeable and not q.flags.writeable
@@ -771,13 +760,16 @@ def test_cpd_cached_basis_is_read_only():
         q[0, 0] = 0.0
 
 
-def test_cpd_basis_cache_is_bounded():
+def test_cpd_basis_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(nonrigid, "CPD_MAX_ITERATIONS", 1)
     ref, tgt, _ = cpd_case("subset")
     nonrigid._kernel_basis.cache_clear()
     maxsize = nonrigid._kernel_basis.cache_info().maxsize
     assert maxsize == nonrigid._BASIS_CACHE_SIZE
     for k in range(maxsize + 3):
-        nonrigid_register(ref, tgt, CpdConfig(beta=1.0 + 0.25 * k, max_iterations=1))
+        distinct = ref.copy()
+        distinct[k, 0] += 1e-3  # another reference each time
+        nonrigid_register(distinct, tgt)
         assert nonrigid._kernel_basis.cache_info().currsize == min(k + 1, maxsize)
     assert nonrigid._kernel_basis.cache_info().misses == maxsize + 3
 
@@ -867,12 +859,14 @@ def test_cpd_skips_exponents_below_the_floor_with_unchanged_bits(monkeypatch, ca
     assert masked.iterations == dense.iterations and masked.converged == dense.converged
 
 
-def test_cpd_reports_iterations_within_budget():
+def test_cpd_reports_iterations_within_budget(monkeypatch):
     pts = grid_cloud()
-    dmap = nonrigid_register(pts, pts + 0.002, CpdConfig(max_iterations=5, tolerance=0.0))
-    assert dmap.iterations == 5 and not dmap.converged
     dmap = nonrigid_register(pts, pts + 0.002)
-    assert dmap.converged and 1 <= dmap.iterations < CpdConfig().max_iterations
+    assert dmap.converged and 1 <= dmap.iterations < nonrigid.CPD_MAX_ITERATIONS
+    monkeypatch.setattr(nonrigid, "CPD_MAX_ITERATIONS", 5)
+    monkeypatch.setattr(nonrigid, "CPD_TOLERANCE", 0.0)
+    dmap = nonrigid_register(pts, pts + 0.002)
+    assert dmap.iterations == 5 and not dmap.converged
 
 
 # --- keypoint frame solve ------------------------------------------------------------
@@ -1004,7 +998,7 @@ def test_pipeline_diagnostics_report_cpd_iterations_and_sigma2(ref_object):
     _, diag = transfer_keypoint(cloud, kf, target, TransferConfig(seed=6))
     payload = json.loads(canonical_json(diag.to_json()))
     assert isinstance(payload["registration_iterations"], int)
-    assert 1 <= payload["registration_iterations"] <= CpdConfig().max_iterations
+    assert 1 <= payload["registration_iterations"] <= nonrigid.CPD_MAX_ITERATIONS
     assert payload["registration_sigma2"] > 0.0
     assert payload["registration_converged"] is True
     assert isinstance(payload["registration_rank"], int)
@@ -1036,17 +1030,19 @@ TYPED_FAILURES = {
     "grid_duplicate_voxels": (_bad, lambda: FeatureGrid(np.zeros((2, 3)), np.zeros((2, 1)), 0.01)),
     "voxelize_without_features": (_bad, lambda: voxelize_cloud(PointCloud(_pts))),
     "voxelize_empty_cloud": (_bad, lambda: voxelize_cloud(PointCloud(_pts[:0], np.zeros((0, 2))))),
+    "voxelize_zero_cell": (_bad, lambda: voxelize_cloud(_cloud, 0.0)),
+    "voxelize_negative_cell": (_bad, lambda: voxelize_cloud(_cloud, -0.005)),
+    "voxelize_nan_cell": (_bad, lambda: voxelize_cloud(_cloud, np.nan)),
+    "voxelize_infinite_cell": (_bad, lambda: voxelize_cloud(_cloud, np.inf)),
+    "transfer_config_nan_voxel": (ConfigError, lambda: TransferConfig(voxel_cell=np.nan)),
+    "transfer_config_zero_voxel": (ConfigError, lambda: TransferConfig(voxel_cell=0.0)),
     "similarity_dimension_mismatch": (_bad, lambda: region_similarity(_grid(), np.ones(3))),
-    "pairs_misaligned": (_bad, lambda: CorrespondenceSet(_pts[:3], _pts[:4], np.ones(3))),
-    "pairs_not_finite": (_bad, lambda: CorrespondenceSet.from_pairs(np.full((3, 3), np.nan), _pts[:3])),
+    "pairs_misaligned": (_bad, lambda: CorrespondenceSet(_pts[:3], _pts[:4])),
+    "pairs_not_finite": (_bad, lambda: CorrespondenceSet(np.full((3, 3), np.nan), _pts[:3])),
     "best_buddies_empty_region": (_bad,
                                   lambda: relaxed_best_buddies(_grid(), _grid().select(_pts[:12, 0] > 1), 0.1)),
     "best_buddies_negative_radius": (ConfigError, lambda: relaxed_best_buddies(_grid(), _grid(), -0.1)),
-    "kabsch_zero_weights": (_bad, lambda: kabsch_fit(_pts[:5], _pts[:5], np.zeros(5))),
-    "kabsch_negative_weight": (_bad, lambda: kabsch_fit(_pts[:5], _pts[:5], [1.0, 1.0, 1.0, -3.0, 0.0])),
-    "kabsch_nan_weight": (_bad, lambda: kabsch_fit(_pts[:5], _pts[:5], [1.0, np.nan, 1.0, 1.0, 1.0])),
-    "kabsch_weights_misaligned": (_bad, lambda: kabsch_fit(_pts[:5], _pts[:5], np.ones(4))),
-    "ransac_no_iterations": (ConfigError, lambda: ransac_rigid_align(CorrespondenceSet.from_pairs(_pts, _pts), 0)),
+    "best_buddies_nan_radius": (ConfigError, lambda: relaxed_best_buddies(_grid(), _grid(), np.nan)),
     "cpd_too_few_points": (_bad, lambda: nonrigid_register(_pts[:5], _pts)),
     "cpd_non_finite_points": (_bad, lambda: nonrigid_register(_pts, np.vstack([_pts[:-1], [[np.nan, 0.0, 0.0]]]))),
     "cpd_coincident_points": (_bad, lambda: nonrigid_register(np.zeros((20, 3)), np.zeros((20, 3)))),
