@@ -213,6 +213,8 @@ def _cmd_campaign(args) -> int:
             seeds = [int(word) for word in Path(args.seed_file).read_text().split()]
         except ValueError as e:
             raise ConfigError({"--seed-file": f"seeds must be integers ({e})"}) from e
+        if any(seed < 0 for seed in seeds):
+            raise ConfigError({"--seed-file": "seeds must be >= 0"})
     rows, summary = run_campaign(cfg, seeds=seeds)
     write_campaign_outputs(rows, summary, args.out_csv, args.out_summary)
     return 0

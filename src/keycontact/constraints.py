@@ -57,13 +57,6 @@ class GraspRegion:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
-    def contains(self, frame: KeypointFrame, pos_tol: float = 1e-9, ang_tol: float = 1e-9) -> bool:
-        o = frame.origin
-        if (o < self.position_min - pos_tol).any() or (o > self.position_max + pos_tol).any():
-            return False
-        dev = _deviation_rotvec(self.mean_rotation, frame)
-        return bool((np.abs(dev) <= self.angular_limits + ang_tol).all())
-
     def to_json(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,

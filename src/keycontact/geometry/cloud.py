@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import DegenerateInputError
 
-__all__ = ["PointCloud", "cloud_min_distance", "nearest_neighbors"]
+__all__ = ["PointCloud", "cloud_min_distance", "nearest_neighbors", "pairs_within"]
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,25 @@ class PointCloud:
 def nearest_neighbors(query: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance to and index of the nearest target point, per query point.
 
-    This is the package's one kd-tree query. scipy is imported inside it, so
-    code that never asks for a nearest neighbour runs without scipy.
+    This and pairs_within are the package's kd-tree queries. Each imports
+    scipy inside it, so code that never asks for a neighbour runs without
+    scipy.
     """
     from scipy.spatial import cKDTree
 
     return cKDTree(target).query(query, k=1)
+
+
+def pairs_within(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) index arrays of every pair with |a_i - b_j| <= radius.
+
+    The pairs are sorted by i, then by j. Both trees are built per call.
+    """
+    from scipy.spatial import cKDTree
+
+    found = cKDTree(a).sparse_distance_matrix(cKDTree(b), radius, output_type="ndarray")
+    key = np.sort(found["i"].astype(np.int64) * len(b) + found["j"])
+    return np.divmod(key, len(b))
 
 
 def cloud_min_distance(a: PointCloud, b: PointCloud) -> float:

@@ -247,12 +247,6 @@ class Pose:
     def from_rotvec(rv, t=(0.0, 0.0, 0.0)) -> "Pose":
         return Pose(quat_from_rotvec(np.asarray(rv, dtype=float)), t)
 
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = quat_to_matrix(self.q)
-        m[:3, 3] = self.t
-        return m
-
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.q)
 
@@ -278,12 +272,6 @@ class Pose:
 
     def translation_distance_to(self, other: "Pose") -> float:
         return float(np.linalg.norm(self.t - other.t))
-
-    def is_close(self, other: "Pose", t_tol: float = 1e-9, r_tol: float = 1e-9) -> bool:
-        return (
-            self.translation_distance_to(other) <= t_tol
-            and self.rotation_angle_to(other) <= r_tol
-        )
 
     def __repr__(self):
         q = ", ".join(f"{v:.6g}" for v in self.q)

@@ -422,10 +422,6 @@ class SdfGrid:
         object.__setattr__(self, "_corners", tuple(flat[s:] for s in shifts))
         object.__setattr__(self, "_top", (np.array(v.shape) - 1 - 1e-9)[:, None])
 
-    @property
-    def cell_diagonal(self) -> float:
-        return float(self.cell * np.sqrt(3.0))
-
     def query(self, points: np.ndarray) -> np.ndarray:
         """Trilinearly interpolated signed distance at local-frame points.
 

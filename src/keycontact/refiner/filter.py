@@ -127,9 +127,6 @@ class ParticleSet:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def particle(self, j: int) -> Pose:
-        return Pose(self.quats[j], self.translations[j])
-
 
 def contact_likelihood(d, d_th: float):
     """Piecewise-linear contact likelihood: 1 at d = 0, 0 at |d| >= d_th."""

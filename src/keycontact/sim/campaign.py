@@ -13,6 +13,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import numbers
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -49,6 +50,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool (JSON true is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     profiles: tuple[str, ...] = ("round", "hexagon")
@@ -67,18 +73,17 @@ class CampaignConfig:
         for p in self.profiles:
             if p not in PROFILES:
                 fails[f"profiles[{p}]"] = f"unknown profile (choose from {PROFILES})"
+        for name, least in (("trials", 1), ("n_contacts", 0), ("particles", 2), ("base_seed", 0)):
+            if not _is_int(getattr(self, name)):
+                fails[name] = "must be an integer"
+            elif getattr(self, name) < least:
+                fails[name] = f"must be >= {least}"
         if not self.clearance >= 0:
             fails["clearance"] = "must be >= 0"
         if not self.depth > INSERT_MARGIN:
             fails["depth"] = f"must exceed the insertion margin {INSERT_MARGIN} m"
-        if self.trials < 1:
-            fails["trials"] = "must be >= 1"
-        if self.n_contacts < 0:
-            fails["n_contacts"] = "must be >= 0"
         if self.selection not in ("ig", "random"):
             fails["selection"] = "must be 'ig' or 'random'"
-        if self.particles < 2:
-            fails["particles"] = "must be >= 2"
         if not self.d_th > 0:
             fails["d_th"] = "must be > 0"
         for i, (st, sr) in enumerate(self.noise_grid):
@@ -96,6 +101,8 @@ class CampaignConfig:
             raise ConfigError({key: "unknown key" for key in unknown})
         kwargs = dict(d)
         if "profiles" in d:
+            if not (isinstance(d["profiles"], list) and all(isinstance(p, str) for p in d["profiles"])):
+                raise ConfigError({"profiles": "must be a list of profile names"})
             kwargs["profiles"] = tuple(d["profiles"])
         if "noise_grid" in d:
             kwargs["noise_grid"] = tuple((float(a), float(b)) for a, b in d["noise_grid"])

@@ -29,23 +29,47 @@ allocated once: cdist writes the squared distances into it, which are then
 scaled, exponentiated and normalized in place, beside one reused bool
 buffer of the same shape. np.exp leaves its SIMD path below about -708 and
 is exactly +0.0 below about -745.13, so only exponents >= _EXP_FLOOR are
-exponentiated and the rest are set to 0.0 (_exp_above_floor): once sigma^2
-is small most entries are skipped, and every output stays bit-identical.
+exponentiated and the rest are set to 0.0 (_exp_above_floor), with the
+same bits as np.exp. When no exponent is below the floor, as in the first
+iterations, np.exp runs on the whole buffer without the mask.
 The only (N_ref, N_tgt, 3) temporary is the one-time sigma^2 start,
 squared in place: summing the cdist matrix instead adds in another order
 and moves the fit in its last bits.
+
+Once sigma is small, the E-step reads only the pairs whose kernel is not
+negligible, as a truncated Gauss transform does (Greengard & Strain, "The
+Fast Gauss Transform", 1991). Every column's denominator holds the uniform
+term u = c (2 pi sigma^2)^(3/2), so with
+
+    T = min(-_EXP_FLOOR, max(0, ln(N_ref / (_TRUNCATION_EPS u)))),  r^2 = 2 sigma^2 T,
+
+every pair farther apart than r has a kernel below _TRUNCATION_EPS u / N_ref.
+A column drops less than _TRUNCATION_EPS u from a denominator of at least
+u: a kept responsibility moves by less than _TRUNCATION_EPS relative, and a
+dropped one was below _TRUNCATION_EPS / N_ref. At T = -_EXP_FLOOR the
+dropped kernels are exactly 0. Once r^2 is below _TRUNCATE_BELOW_R2
+(normalized units), the kd-tree of geometry/cloud.py lists the pairs within
+r, sorted by row, then column, and only they are exponentiated. Their
+squared distances are summed in cdist's order, and np.bincount adds each
+column's denominator in the dense buffer's row order, so a kept entry has
+its dense bits unless the dropped kernels change its column's sum. They are
+written into the zeroed buffer, and P1, P^T 1 and P X are formed from it as
+after a dense step. Summing P1 and P X over the pairs instead adds in
+another order, which moved phi by 1e-14 m on a 300-point fit.
 
 scipy's cdist and eigh are imported inside the functions that call them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ..errors import DegenerateInputError
+from ..geometry.cloud import pairs_within
 
 __all__ = ["DeformationMap", "nonrigid_register"]
 
@@ -72,6 +96,13 @@ _EIGEN_CUTOFF = 1e-14
 _BASIS_CACHE_SIZE = 4
 # exp(x) rounds to exactly +0.0 for every double below about -745.13
 _EXP_FLOOR = -746.0
+# the truncated E-step moves no kept responsibility by more than this, relative
+_TRUNCATION_EPS = 1e-16
+# truncate once the squared cut-off radius (normalized units) falls below
+# this. CPD on the bench's large pair took 855 ms never truncating, and
+# 534, 424 and 437 ms at 0.05, 0.2 and 0.5 (2-core x86-64, one BLAS
+# thread). A larger radius keeps more pairs than the kd-tree query saves.
+_TRUNCATE_BELOW_R2 = 0.2
 
 
 @dataclass(frozen=True)
@@ -93,6 +124,7 @@ class DeformationMap:
     final_objective: float  # final sigma^2
     iterations: int  # completed EM iterations
     rank: int  # kernel eigenpairs kept by the M-step
+    truncated_steps: int  # E-steps that read only the pairs within the cut-off radius
 
     def _kernel(self, query_norm: np.ndarray) -> np.ndarray:
         return _gaussian_kernel(query_norm, self.control_points, self.bandwidth)
@@ -126,6 +158,8 @@ def _exp_above_floor(p: np.ndarray, live: np.ndarray) -> np.ndarray:
     live is a bool buffer of p's shape, overwritten. NaN entries are
     exponentiated, so they stay NaN.
     """
+    if p.min() >= _EXP_FLOOR:
+        return np.exp(p, out=p)
     np.less(p, _EXP_FLOOR, out=live)
     np.logical_not(live, out=live)
     np.exp(p, out=p, where=live)
@@ -171,6 +205,35 @@ def _initial_sigma2(y: np.ndarray, x: np.ndarray) -> float:
     return d.sum() / (3.0 * len(y) * len(x))
 
 
+def _cutoff_radius2(sigma2: float, uniform: float, n_ref: int) -> float:
+    """r^2 beyond which every kernel exp(-d^2 / (2 sigma^2)) is below _TRUNCATION_EPS uniform / n_ref."""
+    cutoff = min(-_EXP_FLOOR, max(0.0, math.log(n_ref / (_TRUNCATION_EPS * uniform))))
+    return 2.0 * sigma2 * cutoff
+
+
+def _truncated_responsibilities(
+    p: np.ndarray, warped: np.ndarray, xz: np.ndarray, sigma2: float, uniform: float, radius: float
+) -> None:
+    """Write into p the responsibilities of the pairs within radius, and 0 elsewhere.
+
+    uniform is the uniform term of every column's denominator. Each kept
+    entry has the bits that the dense E-step gives it, up to the dropped
+    kernels in its column's sum.
+    """
+    i, j = pairs_within(warped, xz, radius)
+    d = warped[i] - xz[j]
+    d *= d
+    k = d[:, 0] + d[:, 1]  # cdist's order
+    k += d[:, 2]
+    np.divide(k, -2.0 * sigma2, out=k)
+    np.exp(k, out=k)
+    denom = np.bincount(j, weights=k, minlength=len(xz)) + uniform
+    denom = np.where(denom < 1e-300, 1e-300, denom)
+    k /= denom[j]
+    p.fill(0.0)
+    p[i, j] = k
+
+
 def nonrigid_register(ref_points: np.ndarray, tgt_points: np.ndarray) -> DeformationMap:
     """Fit phi moving ref_points (the GMM centroids) toward tgt_points.
 
@@ -212,15 +275,22 @@ def nonrigid_register(ref_points: np.ndarray, tgt_points: np.ndarray) -> Deforma
     p = np.empty((n_ref, n_tgt))  # responsibilities, rewritten every E-step
     live = np.empty((n_ref, n_tgt), dtype=bool)  # exponents above _EXP_FLOOR
     p1q = np.empty_like(q)  # diag(P1) Q
+    truncated_steps = 0
 
     for _ in range(CPD_MAX_ITERATIONS):
-        # E-step: responsibilities p (N_ref, N_tgt), in the distance buffer
-        cdist(warped, xz, "sqeuclidean", out=p)
-        np.divide(p, -2.0 * sigma2, out=p)
-        _exp_above_floor(p, live)
-        denom = p.sum(axis=0) + const_uniform * (2.0 * np.pi * sigma2) ** 1.5
-        denom = np.where(denom < 1e-300, 1e-300, denom)
-        p /= denom
+        uniform = const_uniform * (2.0 * np.pi * sigma2) ** 1.5
+        radius2 = _cutoff_radius2(sigma2, uniform, n_ref)
+        if radius2 < _TRUNCATE_BELOW_R2:
+            _truncated_responsibilities(p, warped, xz, sigma2, uniform, np.sqrt(radius2))
+            truncated_steps += 1
+        else:
+            # E-step: responsibilities p (N_ref, N_tgt), in the distance buffer
+            cdist(warped, xz, "sqeuclidean", out=p)
+            np.divide(p, -2.0 * sigma2, out=p)
+            _exp_above_floor(p, live)
+            denom = p.sum(axis=0) + uniform
+            denom = np.where(denom < 1e-300, 1e-300, denom)
+            p /= denom
 
         p1 = p.sum(axis=1)
         pt1 = p.sum(axis=0)
@@ -257,4 +327,5 @@ def nonrigid_register(ref_points: np.ndarray, tgt_points: np.ndarray) -> Deforma
         final_objective=float(sigma2),
         iterations=iterations,
         rank=rank,
+        truncated_steps=truncated_steps,
     )

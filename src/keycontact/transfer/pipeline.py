@@ -50,6 +50,7 @@ class TransferDiagnostics:
     registration_iterations: int  # completed CPD EM iterations
     registration_sigma2: float  # final CPD sigma^2 (normalized coordinates)
     registration_rank: int  # kernel eigenpairs the CPD M-step kept
+    registration_truncated_steps: int  # CPD E-steps that read only the near pairs
     otsu_threshold_ref: float
     otsu_threshold_tgt: float
 
@@ -175,6 +176,7 @@ def transfer_keypoint(
         registration_iterations=deform.iterations,
         registration_sigma2=deform.final_objective,
         registration_rank=deform.rank,
+        registration_truncated_steps=deform.truncated_steps,
         otsu_threshold_ref=float(thr_ref),
         otsu_threshold_tgt=float(thr_tgt),
     )

@@ -265,6 +265,17 @@ MALFORMED_INPUTS = {
         _campaign_argv(tmp, json.dumps(TINY_CAMPAIGN), "--seed-file", _text_file(tmp, "seeds.txt", "3\nfour\n")),
         2, "ConfigError", "--seed-file"),
     "campaign_config_not_an_object": lambda tmp: (_campaign_argv(tmp, "[]"), 1, "SchemaError", None),
+    "campaign_trials_not_an_integer": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "trials": 1.5})), 2, "ConfigError", "trials"),
+    "campaign_n_contacts_a_bool": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "n_contacts": True})), 2, "ConfigError", "n_contacts"),
+    "campaign_base_seed_negative": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "base_seed": -1})), 2, "ConfigError", "base_seed"),
+    "campaign_seed_negative": lambda tmp: (
+        _campaign_argv(tmp, json.dumps(TINY_CAMPAIGN), "--seed-file", _text_file(tmp, "seeds.txt", "3\n-1\n")),
+        2, "ConfigError", "--seed-file"),
+    "campaign_profiles_a_string": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "profiles": "round"})), 2, "ConfigError", "profiles"),
 }
 
 

@@ -1,8 +1,8 @@
 """A fresh process imports the package and refines without loading scipy.
 
-scipy is needed only by transfer code and by the nearest-neighbour query in
-geometry/cloud.py (keypoint extraction and grounding call it), each of
-which imports it inside the function that calls it. Each test runs in a new
+scipy is needed only by transfer code and by the kd-tree queries in
+geometry/cloud.py (keypoint extraction, grounding and CPD call them), each
+of which imports it inside the function that calls it. Each test runs in a new
 interpreter, so modules that other tests loaded cannot hide an import.
 """
 

@@ -22,7 +22,7 @@ from keycontact.geometry import (
     sdf_query,
 )
 from keycontact.errors import ConfigError, DegenerateInputError
-from keycontact.geometry.cloud import nearest_neighbors
+from keycontact.geometry.cloud import nearest_neighbors, pairs_within
 from keycontact.geometry.pose import matrix_to_quat, quat_multiply, quat_rotate
 from keycontact.geometry import shape as shape_module
 from keycontact.geometry.shape import (
@@ -50,10 +50,18 @@ def random_pose(rng):
 def test_compose_identity_and_inverse():
     rng = np.random.default_rng(0)
     p = random_pose(rng)
-    assert p.compose(Pose.identity()).is_close(p)
+    q = p.compose(Pose.identity())
+    assert q.translation_distance_to(p) <= 1e-9 and q.rotation_angle_to(p) <= 1e-9
     r = p.compose(p.inverse())
     assert r.translation_distance_to(Pose.identity()) < 1e-9
     assert r.rotation_angle_to(Pose.identity()) < 1e-9
+
+
+def homogeneous(p):
+    m = np.eye(4)
+    m[:3, :3] = p.rotation_matrix()
+    m[:3, 3] = p.t
+    return m
 
 
 def test_compose_matches_hand_computed_matrix_product():
@@ -65,14 +73,14 @@ def test_compose_matches_hand_computed_matrix_product():
     expected = np.array(
         [[0, -1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=float
     )
-    assert np.allclose(c.as_matrix(), expected, atol=1e-12)
+    assert np.allclose(homogeneous(c), expected, atol=1e-12)
 
 
 def test_compose_matches_matrix_product_randomized():
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b = random_pose(rng), random_pose(rng)
-        assert np.allclose(a.compose(b).as_matrix(), a.as_matrix() @ b.as_matrix(), atol=1e-12)
+        assert np.allclose(homogeneous(a.compose(b)), homogeneous(a) @ homogeneous(b), atol=1e-12)
 
 
 def test_compose_associative():
@@ -294,6 +302,25 @@ def test_nearest_neighbors_match_brute_force_bit_for_bit_on_small_clouds():
             assert pairs[np.arange(n_query), idx].tolist() == want.tolist()
 
 
+def test_pairs_within_match_a_brute_force_mask_in_row_then_column_order():
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(31)
+    a = rng.uniform(-1.0, 1.0, (60, 3))
+    a[7] = a[3]  # a duplicate query point
+    b = np.vstack([rng.uniform(-1.0, 1.0, (50, 3)), a[:5], a[:5]])  # each of a[:5] twice
+    d = cdist(a, b)
+    for r in (0.0, 0.05, 0.3, 1.0, 4.0):
+        i, j = pairs_within(a, b, r)
+        want_i, want_j = np.nonzero(d <= r)  # row-major: sorted by i, then j
+        assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
+        assert (np.diff(i * len(b) + j) > 0).all()
+    i, j = pairs_within(a, b, 0.0)
+    assert len(i) == 12  # a[:5] and a[7] each meet their two copies at distance 0
+    i, j = pairs_within(a[8:], b[:50], 1e-3)
+    assert i.shape == j.shape == (0,) and i.dtype.kind == j.dtype.kind == "i"
+
+
 def test_nearest_neighbors_on_exact_ties_return_a_nearest_point():
     # integer grid points: many targets at exactly the same distance
     grid = np.array(np.meshgrid(*[np.arange(-2.0, 3.0)] * 3)).reshape(3, -1).T
@@ -341,7 +368,7 @@ def unit_cube():
 
 
 def test_sdf_cube_center_and_face(unit_cube):
-    tol = unit_cube.grid.cell_diagonal
+    tol = unit_cube.grid.cell * np.sqrt(3.0)
     assert sdf_query(unit_cube, Pose.identity(), np.array([0.0, 0.0, 0.0])) == pytest.approx(-0.5, abs=tol)
     assert sdf_query(unit_cube, Pose.identity(), np.array([0.0, 0.0, 1.5])) == pytest.approx(1.0, abs=tol)
 
@@ -941,7 +968,7 @@ def test_sdf_agrees_with_exact_on_random_points(unit_cube):
 
     got = sdf_query(unit_cube, Pose.identity(), pts)
     want = np.array([exact_cube_sdf(p) for p in pts])
-    assert np.abs(got - want).max() <= unit_cube.grid.cell_diagonal
+    assert np.abs(got - want).max() <= unit_cube.grid.cell * np.sqrt(3.0)
 
 
 def test_sdf_sign_changes_once_along_entering_ray(unit_cube):
@@ -1005,7 +1032,7 @@ def test_penetration_coincident_cubes_equals_oracle(unit_cube):
     # classical minimum-translation depth
     got = penetration_depth(unit_cube, Pose.identity(), unit_cube, Pose.identity())
     want = dense_penetration_oracle(unit_cube, Pose.identity(), unit_cube, Pose.identity())
-    assert got == pytest.approx(want, abs=unit_cube.grid.cell_diagonal)
+    assert got == pytest.approx(want, abs=unit_cube.grid.cell * np.sqrt(3.0))
 
 
 def test_penetration_iff_surface_distance_positive(unit_cube):

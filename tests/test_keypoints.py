@@ -35,7 +35,7 @@ def test_frame_pose_roundtrip():
     rng = np.random.default_rng(0)
     p = random_pose(rng)
     f = KeypointFrame.from_pose(p, "obj", "master")
-    assert f.as_pose().is_close(p, 1e-12, 1e-9)
+    assert f.as_pose().translation_distance_to(p) <= 1e-12 and f.as_pose().rotation_angle_to(p) <= 1e-9
 
 
 def test_frame_json_roundtrip():
@@ -213,7 +213,8 @@ def test_relative_path_static_scene_constant():
     sp, mp = random_pose(rng), random_pose(rng)
     path = relative_waypoint_path(kf_s, kf_m, [sp] * 4, [mp] * 4, np.arange(4.0))
     for w in path.waypoints[1:]:
-        assert w.is_close(path.waypoints[0], 1e-12, 1e-9)
+        assert w.translation_distance_to(path.waypoints[0]) <= 1e-12
+        assert w.rotation_angle_to(path.waypoints[0]) <= 1e-9
 
 
 def test_relative_path_world_motion_invariance():

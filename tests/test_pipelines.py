@@ -5,6 +5,7 @@ import numpy as np
 
 from keycontact.bank import Bank
 from keycontact.cli import main
+from keycontact.constraints import _deviation_rotvec
 from keycontact.geometry import PointCloud, Pose
 from keycontact.grounding import TrackedEntity
 from keycontact.pipelines import ground_demo, learn_records
@@ -64,7 +65,9 @@ def test_learn_records_yields_one_grasp_and_one_placement():
 
     (region,) = grasp.grasp_regions
     assert region.owner == "peg" and grasp.master_kf.owner == "peg"
-    assert region.contains(grasp.master_kf)
+    o = grasp.master_kf.origin
+    assert (o >= region.position_min - 1e-9).all() and (o <= region.position_max + 1e-9).all()
+    assert (np.abs(_deviation_rotvec(region.mean_rotation, grasp.master_kf)) <= region.angular_limits + 1e-9).all()
     # the hand held the peg at GRIP_OFFSET in the peg frame, without rotation
     assert np.allclose(grasp.master_kf.origin, GRIP_OFFSET, atol=1e-12)
     assert grasp.t_begin == DT * 9

@@ -110,7 +110,7 @@ def test_probe_equals_probe_batch_without_master_noise(scene, candidates):
     ps = filter_init(scene.z_perceived, NoiseConfig(), 20, seed=4)
     for cand in candidates:
         for j in range(0, 20, 5):
-            z_actual = ps.particle(j)
+            z_actual = Pose(ps.quats[j], ps.translations[j])
             res = sim.probe(cand, scene.z_perceived, z_actual, NO_CONTACT_NOISE)
             (batch,) = sim.probe_batch(cand, scene.z_perceived, ps.quats[j:j + 1], ps.translations[j:j + 1])
             if not res.contact:

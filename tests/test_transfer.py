@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial.distance
 
 from keycontact.errors import ConfigError, DegenerateInputError, KeycontactError, TransferStageError
 from keycontact.geometry import PointCloud, Pose
@@ -24,7 +25,7 @@ from keycontact.transfer import (
     transfer_keypoint,
     voxelize_cloud,
 )
-from keycontact.transfer import matching, nonrigid
+from keycontact.transfer import matching, nonrigid, pipeline
 from keycontact.transfer.matching import (
     _SCORE_BLOCK_FLOATS,
     _batched_minimal_fits,
@@ -32,7 +33,15 @@ from keycontact.transfer.matching import (
     _hypotheses_needed,
     _score_hypotheses,
 )
-from keycontact.transfer.nonrigid import _EIGEN_CUTOFF, _EXP_FLOOR, _exp_above_floor, _initial_sigma2
+from keycontact.transfer.nonrigid import (
+    _EIGEN_CUTOFF,
+    _EXP_FLOOR,
+    _TRUNCATION_EPS,
+    _cutoff_radius2,
+    _exp_above_floor,
+    _initial_sigma2,
+    _truncated_responsibilities,
+)
 
 
 def random_pose(rng, scale=0.1):
@@ -859,6 +868,90 @@ def test_cpd_skips_exponents_below_the_floor_with_unchanged_bits(monkeypatch, ca
     assert masked.iterations == dense.iterations and masked.converged == dense.converged
 
 
+# --- the truncated E-step --------------------------------------------------------------
+
+def normalized_pair(ref, tgt):
+    """Both clouds in the reference's normalized frame, as nonrigid_register puts them."""
+    mu = ref.mean(axis=0)
+    scale = float(np.sqrt(((ref - mu) ** 2).sum(axis=1).mean()))
+    return (ref - mu) / scale, (tgt - mu) / scale
+
+
+def uniform_term(sigma2, n_ref, n_tgt):
+    w = nonrigid.CPD_OUTLIER_W
+    return w / (1.0 - w) * n_ref / n_tgt * (2.0 * np.pi * sigma2) ** 1.5
+
+
+@pytest.mark.parametrize("n_ref", [10, 419, 949])
+def test_cutoff_radius_bounds_every_dropped_kernel(n_ref):
+    for sigma2 in np.logspace(-14, 3, 69):
+        u = uniform_term(sigma2, n_ref, 420)
+        r2 = _cutoff_radius2(sigma2, u, n_ref)
+        assert r2 >= 0.0
+        # a kernel beyond r is below eps u / N_ref, so a column drops less than eps u
+        assert np.exp(-r2 / (2.0 * sigma2)) * n_ref <= _TRUNCATION_EPS * u * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("sigma2", [3e-2, 2e-3, 1e-4])
+def test_truncated_responsibilities_drop_only_negligible_pairs(sigma2):
+    ref, tgt, _ = cpd_case("large_warped")
+    y, x = normalized_pair(ref, tgt)
+    x = np.vstack([x, x[:5] + [10.0, 0.0, 0.0]])  # five columns 10 radii from every reference point
+    u = uniform_term(sigma2, len(y), len(x))
+    k = np.exp(scipy.spatial.distance.cdist(y, x, "sqeuclidean") / (-2.0 * sigma2))
+    dense = k / (k.sum(axis=0) + u)
+    p = np.full_like(dense, np.nan)
+    _truncated_responsibilities(p, y, x, sigma2, u, np.sqrt(_cutoff_radius2(sigma2, u, len(y))))
+    kept = p > 0.0
+    assert np.isfinite(p).all() and not kept[:, -5:].any()
+    assert 0 < kept.sum() < kept.size
+    assert (dense[~kept] < _TRUNCATION_EPS / len(y)).all()
+    np.testing.assert_allclose(p[kept], dense[kept], rtol=4 * _TRUNCATION_EPS, atol=0.0)
+
+
+def small_object_cpd_pair(ref_object, monkeypatch):
+    """The region pair that CPD fits when the small object moves rigidly (419 points)."""
+    cloud, kf = ref_object
+    target = PointCloud(random_pose(np.random.default_rng(16), 0.05).apply(cloud.points), cloud.features)
+    seen = []
+
+    def capture(ref_points, tgt_points):
+        seen.append((ref_points, tgt_points))
+        return nonrigid_register(ref_points, tgt_points)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "nonrigid_register", capture)
+        transfer_keypoint(cloud, kf, target, TransferConfig(seed=1))
+    (pair,) = seen
+    return pair
+
+
+@pytest.mark.parametrize("case", ["subset", "large_warped", "small_object", "outliers"])
+def test_cpd_truncated_fit_matches_the_dense_fit(monkeypatch, request, case):
+    if case == "small_object":
+        ref, tgt = small_object_cpd_pair(request.getfixturevalue("ref_object"), monkeypatch)
+    else:
+        ref, tgt, _ = cpd_case("subset" if case == "outliers" else case)
+    if case == "outliers":
+        # 40 targets 10 reference radii away: their columns keep no pair once sigma is small
+        radius = np.sqrt(((ref - ref.mean(axis=0)) ** 2).sum(axis=1).mean())
+        tgt = np.vstack([tgt, tgt[:40] + [10.0 * radius, 0.0, 0.0]])
+    truncated = nonrigid_register(ref, tgt)
+    monkeypatch.setattr(nonrigid, "_TRUNCATE_BELOW_R2", 0.0)  # never truncate
+    dense = nonrigid_register(ref, tgt)
+    assert truncated.truncated_steps >= 1 and dense.truncated_steps == 0
+    assert truncated.iterations == dense.iterations and truncated.converged == dense.converged
+    assert np.isfinite(truncated.weights).all()
+    query = np.vstack([ref, tgt])
+    assert np.abs(truncated.apply(query) - dense.apply(query)).max() < 1e-9  # meters
+    np.testing.assert_allclose(truncated.final_objective, dense.final_objective, rtol=1e-9)
+
+
+def test_cpd_counts_truncated_esteps():
+    assert nonrigid_register(*cpd_case("random")[:2]).truncated_steps == 0
+    assert nonrigid_register(*cpd_case("large_warped")[:2]).truncated_steps >= 1
+
+
 def test_cpd_reports_iterations_within_budget(monkeypatch):
     pts = grid_cloud()
     dmap = nonrigid_register(pts, pts + 0.002)
@@ -876,7 +969,8 @@ def test_frame_solve_identity_roundtrip():
     kf = KeypointFrame.from_pose(random_pose(rng, 0.05), "obj", "slave")
     pts = rng.uniform(-0.05, 0.05, (30, 3))
     out = solve_keypoint_frame(kf, pts, pts)
-    assert out.as_pose().is_close(kf.as_pose(), 1e-9, 1e-9)
+    assert out.as_pose().translation_distance_to(kf.as_pose()) <= 1e-9
+    assert out.as_pose().rotation_angle_to(kf.as_pose()) <= 1e-9
 
 
 def test_frame_solve_rigid_equivariance():
@@ -886,7 +980,8 @@ def test_frame_solve_rigid_equivariance():
     g = random_pose(rng)
     out = solve_keypoint_frame(kf, pts, g.apply(pts))
     want = g.compose(kf.as_pose())
-    assert out.as_pose().is_close(want, 1e-9, 1e-9)
+    assert out.as_pose().translation_distance_to(want) <= 1e-9
+    assert out.as_pose().rotation_angle_to(want) <= 1e-9
 
 
 def test_frame_solve_beats_random_restarts():
@@ -1003,6 +1098,8 @@ def test_pipeline_diagnostics_report_cpd_iterations_and_sigma2(ref_object):
     assert payload["registration_converged"] is True
     assert isinstance(payload["registration_rank"], int)
     assert 1 <= payload["registration_rank"] <= payload["ref_region_size"]
+    assert isinstance(payload["registration_truncated_steps"], int)
+    assert 1 <= payload["registration_truncated_steps"] <= payload["registration_iterations"]
 
 
 def test_pipeline_stage_error_is_typed(ref_object):
