@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the number tests of the configs that raise ConfigError."""
+
+import math
+import numbers
 
 __all__ = [
     "KeycontactError",
@@ -60,3 +63,13 @@ class ConfigError(KeycontactError, ValueError):
         self.failures = dict(failures)
         msg = "; ".join(f"{k}: {v}" for k, v in sorted(self.failures.items()))
         super().__init__(f"invalid config: {msg}")
+
+
+def is_int(value) -> bool:
+    """An integer, and not a bool (JSON true is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A finite real number, and neither a bool nor a string (JSON true and "0.002" are not lengths)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)

@@ -1,11 +1,11 @@
 """Particle filter over the in-hand relative-pose error.
 
-The filter state z is the composite gripper-to-slave-keypoint transform: all
-perception error (master and slave alike) is folded into it, so a converged z
-makes execution relative to the perceived master pose consistent with the
-true contact geometry. The state is constant up to process noise; contact
-measurements score particles by the signed surface distance of the
-hypothesized slave surface to the master shape.
+The filter state z is the composite gripper-to-slave-keypoint transform. It
+absorbs all in-hand error, but a master-pose error E only if every contact
+implies the same z = g^-1 M E M^-1 g z_true, that is, if E is a pure
+translation and every contact is made at one gripper rotation g. The state is
+constant up to process noise; contact measurements score particles by the
+signed surface distance of the hypothesized slave surface to the master shape.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateInputError
+from ..errors import ConfigError, DegenerateInputError, is_finite_real
 from ..geometry import Pose, ShapeModel, average_quaternions, quat_from_rotvec, quat_to_rotvec
 from ..geometry.pose import quat_multiply, quat_rotate, quat_to_matrix
 
@@ -37,9 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_PARTICLES = 500
-# a slave contact sample set is the keypoint plus slave surface samples drawn
-# with CONTACT_SAMPLE_SEED: FILTER_SAMPLES of them where the filter and the
-# virtual probe score contacts, PROBE_SAMPLES where the real probe detects one
+# contact sample sets (slave_contact_points_in_keypoint_frame) of FILTER_SAMPLES where the filter and the
+# virtual probe score contacts, of PROBE_SAMPLES where the real probe detects one
 CONTACT_SAMPLE_SEED = 7
 FILTER_SAMPLES = 64
 PROBE_SAMPLES = 96
@@ -73,8 +72,8 @@ class NoiseConfig:
                      "prior_sigma_r", "contact_sigma"):
             if not getattr(self, name) >= 0:
                 fails[name] = "must be >= 0"
-        if not self.d_th > 0:
-            fails["d_th"] = "must be > 0"
+        if not (is_finite_real(self.d_th) and self.d_th > 0):
+            fails["d_th"] = "must be a finite number > 0"
         if fails:
             raise ConfigError(fails)
 
@@ -218,14 +217,9 @@ def contact_distances(
 
 
 def _min_sdf(g_q, g_t, quats, trans, master, master_inv, slave_contact_points, rows_buf, term_buf) -> np.ndarray:
-    """(G, M) minimum master SDF over the slave points of every gripper-particle pair.
-
-    master_inv maps world to master coordinates; it is folded into the
-    keypoints and the gripper rotations before any slave point is formed.
-    The slave points are written into the front of rows_buf (at least
-    3 G M n floats) and term_buf (at least G M n), which the caller keeps
-    across blocks.
-    """
+    """(G, M) minimum master SDF over the slave points of every gripper-particle pair, with master_inv (world to
+    master) folded into the keypoints and gripper rotations first. The slave points are written into the front of
+    rows_buf and term_buf, which the caller keeps across blocks."""
     kp = master_inv.apply(quat_rotate(g_q[:, None, :], trans) + g_t[:, None, :])  # (G, M, 3)
     # per-pair keypoint rotation in the master frame, rot[g, m] = R_g' @ R_zm
     # with R_g' = R_inv @ R_g, from elementwise products: faster than
@@ -234,27 +228,36 @@ def _min_sdf(g_q, g_t, quats, trans, master, master_inv, slave_contact_points, r
     r_g = quat_to_matrix(quat_multiply(master_inv.q, g_q))[:, None, :, :, None]  # g, -, i, j, -
     r_z = quat_to_matrix(quats)[None, :, None, :, :]  # -, m, -, j, k
     rot = (r_g[..., 0, :] * r_z[..., 0, :] + r_g[..., 1, :] * r_z[..., 1, :]) + r_g[..., 2, :] * r_z[..., 2, :]
-    # coordinate i of every slave point as one row (G, M, n), products in place
-    p0, p1, p2 = slave_contact_points.T
-    size = len(g_q) * len(quats) * len(p0)
-    rows = rows_buf[: 3 * size].reshape(3, len(g_q), len(quats), len(p0))
-    term = term_buf[:size].reshape(rows.shape[1:])
+    size = len(g_q) * len(quats) * len(slave_contact_points)
+    rows = _write_rows(rot, slave_contact_points, rows_buf[: 3 * size], term_buf[:size])
+    rows += kp.transpose(2, 0, 1)[..., None]
+    return _min_over_rows(master, rows)
+
+
+def _write_rows(rot: np.ndarray, points: np.ndarray, rows_buf: np.ndarray, term_buf: np.ndarray) -> np.ndarray:
+    """R @ p for every rotation of rot (..., 3, 3) and point of points (n, 3), summed (0 + 2) + 1, as coordinate
+    rows (3, ..., n) written into rows_buf, with term_buf (one row's size) for the products."""
+    p0, p1, p2 = points.T
+    rows = rows_buf.reshape(3, *rot.shape[:-2], len(points))
+    term = term_buf.reshape(rows.shape[1:])
     for i, row in enumerate(rows):
-        r = rot[:, :, i, :, None]  # g, m, k, -
-        np.multiply(r[:, :, 0], p0, out=row)
-        row += np.multiply(r[:, :, 2], p2, out=term)
-        row += np.multiply(r[:, :, 1], p1, out=term)
-        row += kp[:, :, i, None]
-    d = master.sdf_local(rows.reshape(3, -1).T)
-    return d.reshape(len(g_q), len(quats), -1).min(axis=2)
+        r = rot[..., i, :, None]  # ..., k, -
+        np.multiply(r[..., 0, :], p0, out=row)
+        row += np.multiply(r[..., 2, :], p2, out=term)
+        row += np.multiply(r[..., 1, :], p1, out=term)
+    return rows
 
 
-def slave_contact_points_in_keypoint_frame(slave: ShapeModel, slave_kf) -> np.ndarray:
-    """The filter's FILTER_SAMPLES slave surface samples re-expressed in the
-    keypoint frame, after the keypoint itself (the origin)."""
-    pts, _ = slave.surface_samples(FILTER_SAMPLES, seed=CONTACT_SAMPLE_SEED)
-    inv = slave_kf.as_pose().inverse()
-    return np.vstack([np.zeros(3), inv.apply(pts)])
+def _min_over_rows(master: ShapeModel, rows: np.ndarray) -> np.ndarray:
+    """Minimum master SDF over the points of coordinate rows (3, ..., n) in the master frame: shape (...)."""
+    return master.sdf_local(rows.reshape(3, -1).T).reshape(rows.shape[1:]).min(axis=-1)
+
+
+def slave_contact_points_in_keypoint_frame(slave: ShapeModel, slave_kf, n: int) -> np.ndarray:
+    """A contact sample set: the keypoint itself (the origin), then n slave
+    surface samples drawn with CONTACT_SAMPLE_SEED, in the keypoint frame."""
+    pts, _ = slave.surface_samples(n, seed=CONTACT_SAMPLE_SEED)
+    return np.vstack([np.zeros(3), slave_kf.as_pose().inverse().apply(pts)])
 
 
 def filter_update(
@@ -278,7 +281,7 @@ def filter_update(
     """
     if not meas.confirmed:
         raise DegenerateInputError("only confirmed contacts may enter the update")
-    pts = slave_contact_points_in_keypoint_frame(slave, slave_kf)
+    pts = slave_contact_points_in_keypoint_frame(slave, slave_kf, FILTER_SAMPLES)
     d = contact_distances(
         ps.quats, ps.translations, meas.end_effector_pose, master, meas.master_pose, pts
     )

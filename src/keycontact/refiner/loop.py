@@ -9,6 +9,7 @@ import numpy as np
 from ..errors import ConfigError, RefinementDivergence
 from .filter import (
     DEFAULT_PARTICLES,
+    ContactMeasurement,
     NoiseConfig,
     ParticleSet,
     RelativePoseError,
@@ -93,7 +94,7 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
     step_seeds = seeder.integers(0, 2**62, size=(n_contacts, 4))
 
     sim = ProbeSimulator(scene)
-    vprobe = sim.virtual_probe()
+    vprobe = ProbeSimulator(scene, virtual=True).probe_batch
     ps = filter_init(scene.z_perceived, config.noise, config.particles, config.seed)
     rng_random_sel = np.random.default_rng(config.seed + 1)
 
@@ -120,7 +121,7 @@ def run_refinement(scene, n_contacts: int, config: RefinementConfig) -> Refineme
         if res.contact:
             ps_new, diverged = filter_update(
                 ps,
-                sim.measurement(res),
+                ContactMeasurement(res.end_effector_pose, scene.master_perceived),
                 scene.master_shape,
                 scene.slave_shape,
                 config.noise,

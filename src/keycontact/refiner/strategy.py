@@ -29,6 +29,7 @@ from ..errors import ConfigError, DegenerateInputError
 from ..geometry import Pose, ShapeModel
 from ..geometry.pose import _dot, _norm
 from .filter import (
+    FILTER_SAMPLES,
     NoiseConfig,
     ParticleSet,
     contact_distances,
@@ -272,7 +273,7 @@ def select_contact_strategy(
     # uniform stride downsampling of the particle set
     d_idx = np.unique(np.linspace(0, m - 1, n_d).round().astype(int))
     n_d = len(d_idx)
-    pts = slave_contact_points_in_keypoint_frame(slave, slave_kf)
+    pts = slave_contact_points_in_keypoint_frame(slave, slave_kf, FILTER_SAMPLES)
 
     rng = np.random.default_rng(seed)
     scen_idx = rng.choice(m, size=(k, SCENARIOS), p=ps.weights)

@@ -13,7 +13,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import numbers
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateInputError, RefinementDivergence
+from ..errors import ConfigError, DegenerateInputError, RefinementDivergence, is_finite_real, is_int
 from ..refiner import NoiseConfig, RefinementConfig, run_refinement
 from ..serialize import canonical_json
 from .scenes import INSERT_MARGIN, PROFILES, Scene, SceneNoise, make_peg_hole_scene
@@ -50,11 +49,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _is_int(value) -> bool:
-    """An integer, and not a bool (JSON true is not a count)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     profiles: tuple[str, ...] = ("round", "hexagon")
@@ -74,21 +68,21 @@ class CampaignConfig:
             if p not in PROFILES:
                 fails[f"profiles[{p}]"] = f"unknown profile (choose from {PROFILES})"
         for name, least in (("trials", 1), ("n_contacts", 0), ("particles", 2), ("base_seed", 0)):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 fails[name] = "must be an integer"
             elif getattr(self, name) < least:
                 fails[name] = f"must be >= {least}"
-        if not self.clearance >= 0:
-            fails["clearance"] = "must be >= 0"
-        if not self.depth > INSERT_MARGIN:
-            fails["depth"] = f"must exceed the insertion margin {INSERT_MARGIN} m"
+        if not (is_finite_real(self.clearance) and self.clearance >= 0):
+            fails["clearance"] = "must be a finite number >= 0"
+        if not (is_finite_real(self.depth) and self.depth > INSERT_MARGIN):
+            fails["depth"] = f"must be a finite number above the insertion margin {INSERT_MARGIN} m"
         if self.selection not in ("ig", "random"):
             fails["selection"] = "must be 'ig' or 'random'"
-        if not self.d_th > 0:
-            fails["d_th"] = "must be > 0"
-        for i, (st, sr) in enumerate(self.noise_grid):
-            if not (st >= 0 and sr >= 0):
-                fails[f"noise_grid[{i}]"] = "sigmas must be >= 0"
+        if not (is_finite_real(self.d_th) and self.d_th > 0):
+            fails["d_th"] = "must be a finite number > 0"
+        for i, cell in enumerate(self.noise_grid):
+            if not all(is_finite_real(sigma) and sigma >= 0 for sigma in cell):
+                fails[f"noise_grid[{i}]"] = "sigmas must be finite numbers >= 0"
         if fails:
             raise ConfigError(fails)
 
@@ -105,7 +99,11 @@ class CampaignConfig:
                 raise ConfigError({"profiles": "must be a list of profile names"})
             kwargs["profiles"] = tuple(d["profiles"])
         if "noise_grid" in d:
-            kwargs["noise_grid"] = tuple((float(a), float(b)) for a, b in d["noise_grid"])
+            grid = d["noise_grid"]
+            if not (isinstance(grid, list)
+                    and all(isinstance(c, list) and len(c) == 2 and all(map(is_finite_real, c)) for c in grid)):
+                raise ConfigError({"noise_grid": "must be a list of [sigma_t, sigma_r] pairs of finite numbers"})
+            kwargs["noise_grid"] = tuple((float(a), float(b)) for a, b in grid)
         cfg = CampaignConfig(**kwargs)
         cfg.validate()
         return cfg

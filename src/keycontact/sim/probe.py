@@ -2,7 +2,7 @@
 
 The robot plans the approach against the perceived master pose using its
 current in-hand estimate. Detection uses the minimum master-SDF over slave
-surface samples; the contact travel is refined by bisection to the contact
+contact samples; the contact travel is refined by bisection to the contact
 tolerance. One lock-step march serves both kinds of probe: a real probe
 marches one hypothesis, the true in-hand state, against the true master
 pose and reports a noisy gripper pose; a virtual rollout marches a batch of
@@ -12,12 +12,12 @@ length 1, and a batch that shares one strategy indexes its row once per
 hypothesis. Strategy selection rolls out every candidate-scenario pair of a
 refinement step in one such march.
 
-A march folds the inverse of its master pose into the hypotheses once, so
-the slave samples are written as master-frame coordinate rows and never
-pass through world coordinates. At an identity master pose, which every
-scene with noise-free master perception has, the fold changes no bit;
-under any other master pose an SDF value can differ in its last bits from
-mapping world points through the inverse pose.
+The march scores with the filter's contact kernel: its row writer and its
+minimum-SDF reduction. The inverse master pose is folded into the
+hypotheses once, so the samples never pass through world coordinates. At an
+identity master pose, which every scene with noise-free master perception
+has, the fold changes no bit; under any other an SDF value can differ in
+its last bits from mapping world points through the inverse pose.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 from ..errors import DegenerateInputError
 from ..geometry import Pose
 from ..geometry.pose import _norm, matrix_to_quat, quat_multiply, quat_rotate, quat_to_matrix
-from ..refiner.filter import CONTACT_SAMPLE_SEED, FILTER_SAMPLES, PROBE_SAMPLES, ContactMeasurement, NoiseConfig
+from ..refiner.filter import (FILTER_SAMPLES, PROBE_SAMPLES, NoiseConfig, _min_over_rows, _write_rows,
+                              slave_contact_points_in_keypoint_frame)
 from ..refiner.strategy import StrategySet, strategy_frames
 from .scenes import Scene
 
@@ -53,15 +54,14 @@ class ProbeResult:
 
 
 class ProbeSimulator:
-    """Probe rollouts bound to one scene."""
+    """Probe rollouts bound to one scene: real probes detect contact on PROBE_SAMPLES samples to CONTACT_TOL,
+    virtual ones (strategy selection's) on the filter's FILTER_SAMPLES samples to VIRTUAL_CONTACT_TOL."""
 
-    def __init__(self, scene: Scene, contact_tol: float = CONTACT_TOL, n_samples: int = PROBE_SAMPLES):
+    def __init__(self, scene: Scene, virtual: bool = False):
         self.scene = scene
-        self.contact_tol = float(contact_tol)
-        pts, _ = scene.slave_shape.surface_samples(n_samples, seed=CONTACT_SAMPLE_SEED)
-        # the keypoint itself always belongs to the contact sample set
-        self._slave_samples = np.vstack([scene.slave_kf.origin[None, :], pts])
-        self._kf_inv = scene.slave_kf.as_pose().inverse()
+        self.contact_tol = VIRTUAL_CONTACT_TOL if virtual else CONTACT_TOL
+        self._slave_samples = slave_contact_points_in_keypoint_frame(
+            scene.slave_shape, scene.slave_kf, FILTER_SAMPLES if virtual else PROBE_SAMPLES)
 
     def _sdf_along(
         self,
@@ -78,13 +78,11 @@ class ProbeSimulator:
         Hypothesis h approaches along approach[h] from start[h] with planned
         keypoint rotation kp_rot[h] (from strategy_frames), while the slave
         actually sits at the in-hand state (q_actual[h], t_actual[h]). The
-        inverse of contact_master is folded once into the rotated samples,
-        the start points, the approaches and the keypoint offsets, which are
-        kept as master-frame coordinate rows; each call gathers the rows of
-        the active hypotheses into one buffer kept for the rollout and adds
-        the travelled offset to them in place. At an identity contact_master
-        the fold is exact; at any other pose a distance can differ in its
-        last bits from mapping world points through the inverse pose.
+        inverse of contact_master is folded once into the keypoint
+        rotations, start points, approaches and keypoint offsets, and the
+        contact kernel's rows are written once per rollout; each call
+        gathers those of the active hypotheses into one buffer kept for the
+        rollout and adds the travelled offset to them in place.
         """
         inv_plan = z_plan.inverse()
         # actual keypoint = planned keypoint o (z_plan^-1 o z_actual); the
@@ -93,15 +91,12 @@ class ProbeSimulator:
         off_q = off_q / _norm(off_q)[:, None]
         off_q = off_q / _norm(off_q)[:, None]
         off_t = quat_rotate(inv_plan.q, t_actual) + inv_plan.t
-        akp_rot = kp_rot @ quat_to_matrix(off_q)
-        const_t = (kp_rot @ off_t[:, :, None])[:, :, 0] + akp_rot @ self._kf_inv.t
-
         m_inv = contact_master.inverse()
-        local_rot = m_inv.rotation_matrix() @ (akp_rot @ self._kf_inv.rotation_matrix())
-        rotated = self._slave_samples @ local_rot.transpose(0, 2, 1)  # (H, n, 3)
-        rows = np.ascontiguousarray(rotated.transpose(2, 0, 1))  # (3, H, n)
-        start, approach, const_t = m_inv.apply(start), m_inv.apply_direction(approach), m_inv.apply_direction(const_t)
+        local_rot = m_inv.rotation_matrix() @ (kp_rot @ quat_to_matrix(off_q))
         n = len(self._slave_samples)
+        rows = _write_rows(local_rot, self._slave_samples, np.empty(3 * len(kp_rot) * n), np.empty(len(kp_rot) * n))
+        const_t = m_inv.apply_direction((kp_rot @ off_t[:, :, None])[:, :, 0])
+        start, approach = m_inv.apply(start), m_inv.apply_direction(approach)
         master = self.scene.master_shape
         gathered = np.empty(rows.size)
 
@@ -112,7 +107,7 @@ class ProbeSimulator:
             # write straight into the buffer, without a copy
             local = rows.take(idx, axis=1, out=gathered[: 3 * len(idx) * n].reshape(3, -1, n), mode="clip")
             local += pos.T[:, :, None]
-            return master.sdf_local(local.reshape(3, -1).T).reshape(-1, n).min(axis=1)
+            return _min_over_rows(master, local)
 
         return sdf_at
 
@@ -124,8 +119,9 @@ class ProbeSimulator:
         Every hypothesis advances by its own safe step (one sdf_at batch per
         iteration): the min sample SDF bounds the safe advance, since the
         SDF is 1-Lipschitz along the straight path. Returns the travels and
-        the contact flags (a miss ends at MAX_TRAVEL); each hypothesis'
-        result is the same whatever else is in the batch.
+        the contact flags (a miss, also one whose distance is not finite,
+        ends at MAX_TRAVEL); each hypothesis' result is the same whatever
+        else is in the batch.
         """
         tol = self.contact_tol
         travels = np.zeros(s_count)
@@ -139,7 +135,9 @@ class ProbeSimulator:
             active = ~done
             idx = np.nonzero(active)[0]
             trial = travels.copy()
-            trial[idx] = np.minimum(travels[idx] + np.maximum(d[idx], STEP), MAX_TRAVEL)
+            # fmin: a NaN distance (a NaN pose) steps straight to MAX_TRAVEL and
+            # ends there as a miss, as an infinite one does
+            trial[idx] = np.fmin(travels[idx] + np.maximum(d[idx], STEP), MAX_TRAVEL)
             d_next = sdf_at(trial, active)
             crossed = d_next <= 0.0
             touched = (~crossed) & (d_next <= tol)
@@ -220,14 +218,6 @@ class ProbeSimulator:
             gripper = Pose(gripper.q, gripper.t + rng.normal(0.0, noise.contact_sigma, 3))
         return ProbeResult(bool(hit), gripper, float(travel))
 
-    def measurement(self, result: ProbeResult) -> ContactMeasurement:
-        """Contact measurement for the filter (perceived master pose)."""
-        return ContactMeasurement(
-            end_effector_pose=result.end_effector_pose,
-            master_pose=self.scene.master_perceived,
-            confirmed=result.contact,
-        )
-
     def probe_batch(
         self,
         strategies: StrategySet,
@@ -253,9 +243,3 @@ class ProbeSimulator:
         q_actual[q_actual[:, 0] < 0.0] *= -1.0
         _, hit, g_q, g_t = self._rollout(strategies, z_plan, q_actual, t_actual, self.scene.master_perceived)
         return [Pose(q, t) if contact else None for q, t, contact in zip(g_q, g_t, hit)]
-
-    def virtual_probe(self):
-        """Batched rollout callable for strategy selection: the bound
-        probe_batch of a simulator with the filter's FILTER_SAMPLES samples
-        and VIRTUAL_CONTACT_TOL tolerance."""
-        return ProbeSimulator(self.scene, VIRTUAL_CONTACT_TOL, FILTER_SAMPLES).probe_batch

@@ -8,10 +8,10 @@ frames sit at those origins with z pointing down (the insertion approach) so
 the ground-truth insertion waypoint is a pure z-offset in the master keypoint
 frame.
 
-All perception error is expressed in the in-hand estimate: the composite
-filter state absorbs master-side error anyway, so a scene perceives the
-master pose exactly (master_perceived is master_true) and perturbs only the
-gripper-to-keypoint transform.
+A scene perceives the master pose exactly (master_perceived is master_true)
+and perturbs only the gripper-to-keypoint transform. That is not general:
+the filter state absorbs a master error only if it is a pure translation
+and every contact is made at one gripper rotation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateInputError
+from ..errors import ConfigError, DegenerateInputError, is_finite_real
 from ..geometry import Pose, ShapeModel, TriangleMesh, penetration_depth
 from ..geometry.pose import quat_from_rotvec
 from ..keypoints import KeypointFrame
@@ -175,15 +175,15 @@ def _block_with_cavity(
 class SceneNoise:
     """In-hand perception-noise scales applied when a scene is generated.
 
-    Each sigma must be >= 0 (not NaN), else ConfigError names it; 0 means no noise.
+    Each sigma must be a finite number >= 0, else ConfigError names it; 0 means no noise.
     """
 
     in_hand_sigma_t: float = 0.005  # m
     in_hand_sigma_r: float = np.deg2rad(5.0)  # rad
 
     def __post_init__(self):
-        fails = {name: "must be >= 0" for name in ("in_hand_sigma_t", "in_hand_sigma_r")
-                 if not getattr(self, name) >= 0}
+        fails = {name: "must be a finite number >= 0" for name in ("in_hand_sigma_t", "in_hand_sigma_r")
+                 if not (is_finite_real(getattr(self, name)) and getattr(self, name) >= 0)}
         if fails:
             raise ConfigError(fails)
 
@@ -258,10 +258,10 @@ def make_peg_hole_scene(
     fails = {}
     if profile not in PROFILES:
         fails["profile"] = f"unsupported {profile!r} (choose from {PROFILES})"
-    if not clearance >= 0:
-        fails["clearance"] = "must be >= 0"
-    if not depth > INSERT_MARGIN:
-        fails["depth"] = f"must exceed the insertion margin {INSERT_MARGIN} m"
+    if not (is_finite_real(clearance) and clearance >= 0):
+        fails["clearance"] = "must be a finite number >= 0"
+    if not (is_finite_real(depth) and depth > INSERT_MARGIN):
+        fails["depth"] = f"must be a finite number above the insertion margin {INSERT_MARGIN} m"
     if fails:
         raise ConfigError(fails)
     peg_length = depth + GRIP_EXTRA

@@ -218,8 +218,8 @@ def _learn_argv(tmp_path, flag: str) -> list[str]:
     return ["learn", "--trajectories", traj, flag, "nan", "--out-dir", str(tmp_path / "records")]
 
 
-def _refine_argv(tmp_path, flag: str) -> list[str]:
-    return ["refine", flag, "nan", "--contacts", "1", "--particles", "20", "--out", str(tmp_path / "refined.json")]
+def _refine_argv(tmp_path, flag: str, value: str = "nan") -> list[str]:
+    return ["refine", flag, value, "--contacts", "1", "--particles", "20", "--out", str(tmp_path / "refined.json")]
 
 
 def _campaign_argv(tmp_path, config: str, *extra: str) -> list[str]:
@@ -261,6 +261,10 @@ MALFORMED_INPUTS = {
     "refine_sigma_r_deg_nan": lambda tmp: (_refine_argv(tmp, "--sigma-r-deg"), 2, "ConfigError", "in_hand_sigma_r"),
     "refine_depth_nan": lambda tmp: (_refine_argv(tmp, "--depth"), 2, "ConfigError", "depth"),
     "refine_clearance_nan": lambda tmp: (_refine_argv(tmp, "--clearance"), 2, "ConfigError", "clearance"),
+    "refine_d_th_inf": lambda tmp: (_refine_argv(tmp, "--d-th", "inf"), 2, "ConfigError", "d_th"),
+    "refine_sigma_t_inf": lambda tmp: (_refine_argv(tmp, "--sigma-t", "inf"), 2, "ConfigError", "in_hand_sigma_t"),
+    "refine_depth_inf": lambda tmp: (_refine_argv(tmp, "--depth", "inf"), 2, "ConfigError", "depth"),
+    "refine_clearance_inf": lambda tmp: (_refine_argv(tmp, "--clearance", "inf"), 2, "ConfigError", "clearance"),
     "campaign_seed_not_an_integer": lambda tmp: (
         _campaign_argv(tmp, json.dumps(TINY_CAMPAIGN), "--seed-file", _text_file(tmp, "seeds.txt", "3\nfour\n")),
         2, "ConfigError", "--seed-file"),
@@ -276,6 +280,22 @@ MALFORMED_INPUTS = {
         2, "ConfigError", "--seed-file"),
     "campaign_profiles_a_string": lambda tmp: (
         _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "profiles": "round"})), 2, "ConfigError", "profiles"),
+    "campaign_clearance_a_string": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "clearance": "0.002"})), 2, "ConfigError", "clearance"),
+    "campaign_d_th_a_string": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "d_th": "0.002"})), 2, "ConfigError", "d_th"),
+    "campaign_depth_a_bool": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "depth": True})), 2, "ConfigError", "depth"),
+    "campaign_noise_grid_cell_not_a_pair": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "noise_grid": [[0.001]]})), 2, "ConfigError", "noise_grid"),
+    "campaign_noise_grid_a_number": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "noise_grid": 5})), 2, "ConfigError", "noise_grid"),
+    "campaign_noise_grid_sigma_a_string": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "noise_grid": [["a", 0.1]]})), 2, "ConfigError",
+        "noise_grid"),
+    "campaign_noise_grid_sigma_infinite": lambda tmp: (
+        _campaign_argv(tmp, json.dumps({**TINY_CAMPAIGN, "noise_grid": [[float("inf"), 0.1]]})), 2, "ConfigError",
+        "noise_grid"),
 }
 
 

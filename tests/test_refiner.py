@@ -30,7 +30,8 @@ from keycontact.refiner import (
     select_contact_strategy,
 )
 from keycontact.refiner import filter as filter_module
-from keycontact.refiner.filter import contact_distances, contact_likelihood, slave_contact_points_in_keypoint_frame
+from keycontact.refiner.filter import (FILTER_SAMPLES, contact_distances, contact_likelihood,
+                                      slave_contact_points_in_keypoint_frame)
 from keycontact.refiner import strategy as strategy_module
 from keycontact.refiner.strategy import (
     DOWNSAMPLE,
@@ -45,7 +46,7 @@ from keycontact.refiner.strategy import (
 from keycontact.sim import (CampaignConfig, ProbeSimulator, SceneNoise, make_peg_hole_scene, run_campaign,
                             write_campaign_outputs)
 from keycontact.sim.campaign import Z95, wilson_interval
-from keycontact.sim.probe import CONTACT_TOL, MAX_TRAVEL, PROBE_SAMPLES, STANDOFF
+from keycontact.sim.probe import CONTACT_TOL, MAX_TRAVEL, PROBE_SAMPLES, STANDOFF, VIRTUAL_CONTACT_TOL
 from keycontact.sim.scenes import INSERT_MARGIN, offset_polygon, profile_polygon
 
 NO_CONTACT_NOISE = NoiseConfig(contact_sigma=0.0)
@@ -118,6 +119,43 @@ def test_probe_equals_probe_batch_without_master_noise(scene, candidates):
                 continue
             assert batch.q.tobytes() == res.end_effector_pose.q.tobytes()
             assert batch.t.tobytes() == res.end_effector_pose.t.tobytes()
+
+
+def test_probe_batch_of_a_nan_translation_is_a_miss(scene, candidates):
+    sim = ProbeSimulator(scene)
+    t = scene.z_true.t.copy()
+    t[0] = np.nan
+    # the grid query casts the NaN points to cell indices, which flags an invalid value
+    with np.errstate(invalid="ignore"):
+        assert sim.probe_batch(candidates[0], scene.z_perceived, scene.z_true.q[None], t[None]) == [None]
+
+
+def test_both_simulators_take_their_samples_from_the_one_contact_sample_set(scene):
+    for virtual, n in ((False, PROBE_SAMPLES), (True, FILTER_SAMPLES)):
+        want = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf, n)
+        assert ProbeSimulator(scene, virtual)._slave_samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("profile", ["round", "hexagon", "star", "triangle"])
+def test_virtual_contacts_read_zero_in_the_filter(profile):
+    contacts = 0
+    for seed in range(4):
+        scene = make_peg_hole_scene(profile, 0.002, 0.006, seed=seed)
+        ps = filter_init(scene.z_perceived, NoiseConfig(), 100, seed=seed)
+        candidates = sample_contact_candidates(scene.master_shape, seed=seed)
+        strategies = candidates[np.repeat(np.arange(len(candidates)), SCENARIOS)]
+        scen = np.random.default_rng(seed).choice(len(ps), len(strategies))
+        travels, hit, g_q, g_t = ProbeSimulator(scene, virtual=True)._rollout(
+            strategies, filter_estimate(ps), ps.quats[scen], ps.translations[scen], scene.master_perceived)
+        # a contact at travel 0 may start inside the master, which the march reports as a touch
+        moved = np.flatnonzero(hit & (travels > 0.0))
+        grippers = [Pose(g_q[h], g_t[h]) for h in moved]
+        pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf, FILTER_SAMPLES)
+        d = contact_distances(ps.quats[scen[moved]], ps.translations[scen[moved]], grippers, scene.master_shape,
+                              scene.master_perceived, pts)
+        assert np.abs(np.diag(d)).max() <= VIRTUAL_CONTACT_TOL
+        contacts += len(moved)
+    assert contacts >= 100
 
 
 def test_probe_noise_moves_only_the_reported_translation(scene, candidates):
@@ -224,7 +262,7 @@ def test_contact_distances_of_many_grippers_match_one_call_each(scene, candidate
     sim = ProbeSimulator(scene)
     ps = filter_init(scene.z_perceived, NoiseConfig(), 12, seed=8)
     grippers = [sim.probe(c, scene.z_perceived, scene.z_true, NO_CONTACT_NOISE).end_effector_pose for c in candidates]
-    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf)
+    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf, FILTER_SAMPLES)
     args = (scene.master_shape, scene.master_perceived, pts)
     d = contact_distances(ps.quats, ps.translations, grippers, *args)
     assert d.shape == (len(grippers), len(ps))
@@ -249,7 +287,7 @@ def test_contact_distances_do_not_depend_on_the_block_size(scene, candidates, mo
     ps = filter_init(scene.z_perceived, NoiseConfig(), n_particles, seed=4)
     grippers = _jittered_grippers(scene, candidates, n_grippers, seed=n_grippers)
     gripper = grippers if n_grippers > 1 else grippers[0]
-    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf)
+    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf, FILTER_SAMPLES)
     rows = []
     min_sdf, default_block = filter_module._min_sdf, filter_module.BLOCK_POINTS
 
@@ -300,7 +338,7 @@ def test_contact_distances_match_scoring_in_world_coordinates(scene, candidates,
     ps = filter_init(scene.z_perceived, NoiseConfig(), n_particles, seed=5)
     # grippers near contact, carried along with the master
     grippers = [master_pose.compose(g) for g in _jittered_grippers(scene, candidates, n_grippers, seed=7)]
-    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf)
+    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf, FILTER_SAMPLES)
     d = contact_distances(ps.quats, ps.translations, grippers if n_grippers > 1 else grippers[0],
                           scene.master_shape, master_pose, pts)
     want = _world_min_sdf(np.array([g.q for g in grippers]), np.array([g.t for g in grippers]), ps.quats,
@@ -322,9 +360,12 @@ def _world_sdf_along(sim, kp_rot, approach, start, q_actual, t_actual, z_plan, c
     off_q = off_q / _norm(off_q)[:, None]
     off_q = off_q / _norm(off_q)[:, None]
     off_t = quat_rotate(inv_plan.q, t_actual) + inv_plan.t
-    akp_rot = kp_rot @ quat_to_matrix(off_q)
-    rotated = sim._slave_samples @ (akp_rot @ sim._kf_inv.rotation_matrix()).transpose(0, 2, 1)
-    const_t = (kp_rot @ off_t[:, :, None])[:, :, 0] + akp_rot @ sim._kf_inv.t
+    # the keypoint-frame samples in world coordinates, each coordinate summed
+    # in the contact kernel's order, (0 + 2) + 1
+    rot = (kp_rot @ quat_to_matrix(off_q))[:, None, :, :]  # h, -, i, k
+    p = sim._slave_samples[:, None, :]  # n, -, k
+    rotated = (rot[..., 0] * p[..., 0] + rot[..., 2] * p[..., 2]) + rot[..., 1] * p[..., 1]  # h, n, i
+    const_t = (kp_rot @ off_t[:, :, None])[:, :, 0]
     n = len(sim._slave_samples)
 
     def sdf_at(travels, active):
@@ -369,8 +410,7 @@ def test_probe_batch_is_bit_identical_to_marching_in_world_coordinates(scene, ca
 
 
 def test_every_sdf_point_of_a_selection_step_goes_through_the_grid_query(scene, monkeypatch):
-    sim = ProbeSimulator(scene)
-    vprobe = sim.virtual_probe()
+    vprobe = ProbeSimulator(scene, virtual=True).probe_batch
     noise = NoiseConfig(d_th=0.002)
     ps = filter_init(scene.z_perceived, noise, 60, seed=2)
     candidates = sample_contact_candidates(scene.master_shape, seed=2)
@@ -524,7 +564,7 @@ def _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed):
     m = len(ps)
     d_idx = np.unique(np.linspace(0, m - 1, min(DOWNSAMPLE, m)).round().astype(int))
     n_d = len(d_idx)
-    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf)
+    pts = slave_contact_points_in_keypoint_frame(scene.slave_shape, scene.slave_kf, FILTER_SAMPLES)
     scen_idx = np.random.default_rng(seed).choice(m, size=(len(candidates), SCENARIOS), p=ps.weights)
     z_plan = filter_estimate(ps)
     mean_entropy = np.full(len(candidates), np.nan)
@@ -559,9 +599,10 @@ def test_batched_selection_matches_the_per_candidate_loop(profile, seed):
     if seed > 0:  # scenarios drawn from non-uniform weights
         res = sim.probe(sample_contact_candidates(scene.master_shape, seed=seed + 10)[0], scene.z_perceived,
                         scene.z_true, noise, seed=seed)
-        ps, _ = filter_update(ps, sim.measurement(res), scene.master_shape, scene.slave_shape, noise, scene.slave_kf)
+        meas = ContactMeasurement(res.end_effector_pose, scene.master_perceived)
+        ps, _ = filter_update(ps, meas, scene.master_shape, scene.slave_shape, noise, scene.slave_kf)
     candidates = sample_contact_candidates(scene.master_shape, seed=seed)
-    vprobe = sim.virtual_probe()
+    vprobe = ProbeSimulator(scene, virtual=True).probe_batch
     sel = select_contact_strategy(ps, candidates, scene.master_shape, scene.master_perceived, vprobe, noise,
                                   scene.slave_shape, scene.slave_kf, seed=seed)
     best, want = _per_candidate_selection(ps, candidates, scene, vprobe, noise, seed)
@@ -624,7 +665,7 @@ def _select(scene, candidates, vprobe):
 
 def test_selection_over_an_empty_set_is_degenerate(scene, candidates):
     with pytest.raises(DegenerateInputError, match="empty"):
-        _select(scene, candidates[np.arange(0)], ProbeSimulator(scene).virtual_probe())
+        _select(scene, candidates[np.arange(0)], ProbeSimulator(scene, virtual=True).probe_batch)
 
 
 def test_selection_without_any_contact_is_degenerate(scene, candidates):
@@ -686,7 +727,8 @@ def test_weights_normalized_after_update_and_resample(scene, candidates):
         if not res.contact:
             continue
         new, diverged = filter_update(
-            ps, sim.measurement(res), scene.master_shape, scene.slave_shape, noise, slave_kf=scene.slave_kf
+            ps, ContactMeasurement(res.end_effector_pose, scene.master_perceived), scene.master_shape,
+            scene.slave_shape, noise, slave_kf=scene.slave_kf
         )
         if diverged:
             continue
